@@ -185,39 +185,69 @@ def _has_word_rows(table: CountTable) -> bool:
     return isinstance(table.rows[0], (np.ndarray, array))
 
 
-def _bin_sums_batch(table: CountTable, k: int, start: int, count: int) -> np.ndarray:
-    """Subset sums mod 2^64 of ranks start .. start+count-1 of bin k.
+def _bin_sums_batch(
+    table: CountTable,
+    k,
+    start,
+    count: int,
+    values: Sequence[int] | None = None,
+    modulus: int = 0,
+) -> np.ndarray:
+    """Subset sums of ranks start .. start+count-1 of bin k.
 
-    The same walk as :func:`_unrank_mask`, run level by level over the whole
-    rank vector with preallocated scratch. Only the running sums are kept;
-    callers that need the subsets themselves re-unrank the few ranks they
-    care about. Sums wrap mod 2^64, so exact-valued callers must confirm
-    candidates with exact arithmetic (for item sums below 2^64 they are
-    exact as is). Valid only on tables with machine-word rows.
+    ``k`` and ``start`` may also be int64 arrays of ``count`` bins and
+    1-based ranks, one pair per entry, so many bins go through in one call.
+    The walk is that of :func:`_unrank_mask`, run level by level over the
+    whole rank vector; callers that need the subsets themselves re-unrank
+    the few ranks they care about. Valid only on machine-word rows.
+
+    By default the table's items are summed mod 2^64, so exact-valued
+    callers confirm candidates exactly (item sums below 2^64 are exact as
+    is). Given ``values`` in [0, q) and ``modulus`` q < 2^62, those are
+    summed instead, exactly mod q in int64: add, then subtract q once if the
+    sum reached it, so nothing exceeds 2q < 2^63.
     """
-    idx = np.arange(start, start + count, dtype=np.int64)
-    j = np.full(count, k, dtype=np.int64)
-    sums = np.zeros(count, dtype=np.uint64)
+    if np.ndim(start):
+        idx = np.array(start, dtype=np.int64)
+    else:
+        idx = np.arange(start, start + count, dtype=np.int64)
+    if np.ndim(k):
+        j = np.array(k, dtype=np.int64)
+    else:
+        j = np.full(count, k, dtype=np.int64)
+    if modulus:
+        sums = np.zeros(count, dtype=np.int64)
+        addends = [np.int64(v) for v in values]
+    else:
+        sums = np.zeros(count, dtype=np.uint64)
+        addends = [np.uint64(a & _WORD_MASK) for a in table.items]
+    # Branch-free steps: ``take`` holds 0/1 words, and a sign shift (x >> 63
+    # is -1 exactly when x < 0) turns a comparison into an addend mask.
+    # Masked ufuncs (``where=``) are several times slower on random masks.
+    take = np.empty(count, dtype=np.int64)
     scratch = np.empty(count, dtype=np.int64)
-    take = np.empty(count, dtype=bool)
-    neg = np.empty(count, dtype=bool)
-    contrib = np.empty(count, dtype=np.uint64)
+    contrib = scratch.view(sums.dtype)
+    take_s = take.view(sums.dtype)
     rows = table.rows
     mods = table.mods
-    items = table.items
     p = table.p
     for i in range(table.n, 0, -1):
-        row = np.asarray(rows[i - 1])
-        np.take(row, j, out=scratch)
-        np.greater(idx, scratch, out=take)
-        np.subtract(idx, scratch, out=idx, where=take)
-        np.subtract(j, mods[i - 1], out=scratch)
-        np.less(scratch, 0, out=neg)
-        np.add(scratch, p, out=scratch, where=neg)
-        np.copyto(j, scratch, where=take)
-        np.copyto(contrib, take, casting="unsafe")
-        np.multiply(contrib, np.uint64(items[i - 1] & _WORD_MASK), out=contrib)
+        np.take(rows[i - 1], j, out=scratch)
+        np.greater(idx, scratch, out=take, casting="unsafe")
+        np.multiply(scratch, take, out=scratch)
+        np.subtract(idx, scratch, out=idx)
+        np.multiply(take, mods[i - 1], out=scratch)
+        np.subtract(j, scratch, out=j)
+        np.right_shift(j, 63, out=scratch)
+        np.bitwise_and(scratch, p, out=scratch)
+        np.add(j, scratch, out=j)
+        np.multiply(take_s, addends[i - 1], out=contrib)
         np.add(sums, contrib, out=sums)
+        if modulus:
+            np.subtract(modulus - 1, sums, out=scratch)
+            np.right_shift(scratch, 63, out=scratch)
+            np.bitwise_and(scratch, modulus, out=scratch)
+            np.subtract(sums, scratch, out=sums)
     return sums
 
 

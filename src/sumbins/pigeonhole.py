@@ -25,22 +25,34 @@ overfull single class (returned as a marked index). Either way the search
 ends on a class window of width <= 4n whose covering table bins hold more
 subsets than residues, and bucketing those subsets by true residue mod q
 exhibits the collision.
+
+Every enumeration here is one batched walk of the quotient table
+(``dpbins._bin_sums_batch``): the ranks of all the bins involved go through
+together, a bounded chunk at a time, and the walk accumulates the true
+residues a_i mod q instead of the quotient items. Those sums are exact in
+int64 (add, then subtract q once if the sum reached it; q < 2^62), so class
+counts and residue repeats come straight from numpy, and only the two
+subsets of the final pair are unranked one by one. Collision scans grow in
+doubling chunks and find the earliest repeat with a stable sort, which is
+the pair a sequential scan returns. The walk needs machine-word table rows,
+so the dichotomy refuses n > 62; at that size it would need at least 2^31
+walk steps anyway.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .core import Pair, Subset
 from .dpbins import (
+    _INT64_SAFE_N,
     DEFAULT_MEMORY_CAP_BYTES,
     CountTable,
+    ResourceLimitError,
     _bin_sums_batch,
-    _has_word_rows,
     _unrank_mask,
     build_table,
 )
@@ -54,6 +66,36 @@ __all__ = [
     "solve_pigeonhole_modular",
 ]
 
+_WALK_CHUNK = 1 << 15  # ranks per batched walk call; bounds scratch memory
+_FIRST_SCAN = 1 << 10  # first chunk of a doubling collision scan
+
+
+class _Expired(Exception):
+    """The caller's time budget ran out before a pair was found."""
+
+
+def _require_word_rows(n: int) -> None:
+    if n > _INT64_SAFE_N:
+        raise ResourceLimitError(
+            f"the batched bin walk needs machine-word table rows (n <= {_INT64_SAFE_N}), got n={n}"
+        )
+
+
+def _first_repeat(values: np.ndarray) -> tuple[int, int] | None:
+    """Positions (first, second) of the earliest second occurrence of any
+    value, i.e. what a sequential scan with a seen-set stops at; None if all
+    values are distinct. A stable sort keeps equal values in scan order.
+    """
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    dup = sv[1:] == sv[:-1]
+    if not dup.any():
+        return None
+    run_start = dup & ~np.concatenate(([False], dup[:-1]))
+    starts = np.nonzero(run_start)[0]
+    g = int(starts[int(np.argmin(order[starts + 1]))])
+    return int(order[g]), int(order[g + 1])
+
 
 # ---------------------------------------------------------------------------
 # Equal sums
@@ -65,21 +107,15 @@ def find_heavy_bin(items: Sequence[int], p: int, table: CountTable | None = None
     n = len(items)
     if table is None:
         table = build_table(items, p)
-    row = table.rows[n]
-    threshold = (1 << n) // p
-    if isinstance(row, (np.ndarray, array)):
-        arr = np.asarray(row)
-        heavy = np.nonzero(arr > threshold)[0]
-        return int(heavy[0]) if heavy.size else p - 1
-    for k in range(p):
-        if row[k] > threshold:
-            return k
-    return p - 1
+    heavy = np.nonzero(np.asarray(table.rows[n]) > (1 << n) // p)[0]
+    return int(heavy[0]) if heavy.size else p - 1
 
 
 def solve_pigeonhole_equal(
-    items: Sequence[int], memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES
-) -> Pair:
+    items: Sequence[int],
+    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
+    expired: Callable[[], bool] | None = None,
+) -> Pair | None:
     """Two distinct subsets with the same sum, given sum(items) < 2^n - 1.
 
     Walks one bin of the table mod p = 2^(ceil(n/2)). The chosen bin holds
@@ -87,6 +123,11 @@ def solve_pigeonhole_equal(
     2^n/p + 1 subsets against at most 2^n/p values, and the fallback bin
     p - 1 has 2^n/p subsets against at most 2^n/p - 1 values, since values
     congruent to p - 1 start at p - 1 and W <= 2^n - 2 caps the range.
+
+    The bin is scanned in doubling chunks, and the earliest repeat of the
+    scanned prefix is the pair a sequential walk returns. Sums are exact in
+    a word (W < 2^n - 1 <= 2^62). Returns None if ``expired()`` turns true
+    between chunks.
     """
     items = tuple(int(a) for a in items)
     n = len(items)
@@ -95,44 +136,27 @@ def solve_pigeonhole_equal(
         raise ValueError("items must be positive")
     if total >= (1 << n) - 1:
         raise ValueError(f"need sum(items) < 2^n - 1 = {(1 << n) - 1}, got {total}")
+    _require_word_rows(n)
     p = 1 << ((n + 1) // 2)
     table = build_table(items, p, memory_cap_bytes)
     k = find_heavy_bin(items, p, table)
-    if _has_word_rows(table):
-        # Vectorized scan in doubling chunks: sums here are exact in a word
-        # (W < 2^n - 1 <= 2^62), and a stable sort of the scanned prefix
-        # exposes the earliest repeat, i.e. the same pair the sequential
-        # walk returns. Chunks double so a repeat near the front costs only
-        # a prefix of the bin, like the early exit of the scalar loop.
-        size = table.bin_size(k)
-        parts_s: list[np.ndarray] = []
-        done = 0
-        chunk = 1024
-        while done < size:
-            take = min(size - done, chunk)
-            parts_s.append(_bin_sums_batch(table, k, done + 1, take))
-            done += take
-            chunk *= 2
-            sums = parts_s[0] if len(parts_s) == 1 else np.concatenate(parts_s)
-            order = np.argsort(sums, kind="stable")
-            sv = sums[order]
-            dup = sv[1:] == sv[:-1]
-            if not dup.any():
-                continue
-            run_start = dup & ~np.concatenate(([False], dup[:-1]))
-            starts = np.nonzero(run_start)[0]
-            g = int(starts[int(np.argmin(order[starts + 1]))])
-            first, _ = _unrank_mask(table, k, int(order[g]) + 1)
-            second, _ = _unrank_mask(table, k, int(order[g + 1]) + 1)
+    size = table.bin_size(k)
+    parts: list[np.ndarray] = []
+    done = 0
+    chunk = _FIRST_SCAN
+    while done < size:
+        if expired is not None and expired():
+            return None
+        take = min(size - done, chunk)
+        parts.append(_bin_sums_batch(table, k, done + 1, take))
+        done += take
+        chunk *= 2
+        hit = _first_repeat(np.concatenate(parts))
+        if hit is not None:
+            first, _ = _unrank_mask(table, k, hit[0] + 1)
+            second, _ = _unrank_mask(table, k, hit[1] + 1)
             return Pair(Subset.from_mask(first), Subset.from_mask(second))
-        raise AssertionError("bin guaranteed to repeat a value did not")
-    seen: dict[int, int] = {}
-    for index in range(1, table.bin_size(k) + 1):
-        mask, value = _unrank_mask(table, k, index)
-        if value in seen:
-            return Pair(Subset.from_mask(seen[value]), Subset.from_mask(mask))
-        seen[value] = mask
-    raise AssertionError("bin guaranteed to repeat a value did not")
+    raise RuntimeError("bin guaranteed to repeat a value did not")
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +178,10 @@ class QuotientDecomposition:
         h = (n + 1) // 2
         return cls(q=q, h=h, q1=q >> h, q2=q & ((1 << h) - 1))
 
-    def fold(self, residue: int) -> int:
-        """Quotient class of a residue in [0, q): the last class is wider."""
-        return min(residue >> self.h, self.q1 - 1)
+    def fold(self, residues):
+        """Quotient class of residues in [0, q), elementwise over an int64
+        array: the last class is wider."""
+        return np.minimum(residues >> self.h, self.q1 - 1)
 
     def beta_single(self, jj: int) -> int:
         """Number of residues in class jj."""
@@ -184,29 +209,31 @@ class BClassCount:
 class _ModularContext:
     """Shared state for the dichotomic search over quotient classes."""
 
-    def __init__(self, residues: Sequence[int], q: int, memory_cap_bytes: int):
+    def __init__(
+        self,
+        residues: Sequence[int],
+        q: int,
+        memory_cap_bytes: int,
+        expired: Callable[[], bool] | None = None,
+    ):
         self.n = len(residues)
         self.q = q
         self.residues = tuple(residues)
         self.decomp = QuotientDecomposition.compute(self.n, q)
+        self.expired = expired
         d = self.decomp
         if d.q1 < 1:
             raise ValueError("quotient table needs q >= 2^h")
+        _require_word_rows(self.n)
         # Positive stand-ins keep the table builder happy: q1 = 0 mod q1.
         c_items = tuple(((r >> d.h) % d.q1) or d.q1 for r in self.residues)
         self.table = build_table(c_items, d.q1, memory_cap_bytes)
-        row = self.table.rows[self.n]
-        prefix = [0]
-        for c in range(d.q1):
-            prefix.append(prefix[-1] + int(row[c]))
-        self.prefix = prefix
+        self.sizes = self.table.rows[self.n]
+        self.prefix = [0, *np.cumsum(self.sizes).tolist()]
         n = self.n
         self.boundary_bin_cap = (4 * n + 2) * (1 << d.h) + 1
         self.marked_extract_cap = (4 * n + 2) * (1 << d.h) + 1
         self.final_extract_cap = (8 * n + 2) * (1 << d.h) + 1
-
-    def c_count(self, c: int) -> int:
-        return int(self.table.rows[self.n][c % self.decomp.q1])
 
     def c_interval_count(self, x: int, y: int) -> int:
         """Total table count over circular C-bin interval [x, y]."""
@@ -217,21 +244,29 @@ class _ModularContext:
             return self.prefix[y + 1] - self.prefix[x]
         return self.prefix[q1] - self.prefix[x] + self.prefix[y + 1]
 
-    def iter_bin(self, c: int) -> Iterator[int]:
-        """Masks of the subsets in C-bin c, in chi order."""
-        c %= self.decomp.q1
-        for index in range(1, self.c_count(c) + 1):
-            mask, _ = _unrank_mask(self.table, c, index)
-            yield mask
+    def _walk(self, bins: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
+        """Residues mod q of positions lo .. hi-1 of the C-bins ``bins``
+        taken one after another, each in chi order, a chunk at a time.
 
-    def residue_of_mask(self, mask: int) -> int:
-        total = 0
-        m = mask
-        while m:
-            low = m & -m
-            total += self.residues[low.bit_length() - 1]
-            m ^= low
-        return total % self.q
+        The time budget is checked before every chunk.
+        """
+        sizes = self.sizes[bins]
+        ends = np.cumsum(sizes)
+        for a in range(lo, hi, _WALK_CHUNK):
+            if self.expired is not None and self.expired():
+                raise _Expired
+            pos = np.arange(a, min(hi, a + _WALK_CHUNK), dtype=np.int64)
+            seg = np.searchsorted(ends, pos, side="right")
+            ranks = pos - (ends[seg] - sizes[seg]) + 1
+            yield _bin_sums_batch(self.table, bins[seg], ranks, pos.size, self.residues, self.q)
+
+    def _subset_at(self, bins: np.ndarray, pos: int) -> Subset:
+        """The subset at position ``pos`` of the walk over ``bins``."""
+        ends = np.cumsum(self.sizes[bins])
+        seg = int(np.searchsorted(ends, pos, side="right"))
+        rank = pos - (int(ends[seg]) - int(self.sizes[bins[seg]])) + 1
+        mask, _ = _unrank_mask(self.table, int(bins[seg]), rank)
+        return Subset.from_mask(mask)
 
     def count_b(self, i: int, j: int) -> BClassCount:
         """Exact number of subsets with quotient class in [i, j] (circular),
@@ -249,65 +284,63 @@ class _ModularContext:
         count = 0
         if w > 2 * n:
             count += self.c_interval_count(i + n, j - n)
-        for c in self._boundary_bins(i, j):
-            size = self.c_count(c)
-            if size > self.boundary_bin_cap:
-                marked = self._mark_overfull_class(c)
-                return BClassCount(None, marked)
-            for mask in self.iter_bin(c):
-                jj = d.fold(self.residue_of_mask(mask))
-                if (jj - i) % q1 <= (j - i) % q1:
-                    count += 1
+        # Boundary windows [i - n + 1, i + n - 1] and [j - n + 1, j + n].
+        bins = np.concatenate((np.arange(i - n + 1, i + n), np.arange(j - n + 1, j + n + 1))) % q1
+        sizes = self.sizes[bins]
+        over = np.nonzero(sizes > self.boundary_bin_cap)[0]
+        if over.size:
+            return BClassCount(None, self._mark_overfull_class(int(bins[over[0]])))
+        span = (j - i) % q1
+        for res in self._walk(bins, 0, int(sizes.sum())):
+            count += int(np.count_nonzero((d.fold(res) - i) % q1 <= span))
         return BClassCount(count, None)
-
-    def _boundary_bins(self, i: int, j: int) -> Iterator[int]:
-        d = self.decomp
-        n = self.n
-        q1 = d.q1
-        for off in range(-n + 1, n):  # [i - n + 1, i + n - 1]
-            yield (i + off) % q1
-        for off in range(-n + 1, n + 1):  # [j - n + 1, j + n]
-            yield (j + off) % q1
 
     def _mark_overfull_class(self, c: int) -> int:
         """Classify a capped slice of an oversized C-bin by true class.
 
         The slice holds (4n+2) * 2^h + 1 subsets spread over at most 2n
         classes, so some class collects more than 2^(h+1) > beta of them.
+        The class returned is the first to pass its beta in scan order.
         """
         d = self.decomp
-        counts: dict[int, int] = {}
-        for index in range(1, self.boundary_bin_cap + 1):
-            mask, _ = _unrank_mask(self.table, c % d.q1, index)
-            jj = d.fold(self.residue_of_mask(mask))
-            counts[jj] = counts.get(jj, 0) + 1
-            if counts[jj] > d.beta_single(jj):
-                return jj
-        raise AssertionError("overfull bin produced no overfull class")
+        cls = d.fold(np.concatenate(list(self._walk(np.array([c]), 0, self.boundary_bin_cap))))
+        # Occurrence number of each scanned subset within its class.
+        order = np.argsort(cls, kind="stable")
+        sc = cls[order]
+        at = np.arange(sc.size)
+        group_start = np.maximum.accumulate(np.where(np.r_[True, sc[1:] != sc[:-1]], at, 0))
+        beta = np.where(sc == d.q1 - 1, (1 << d.h) + d.q2, 1 << d.h)
+        over = order[at - group_start + 1 > beta]
+        if not over.size:
+            raise RuntimeError("overfull bin produced no overfull class")
+        return int(cls[over.min()])
 
     def extract(self, lo: int, hi: int, cap: int) -> Pair:
         """Find a residue collision among subsets with C-index in [lo, hi].
 
         Sound whenever the classes feeding [lo, hi] hold more subsets than
         residues; the cap just bounds work, since cap many subsets drawn
-        from these bins cannot all have distinct residues either.
+        from these bins cannot all have distinct residues either. Scans in
+        doubling chunks and returns the earliest repeat, with its first
+        occurrence, in bin-then-chi order.
         """
-        d = self.decomp
-        q1 = d.q1
-        seen: dict[int, int] = {}
-        scanned = 0
-        width = (hi - lo) % q1 + 1
-        for step in range(width):
-            c = (lo + step) % q1
-            for mask in self.iter_bin(c):
-                r = self.residue_of_mask(mask)
-                if r in seen and seen[r] != mask:
-                    return Pair(Subset.from_mask(seen[r]), Subset.from_mask(mask))
-                seen[r] = mask
-                scanned += 1
-                if scanned >= cap:
-                    raise AssertionError("extraction cap hit without a collision")
-        raise AssertionError("extraction interval held no collision")
+        q1 = self.decomp.q1
+        bins = (lo + np.arange((hi - lo) % q1 + 1)) % q1
+        total = min(int(self.sizes[bins].sum()), cap)
+        parts: list[np.ndarray] = []
+        done = 0
+        chunk = _FIRST_SCAN
+        while done < total:
+            take = min(total - done, chunk)
+            parts.extend(self._walk(bins, done, done + take))
+            done += take
+            chunk *= 2
+            hit = _first_repeat(np.concatenate(parts))
+            if hit is not None:
+                return Pair(self._subset_at(bins, hit[0]), self._subset_at(bins, hit[1]))
+        if total == cap:
+            raise RuntimeError("extraction cap hit without a collision")
+        raise RuntimeError("extraction interval held no collision")
 
 
 def count_b_interval(
@@ -334,7 +367,8 @@ def solve_pigeonhole_modular(
     items: Sequence[int],
     q: int,
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-) -> Pair:
+    expired: Callable[[], bool] | None = None,
+) -> Pair | None:
     """Two distinct subsets with equal sums mod q, for any q <= 2^n - 1.
 
     Cheap exits first: an item divisible by q collides with the empty set,
@@ -343,7 +377,8 @@ def solve_pigeonhole_modular(
     subsets collide. Otherwise the quotient-class dichotomy runs: keep
     halving a class interval whose subset count exceeds its residue count
     until it is 4n classes wide or a marked class appears, then bucket the
-    covering table bins by true residue.
+    covering table bins by true residue. The dichotomy returns None if
+    ``expired()`` turns true between walk chunks or halving steps.
     """
     items = tuple(int(a) for a in items)
     n = len(items)
@@ -360,37 +395,38 @@ def solve_pigeonhole_modular(
     d = QuotientDecomposition.compute(n, q)
     if d.q1 <= 8 * n + 4:
         table = build_table(residues, q, memory_cap_bytes)
-        row = table.rows[n]
-        if isinstance(row, (np.ndarray, array)):
-            arr = np.asarray(row)
-            k = int(np.nonzero(arr >= 2)[0][0])
-        else:
-            k = next(c for c in range(q) if row[c] >= 2)
+        k = int(np.nonzero(np.asarray(table.rows[n]) >= 2)[0][0])
         m1, _ = _unrank_mask(table, k, 1)
         m2, _ = _unrank_mask(table, k, 2)
         return Pair(Subset.from_mask(m1), Subset.from_mask(m2))
 
-    ctx = _ModularContext(residues, q, memory_cap_bytes)
+    ctx = _ModularContext(residues, q, memory_cap_bytes, expired)
     q1 = d.q1
     i, j = 0, q1 - 1
     b = 1 << n
     beta = q
-    while (j - i) % q1 + 1 > 4 * n:
-        w = (j - i) % q1 + 1
-        wl = w // 2
-        mid = (i + wl - 1) % q1
-        left = ctx.count_b(i, mid)
-        if left.marked is not None:
-            jj = left.marked
-            return ctx.extract(jj - n + 1, jj + n, ctx.marked_extract_cap)
-        beta_left = d.beta_interval(i, mid)
-        if left.count > beta_left:
-            j = mid
-            b = left.count
-            beta = beta_left
-        else:
-            b = b - left.count
-            beta = beta - beta_left
-            i = (mid + 1) % q1
-        assert b > beta, "dichotomy invariant lost"
-    return ctx.extract(i - n, j + n, ctx.final_extract_cap)
+    try:
+        while (j - i) % q1 + 1 > 4 * n:
+            if expired is not None and expired():
+                return None
+            w = (j - i) % q1 + 1
+            wl = w // 2
+            mid = (i + wl - 1) % q1
+            left = ctx.count_b(i, mid)
+            if left.marked is not None:
+                jj = left.marked
+                return ctx.extract(jj - n + 1, jj + n, ctx.marked_extract_cap)
+            beta_left = d.beta_interval(i, mid)
+            if left.count > beta_left:
+                j = mid
+                b = left.count
+                beta = beta_left
+            else:
+                b = b - left.count
+                beta = beta - beta_left
+                i = (mid + 1) % q1
+            if b <= beta:
+                raise RuntimeError("dichotomy invariant lost")
+        return ctx.extract(i - n, j + n, ctx.final_extract_cap)
+    except _Expired:
+        return None

@@ -137,6 +137,12 @@ class _Deadline:
         return (time.perf_counter() - self.start) * 1000.0
 
 
+def _check_witness(ok: bool) -> None:
+    """Exact re-check of a witness a solver is about to return."""
+    if not ok:
+        raise RuntimeError("solver built a witness that fails its exact check")
+
+
 def _outcome(
     status: SolveStatus,
     witness,
@@ -223,7 +229,7 @@ def solve_subset_sum_mitm(
         mask1 = int(np.nonzero(sums1 == needed)[0][0])
         trace["scanned"] = mask2 + 1
         witness = Subset.from_mask(mask1 | (mask2 << h1))
-        assert sum(items[i - 1] for i in witness.indices) == target
+        _check_witness(sum(items[i - 1] for i in witness.indices) == target)
         return _outcome(SolveStatus.FOUND, witness, None, deadline, trace)
 
     sums1 = _half_sums(items, range(h1))
@@ -237,7 +243,7 @@ def solve_subset_sum_mitm(
         if mask1 is not None:
             trace["scanned"] = mask2 + 1
             witness = Subset.from_mask(mask1 | (mask2 << h1))
-            assert sum(items[i - 1] for i in witness.indices) == target
+            _check_witness(sum(items[i - 1] for i in witness.indices) == target)
             return _outcome(SolveStatus.FOUND, witness, None, deadline, trace)
         if mask2 % 4096 == 0 and deadline.expired():
             trace["scanned"] = mask2 + 1
@@ -296,9 +302,10 @@ def _sample_random_subsets(
     """Try ``count`` uniform random subsets; return (hit mask or None, tried)."""
     n = len(items)
     total = sum(items)
-    if total < (1 << 62) and count >= 256:
-        # Per-bit accumulation of the chunk's subset sums; with the total
-        # below 2^62 the word sums are exact, so a hit is a hit.
+    if n <= 64 and total < (1 << 62) and count >= 256:
+        # Per-bit accumulation of the chunk's subset sums; masks are words
+        # (n <= 64), and with the total below 2^62 the word sums are exact,
+        # so a hit is a hit.
         gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
         tgt = np.uint64(target & _WORD_MASK) if 0 <= target <= total else None
         one = np.uint64(1)
@@ -761,7 +768,7 @@ def solve_shifted_exhaustive(
             c2 = g2 | m2
             if c1 != c2:
                 pair = Pair(Subset.from_mask(c1), Subset.from_mask(c2))
-                assert _verify_pair(items, pair, shift)
+                _check_witness(_verify_pair(items, pair, shift))
                 return _outcome(SolveStatus.FOUND, pair, None, deadline, trace)
     return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
 
@@ -860,7 +867,7 @@ def solve_two_subset_sum(
     }
     if inner.found:
         witness = red.lift(inner.witness)
-        assert sum(a * e for a, e in zip(items, witness)) == target
+        _check_witness(sum(a * e for a, e in zip(items, witness)) == target)
         return _outcome(SolveStatus.FOUND, witness, seed, deadline, trace)
     return _outcome(inner.status, None, seed, deadline, trace)
 
@@ -914,14 +921,20 @@ def solve_instance(
             out = solve_shifted(items, s, seed, budget)
     elif v == "two_subset_sum":
         out = solve_two_subset_sum(items, instance.target, seed, budget)
-    elif v == "pigeonhole_equal":
-        deadline = _Deadline(budget.time_cap_ms if budget else None)
-        pair = pigeonhole.solve_pigeonhole_equal(items)
-        out = _outcome(SolveStatus.FOUND, pair, seed, deadline, {"algorithm": "pigeonhole-equal"})
-    elif v == "pigeonhole_modular":
-        deadline = _Deadline(budget.time_cap_ms if budget else None)
-        pair = pigeonhole.solve_pigeonhole_modular(items, instance.modulus)
-        out = _outcome(SolveStatus.FOUND, pair, seed, deadline, {"algorithm": "pigeonhole-modular"})
+    elif v in ("pigeonhole_equal", "pigeonhole_modular"):
+        budget = budget or SolverBudget()
+        deadline = _Deadline(budget.time_cap_ms)
+        cap = budget.memory_cap_bytes
+        if v == "pigeonhole_equal":
+            pair = pigeonhole.solve_pigeonhole_equal(items, cap, deadline.expired)
+        else:
+            pair = pigeonhole.solve_pigeonhole_modular(items, instance.modulus, cap, deadline.expired)
+        trace = {"algorithm": v.replace("_", "-")}
+        if pair is None:
+            trace["timed_out"] = True
+            out = _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+        else:
+            out = _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
     else:
         raise ValueError(f"no solver for variant {v!r}")
     if out.found and not verify(instance, out.witness):

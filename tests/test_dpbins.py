@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +170,39 @@ class TestUnrank:
         t = build_table(items, p)
         for k in range(p):
             assert list(enumerate_bin(t, k)) == brute_bin(items, p, k)
+
+
+class TestBatchWalk:
+    def test_word_sums_match_scalar_walk(self):
+        rng = random.Random(31)
+        items = [rng.randrange(1, 1 << 63) for _ in range(12)]
+        t = build_table(items, 7)
+        for k in range(7):
+            size = t.bin_size(k)
+            got = dpbins._bin_sums_batch(t, k, 1, size)
+            want = [dpbins._unrank_mask(t, k, r)[1] % (1 << 64) for r in range(1, size + 1)]
+            assert got.dtype == np.uint64
+            assert got.tolist() == want
+
+    def test_per_rank_bins_and_residues_mod_q(self):
+        rng = random.Random(32)
+        n = 9
+        q = (1 << 61) + 1
+        values = [rng.randrange(q - 1000, q) for _ in range(n)]  # sums wrap often
+        values[1] = q - values[0]  # subset {1, 2} sums to exactly q
+        t = build_table([rng.randrange(1, 50) for _ in range(n)], 7)
+        bins, ranks, want = [], [], []
+        for k in rng.sample(range(7), 7):
+            for r in range(t.bin_size(k), 0, -1):
+                mask, _ = dpbins._unrank_mask(t, k, r)
+                bins.append(k)
+                ranks.append(r)
+                want.append(sum(v for i, v in enumerate(values) if mask >> i & 1) % q)
+        got = dpbins._bin_sums_batch(
+            t, np.array(bins), np.array(ranks), len(ranks), values, q
+        )
+        assert got.dtype == np.int64
+        assert got.tolist() == want
 
 
 class TestEnumerateBin:

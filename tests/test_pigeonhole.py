@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sumbins.core import Pair, ProblemInstance, Subset, verify
-from sumbins.dpbins import build_table
+from sumbins.dpbins import ResourceLimitError, build_table
 from sumbins.oracles import pigeonhole_mitm_check
 from sumbins.pigeonhole import (
     QuotientDecomposition,
@@ -257,3 +257,81 @@ class TestPigeonholeModular:
             inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
             assert verify(inst, solve_pigeonhole_modular(items, q))
             assert verify(inst, pigeonhole_mitm_check(items, q))
+
+
+# (items, q, s1, s2) recorded from the sequential per-subset scan that the
+# batched walk replaced. Indices 0-7 take the dichotomy route at n = 14..20,
+# 8-10 the marked-class route (every item below 2^h puts all subsets in
+# C-bin 0), 11-12 the direct small-q table.
+GOLDEN_PAIRS = [
+    ([8142435, 117535014, 49050730, 178100818, 32625137, 130058741, 239503673, 212907931, 140531361, 252153667, 142409723, 140006821, 202242284, 149008024], 15550, (4, 5, 9), (1, 2, 4, 7, 8, 9, 13)),
+    ([918731826, 354126017, 630419505, 189312991, 512837534, 993469631, 1050872738, 550819401, 426128805, 590508400, 604998897, 92762770, 191566989, 761329168, 198955834], 32566, (1, 2, 3, 7, 9, 10, 12), (1, 6, 7, 9, 10, 13)),
+    ([1085804641, 1352683391, 3884227482, 1930358854, 3279376299, 2425629148, 586420940, 3046105152, 3648076127, 18631673, 1403905851, 4196325072, 765053124, 3430988109, 53683860, 2384017346], 39408, (1, 3, 6, 7, 9, 11, 14), (1, 4, 5, 7, 9, 12, 14)),
+    ([3357829332, 1548458156, 1388693196, 1638940511, 2184915881, 1471077567, 2126289792, 3864746212, 4167222665, 1628547293, 3296799188, 704952943, 1033493692, 1323322829, 1385631409, 1515279593], 36810, (4, 9, 10, 11), (1, 2, 3, 4, 7, 8, 9, 12)),
+    ([7728080877, 6138312407, 1571856452, 13479713470, 11987936097, 13631334851, 11029295178, 16776718218, 5808451594, 8461294240, 4460925614, 6985155718, 1317784118, 14193699531, 8527167149, 11879363448, 8463118671], 98464, (1, 4, 7, 9, 11, 13), (2, 3, 4, 5, 9, 11, 12, 14)),
+    ([47902741377, 1796356225, 31308536016, 33360937327, 55437026036, 25689739444, 4842494790, 7592973157, 10238632429, 5761670398, 32859047575, 12220866988, 13133556791, 32727827319, 68380930937, 12760690758, 25974460258, 56148046757], 97748, (2, 5, 6, 7, 9, 13), (3, 5, 6, 7, 10, 13)),
+    ([21429678164, 51065911591, 190920817985, 139142572532, 30396333748, 207118221411, 239841497031, 79941704220, 140926838478, 247106089340, 240650455117, 171829424986, 56282045232, 427388007, 247295394169, 137964258197, 257295957407, 126463644705, 61465839048], 449501, (1, 2, 3, 5, 6, 8, 9, 10, 14, 15), (1, 6, 7, 8, 11, 12, 14, 15)),
+    ([546960520224, 873449658883, 23176829233, 762095976054, 405757786563, 1088393434928, 328962455504, 127405608893, 592766249476, 762324442835, 159879284939, 636263586110, 221433730300, 714904593704, 316818651158, 1030873805354, 54060173073, 837692645269, 763445204334, 603906567496], 703729, (1, 2, 4, 5, 6, 10, 11, 12, 13), (2, 4, 7, 8, 9, 14, 15, 16)),
+    ([93, 57, 4, 38, 95, 58, 52, 103, 4, 97, 19, 8, 49, 81], 15363, (2, 4), (5,)),
+    ([140, 92, 122, 221, 60, 148, 51, 122, 134, 28, 197, 244, 91, 217, 134, 93], 35843, (2, 4), (1, 3, 7)),
+    ([215, 236, 296, 219, 187, 246, 249, 320, 442, 241, 493, 241, 309, 66, 260, 181, 270, 279], 102403, (2, 3, 7), (1, 6, 8)),
+    ([533, 10, 457, 526, 294, 659, 90, 22, 587, 792], 59, (), (2, 3, 4, 6)),
+    ([2026, 1449, 1182, 1472, 3013, 1500, 3269, 1807, 2151, 1598, 2332, 1546], 68, (), (2, 3, 5)),
+]
+
+
+class TestGoldenPairs:
+    @pytest.mark.parametrize("case", range(len(GOLDEN_PAIRS)))
+    def test_same_pair_as_sequential_scan(self, case):
+        items, q, s1, s2 = GOLDEN_PAIRS[case]
+        assert solve_pigeonhole_modular(items, q) == Pair(Subset(s1), Subset(s2))
+
+    def test_routes_covered(self):
+        # the first halving step of the dichotomy counts [0, q1/2 - 1]
+        routes = []
+        for items, q, _, _ in GOLDEN_PAIRS:
+            n = len(items)
+            d = QuotientDecomposition.compute(n, q)
+            if d.q1 <= 8 * n + 4:
+                routes.append("direct")
+            elif count_b_interval(items, q, 0, d.q1 // 2 - 1).marked is not None:
+                routes.append("marked")
+            else:
+                routes.append("dichotomy")
+        assert routes == ["dichotomy"] * 8 + ["marked"] * 3 + ["direct"] * 2
+
+
+class TestWordRowLimit:
+    def test_equal_refuses_n63(self):
+        # p = 2^32 bins: a table of at least 2 TiB
+        with pytest.raises(ResourceLimitError):
+            solve_pigeonhole_equal([1] * 63)
+
+    def test_dichotomy_refuses_n63(self):
+        n = 63
+        q = (1 << n) - 1
+        items = [(1 << 40) + 3 * i for i in range(1, n + 1)]
+        with pytest.raises(ResourceLimitError):
+            solve_pigeonhole_modular(items, q)
+
+    def test_direct_route_beyond_word_rows(self):
+        items = list(range(1, 71))
+        q = 101
+        pair = solve_pigeonhole_modular(items, q)
+        inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
+        assert verify(inst, pair)
+
+
+class TestExpiredBudget:
+    def test_dichotomy_stops_when_expired(self):
+        rng = random.Random(12)
+        n = 16
+        items = [rng.randrange(1, 1 << 32) for _ in range(n)]
+        q = (1 << n) - 1
+        assert solve_pigeonhole_modular(items, q, expired=lambda: True) is None
+        assert solve_pigeonhole_modular(items, q, expired=lambda: False) is not None
+
+    def test_equal_stops_when_expired(self):
+        items = [1] * 12
+        assert solve_pigeonhole_equal(items, expired=lambda: True) is None
+        assert solve_pigeonhole_equal(items, expired=lambda: False) is not None

@@ -1,6 +1,7 @@
 """Solver verdicts, witnesses, budgets, and the dispatcher contract."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,17 @@ class TestSubsetSumRep:
         a = solve_subset_sum_rep(items, 283, seed=5)
         b = solve_subset_sum_rep(items, 283, seed=5)
         assert a.status == b.status and a.witness == b.witness
+
+    def test_more_than_64_items(self):
+        items = tuple(range(1, 71))
+        inst = ProblemInstance("subset_sum", items, target=1000)
+        out = solve_instance(inst, algo="rep")
+        assert out.found and verify(inst, out.witness)
+        # 2484 needs every item but the first: sampling misses, and a prime
+        # table of 2^35 bins is out of reach, so the cap ends the search
+        inst = ProblemInstance("subset_sum", items, target=2484)
+        out = solve_instance(inst, algo="rep", budget=SolverBudget(time_cap_ms=200.0))
+        assert out.status is SolveStatus.INCONCLUSIVE
 
     def test_trace_records_prime_draws(self):
         # unsolvable, so sampling misses and at least one prime is drawn
@@ -304,6 +316,25 @@ class TestSolveInstance:
         out = solve_instance(inst, seed=0, budget=SolverBudget(time_cap_ms=50.0))
         assert out.status is SolveStatus.INCONCLUSIVE
         assert out.elapsed_ms < 5000
+
+    def test_pigeonhole_modular_honours_time_cap(self):
+        rng = random.Random(24)
+        n = 24
+        items = tuple(rng.randrange(1, 1 << 48) for _ in range(n))
+        q = rng.randrange((8 * n + 5) << 12, 1 << n)  # dichotomy route
+        inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
+        t0 = time.perf_counter()
+        out = solve_instance(inst, budget=SolverBudget(time_cap_ms=50.0))
+        assert time.perf_counter() - t0 < 1.5
+        assert out.status is SolveStatus.INCONCLUSIVE
+        assert out.trace["timed_out"] is True
+
+    def test_pigeonhole_memory_cap_forwarded(self):
+        eq = ProblemInstance("pigeonhole_equal", tuple([1] * 20))
+        mod = ProblemInstance("pigeonhole_modular", tuple(range(1, 21)), modulus=(1 << 20) - 1)
+        for inst in (eq, mod):
+            with pytest.raises(ResourceLimitError):
+                solve_instance(inst, budget=SolverBudget(memory_cap_bytes=1024))
 
     def test_outcome_carries_seed(self):
         inst = ProblemInstance("subset_sum", (3, 5, 7), target=12)
