@@ -366,3 +366,86 @@ class TestSolveInstance:
         assert out.found == want
         if want:
             assert verify(inst, out.witness)
+
+
+class TestWideItems:
+    """Items at and past the 64-bit word: every verdict against brute force.
+
+    The solvers hash sums mod 2^64, so a wrapped match is only a candidate;
+    the built instances below hold matches that exist only mod 2^64.
+    """
+
+    @pytest.mark.parametrize("bits", [62, 64, 100, 200])
+    def test_verdicts_match_brute(self, bits):
+        rng = random.Random(bits)
+        top = 1 << bits
+        for trial in range(6):
+            n = rng.randrange(2, 15)
+            items = [rng.randrange(top // 2, top) for _ in range(n)]
+            planted = sum(rng.sample(items, rng.randrange(0, n + 1)))
+            for m in (planted, rng.randrange(0, sum(items) + 1)):
+                inst = ProblemInstance("subset_sum", items, target=m)
+                want = brute_solve(inst).solvable
+                for out in (
+                    solve_subset_sum_mitm(items, m),
+                    solve_subset_sum_rep(items, m, seed=trial),
+                    solve_instance(inst, seed=trial),
+                ):
+                    assert out.found == want
+                    assert out.found or out.status is SolveStatus.NOT_FOUND
+                    if want:
+                        assert verify(inst, out.witness)
+            q = rng.randrange(2, top)
+            inst = ProblemInstance("modular_subset_sum", items, target=planted % q, modulus=q)
+            out = solve_modular_subset_sum_mitm(items, planted % q, q)
+            assert out.found and verify(inst, out.witness)
+
+    @pytest.mark.parametrize("bits", [62, 64, 100, 200])
+    def test_shifted_verdicts_match_brute(self, bits):
+        rng = random.Random(bits + 1)
+        top = 1 << bits
+        budget = SolverBudget(repeat_cap=2)
+        for trial in range(4):
+            n = rng.randrange(3, 11)
+            items = [rng.randrange(top // 2, top) for _ in range(n)]
+            # plant a disjoint pair (S1, S2) with shift sum(S1) - sum(S2) >= 0
+            perm = rng.sample(range(n), n)
+            cut = rng.randrange(1, n)
+            side1, side2 = perm[:cut], perm[cut:rng.randrange(cut, n + 1)]
+            d = sum(items[i] for i in side1) - sum(items[i] for i in side2)
+            for s in {abs(d), rng.randrange(0, sum(items))}:
+                inst = ProblemInstance("shifted_sums", items, shift=s)
+                want = brute_solve(inst).solvable
+                out = solve_instance(inst, seed=trial, budget=budget)
+                assert out.found == want
+                assert out.found or out.status is SolveStatus.NOT_FOUND
+                if want:
+                    assert verify(inst, out.witness)
+                size = len(side1) + len(side2) if s == abs(d) else n // 2
+                rep = solve_shifted_rep(items, s, size / n, seed=trial, budget=budget)
+                if rep.found:
+                    assert want and verify(inst, rep.witness)
+                else:
+                    assert rep.status is SolveStatus.INCONCLUSIVE
+
+    def test_subset_match_only_mod_word(self):
+        # item 1 is 5 mod 2^64, and a multiple of every prime rep draws
+        # (5 and 7 at n = 3) away from 5, so the sampler, the target bin
+        # and the mitm join all meet it as a candidate for target 5
+        for big in (2**64 + 5, 35 * 2**64 + 5):
+            items = (big, 3, 7)
+            assert not brute_solve(ProblemInstance("subset_sum", items, target=5)).solvable
+            assert solve_subset_sum_mitm(items, 5).status is SolveStatus.NOT_FOUND
+            for seed in range(20):
+                assert solve_subset_sum_rep(items, 5, seed=seed).status is SolveStatus.NOT_FOUND
+
+    def test_shifted_match_only_mod_word(self):
+        # sum({1}) - sum({2}) is 7 mod 2^64 but 2^64 + 7 exactly; no pair
+        # of these items differs by exactly 7
+        items = (2**64 + 8, 1, 2)
+        inst = ProblemInstance("shifted_sums", items, shift=7)
+        assert not brute_solve(inst).solvable
+        assert solve_instance(inst, seed=0).status is SolveStatus.NOT_FOUND
+        for seed in range(20):
+            out = solve_shifted_rep(items, 7, 2 / 3, seed=seed)
+            assert out.status is SolveStatus.INCONCLUSIVE
