@@ -8,9 +8,7 @@ i - 1 subsets before it.
 Run:  python3 demos/indexed_bins.py
 """
 
-import tempfile
-
-from sumbins.dpbins import BinRef, build_table, dump_table, enumerate_bin, load_table, unrank
+from sumbins.dpbins import BinRef, build_table, enumerate_bin, unrank
 
 
 def main() -> None:
@@ -45,14 +43,6 @@ def main() -> None:
     assert [ref.subset_at(i + 1) for i in range(5)] == first_five
     assert len(ref) == size
     print(f"first five via enumerate_bin match BinRef: {[list(s.indices) for s in first_five]}")
-
-    # Tables round-trip through a file, so a big build can be paid once.
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as fh:
-        path = fh.name
-    dump_table(table, path)
-    again = load_table(path)
-    assert [s.mask() for s in enumerate_bin(again, k)] == [s.mask() for s in enumerate_bin(table, k)]
-    print(f"dump/load round trip ok ({path})")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from .core import (
     instance_from_json,
     instance_to_json,
     load_instance,
-    reduce_modulo_prime,
     reduce_two_subset_to_shifted,
     save_instance,
     subset_sum,
@@ -31,14 +30,11 @@ from .dpbins import (
     ResourceLimitError,
     build_table,
     compare_chi,
-    dump_table,
     enumerate_bin,
-    load_table,
     unrank,
 )
 from .pigeonhole import (
     QuotientDecomposition,
-    count_b_interval,
     find_heavy_bin,
     solve_pigeonhole_equal,
     solve_pigeonhole_modular,
@@ -71,7 +67,6 @@ __all__ = [
     "instance_from_json",
     "instance_to_json",
     "load_instance",
-    "reduce_modulo_prime",
     "reduce_two_subset_to_shifted",
     "save_instance",
     "subset_sum",
@@ -81,12 +76,9 @@ __all__ = [
     "ResourceLimitError",
     "build_table",
     "compare_chi",
-    "dump_table",
     "enumerate_bin",
-    "load_table",
     "unrank",
     "QuotientDecomposition",
-    "count_b_interval",
     "find_heavy_bin",
     "solve_pigeonhole_equal",
     "solve_pigeonhole_modular",

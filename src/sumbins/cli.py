@@ -238,15 +238,24 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
+    if args.ratio is not None and not 0 < args.ratio <= 1:
+        raise ValueError(f"--ratio must be in (0, 1], got {args.ratio}")
     budget = SolverBudget(
         sample_cap=args.budget_samples,
         repeat_cap=args.budget_repeats,
         time_cap_ms=args.time_cap_ms,
         prefilter=not args.no_prefilter,
     )
-    outcome = solve_instance(
-        instance, seed=args.seed, budget=budget, algo=args.algo, ratio=args.ratio
-    )
+    try:
+        outcome = solve_instance(
+            instance, seed=args.seed, budget=budget, algo=args.algo, ratio=args.ratio
+        )
+    except RuntimeError:
+        raise
+    except Exception as exc:
+        # The instance was validated when it loaded, so anything else a
+        # solver raises is a fault of the program (exit 4), not of the caller.
+        raise RuntimeError(f"solver fault: {type(exc).__name__}: {exc}") from exc
     payload = {
         "status": outcome.status.value,
         "witness": _witness_jsonable(outcome.witness),

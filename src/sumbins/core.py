@@ -28,12 +28,8 @@ arbitrary-precision values survive any JSON parser untouched.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
-
-from . import numtheory
-from .rng import as_rng
 
 __all__ = [
     "WIRE_VARIANTS",
@@ -41,12 +37,10 @@ __all__ = [
     "Pair",
     "ProblemInstance",
     "TwoSubsetReduction",
-    "ModularReduction",
     "subset_sum",
     "verify",
     "canonicalize_pair",
     "reduce_two_subset_to_shifted",
-    "reduce_modulo_prime",
     "instance_to_json",
     "instance_from_json",
     "load_instance",
@@ -63,10 +57,6 @@ WIRE_VARIANTS = (
     "pigeonhole_modular",
     "modular_subset_sum",
 )
-
-# Constructible in memory (as the image of reduce_modulo_prime on a
-# shifted_sums instance) but deliberately not part of the file format.
-_INTERNAL_VARIANTS = ("shifted_sums_modular",)
 
 
 @dataclass(frozen=True, order=False)
@@ -165,7 +155,7 @@ class ProblemInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", _coerce_items(self.items))
         v = self.variant
-        if v not in WIRE_VARIANTS and v not in _INTERNAL_VARIANTS:
+        if v not in WIRE_VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
         n, w = self.n, self.total
         need = {
@@ -176,7 +166,6 @@ class ProblemInstance:
             "pigeonhole_equal": (),
             "pigeonhole_modular": ("modulus",),
             "modular_subset_sum": ("target", "modulus"),
-            "shifted_sums_modular": ("shift", "modulus"),
         }[v]
         for name in ("target", "shift", "modulus"):
             val = getattr(self, name)
@@ -195,7 +184,7 @@ class ProblemInstance:
             raise ValueError(
                 f"pigeonhole_equal requires item sum < 2^n - 1 = {(1 << n) - 1}, got {w}"
             )
-        if v in ("pigeonhole_modular", "modular_subset_sum", "shifted_sums_modular"):
+        if v in ("pigeonhole_modular", "modular_subset_sum"):
             if self.modulus < 1:
                 raise ValueError(f"modulus must be positive, got {self.modulus}")
         if v == "pigeonhole_modular" and self.modulus > (1 << n) - 1:
@@ -206,8 +195,6 @@ class ProblemInstance:
             raise ValueError(
                 f"modular_subset_sum target must be in [0, {self.modulus}), got {self.target}"
             )
-        if v == "shifted_sums_modular" and not (0 <= self.shift < self.modulus):
-            raise ValueError("shifted_sums_modular shift must be reduced mod the modulus")
 
     @property
     def n(self) -> int:
@@ -275,8 +262,6 @@ def verify(instance: ProblemInstance, witness: object) -> bool:
         return d == instance.shift
     if v == "pigeonhole_modular":
         return d % instance.modulus == 0
-    if v == "shifted_sums_modular":
-        return d % instance.modulus == instance.shift % instance.modulus
     raise AssertionError(f"unhandled variant {v}")
 
 
@@ -342,81 +327,6 @@ def reduce_two_subset_to_shifted(items: Sequence[int], target: int) -> TwoSubset
     m = 2 * w - target if complemented else target
     shifted = ProblemInstance("shifted_sums", items, shift=m - w)
     return TwoSubsetReduction(items, target, False, complemented, shifted)
-
-
-@dataclass(frozen=True)
-class ModularReduction:
-    """Result of shrinking an instance by a random prime modulus.
-
-    Every witness of the original instance satisfies the reduced instance
-    (the reduced equation only holds modulo the sampled prime). The converse
-    can fail: a witness of the reduced instance is a false positive for the
-    original with small probability, so callers must re-verify candidates
-    against ``original`` and discard misses.
-    """
-
-    original: ProblemInstance
-    reduced: ProblemInstance
-    prime: int
-
-    def accepts(self, witness: object) -> bool:
-        """True when the witness solves the original (not just the reduced)."""
-        return verify(self.original, witness)
-
-
-def reduce_modulo_prime(
-    instance: ProblemInstance,
-    seed: int | random.Random,
-    bits: int | None = None,
-) -> ModularReduction:
-    """Shrink item magnitudes by reducing everything modulo a random prime.
-
-    The prime is sampled uniformly from [2^(bits-1), 2^bits], with
-    ``bits = 4n`` by default. A subset with sum(S) = m keeps
-    sum(S mod p) = m (mod p), so subset_sum becomes modular_subset_sum with
-    modulus p and shifted_sums becomes its modular analogue. An item that
-    reduces to 0 stays 0 (items in a modular instance may legitimately be
-    multiples of p; they are kept, not dropped, to preserve instance size).
-
-    A non-witness survives as a false positive only when p divides its
-    nonzero defect, which for a random prime of this size happens with
-    probability O(2^-n) per candidate pair.
-    """
-    if instance.variant not in ("subset_sum", "shifted_sums"):
-        raise ValueError(
-            f"reduction applies to subset_sum or shifted_sums, got {instance.variant}"
-        )
-    n = instance.n
-    if bits is None:
-        bits = 4 * n
-    if bits < 2:
-        raise ValueError("bits must be at least 2")
-    rng = as_rng(seed, "reduce-modulo-prime", bits)
-    p = numtheory.random_prime(1 << (bits - 1), 1 << bits, rng)
-    return reduce_with_prime(instance, p)
-
-
-def reduce_with_prime(instance: ProblemInstance, p: int) -> ModularReduction:
-    """Deterministic core of :func:`reduce_modulo_prime` for a given prime.
-
-    Exposed separately so tests can pin the modulus.
-    """
-    if p < 2:
-        raise ValueError(f"modulus must be at least 2, got {p}")
-    # Items reduced mod p can hit 0; the instance type requires positive
-    # items, so zeros are bumped to p (same residue class, same equations).
-    red_items = tuple((a % p) or p for a in instance.items)
-    if instance.variant == "subset_sum":
-        reduced = ProblemInstance(
-            "modular_subset_sum", red_items,
-            target=instance.target % p, modulus=p,
-        )
-    else:
-        reduced = ProblemInstance(
-            "shifted_sums_modular", red_items,
-            shift=instance.shift % p, modulus=p,
-        )
-    return ModularReduction(instance, reduced, p)
 
 
 # ---------------------------------------------------------------------------

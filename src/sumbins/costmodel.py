@@ -27,7 +27,7 @@ log2(3)/3 once split three ways by the same quantum walk.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable
 
 __all__ = [
     "entropy",

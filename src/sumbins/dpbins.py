@@ -23,8 +23,6 @@ per-bin cursor state and any slice of a bin can be streamed independently.
 
 from __future__ import annotations
 
-import struct
-from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -41,16 +39,12 @@ __all__ = [
     "compare_chi",
     "unrank",
     "enumerate_bin",
-    "dump_table",
-    "load_table",
 ]
 
 DEFAULT_MEMORY_CAP_BYTES = 8 << 30
 
 # Largest n for which every table entry (<= 2^n) fits a signed 64-bit word.
 _INT64_SAFE_N = 62
-
-_MAGIC = b"SBT1"
 
 
 class ResourceLimitError(RuntimeError):
@@ -180,9 +174,12 @@ def _unrank_mask(table: CountTable, k: int, index: int) -> tuple[int, int]:
 _WORD_MASK = (1 << 64) - 1
 
 
-def _has_word_rows(table: CountTable) -> bool:
-    """True when the table stores machine-word rows (the n <= 62 fast path)."""
-    return isinstance(table.rows[0], (np.ndarray, array))
+def _require_word_rows(n: int) -> None:
+    """The batched walk needs machine-word table rows: refuse n > 62."""
+    if n > _INT64_SAFE_N:
+        raise ResourceLimitError(
+            f"the batched bin walk needs machine-word table rows (n <= {_INT64_SAFE_N}), got n={n}"
+        )
 
 
 def _bin_sums_batch(
@@ -199,7 +196,8 @@ def _bin_sums_batch(
     1-based ranks, one pair per entry, so many bins go through in one call.
     The walk is that of :func:`_unrank_mask`, run level by level over the
     whole rank vector; callers that need the subsets themselves re-unrank
-    the few ranks they care about. Valid only on machine-word rows.
+    the few ranks they care about. Valid only on machine-word rows, which
+    callers check with :func:`_require_word_rows`.
 
     By default the table's items are summed mod 2^64, so exact-valued
     callers confirm candidates exactly (item sums below 2^64 are exact as
@@ -306,50 +304,3 @@ class BinRef:
 
     def __iter__(self) -> Iterator[Subset]:
         return enumerate_bin(self.table, self.k)
-
-
-# ---------------------------------------------------------------------------
-# Debug dump format (round-trips a table; not a stability contract)
-# ---------------------------------------------------------------------------
-
-
-def dump_table(table: CountTable, path: str) -> None:
-    """Binary dump: magic, n, p, items, then length-prefixed count entries.
-
-    All integers little-endian; counts and items serialize as a u32 byte
-    length followed by that many magnitude bytes.
-    """
-
-    def write_int(fh, value: int) -> None:
-        blob = value.to_bytes((value.bit_length() + 7) // 8 or 1, "little")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQ", table.n, table.p))
-        for a in table.items:
-            write_int(fh, a)
-        for i in range(table.n + 1):
-            row = table.rows[i]
-            for j in range(table.p):
-                write_int(fh, int(row[j]))
-
-
-def load_table(path: str) -> CountTable:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path} is not a count table dump")
-        n, p = struct.unpack("<IQ", fh.read(12))
-
-        def read_int() -> int:
-            (length,) = struct.unpack("<I", fh.read(4))
-            return int.from_bytes(fh.read(length), "little")
-
-        items = tuple(read_int() for _ in range(n))
-        rows: list = []
-        for _ in range(n + 1):
-            vals = [read_int() for _ in range(p)]
-            rows.append(np.array(vals, dtype=np.int64) if n <= _INT64_SAFE_N else vals)
-        table = CountTable(items, int(p), rows, tuple(a % p for a in items))
-        return table

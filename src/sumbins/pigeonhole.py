@@ -48,11 +48,10 @@ import numpy as np
 
 from .core import Pair, Subset
 from .dpbins import (
-    _INT64_SAFE_N,
     DEFAULT_MEMORY_CAP_BYTES,
     CountTable,
-    ResourceLimitError,
     _bin_sums_batch,
+    _require_word_rows,
     _unrank_mask,
     build_table,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "BClassCount",
     "find_heavy_bin",
     "solve_pigeonhole_equal",
-    "count_b_interval",
     "solve_pigeonhole_modular",
 ]
 
@@ -72,13 +70,6 @@ _FIRST_SCAN = 1 << 10  # first chunk of a doubling collision scan
 
 class _Expired(Exception):
     """The caller's time budget ran out before a pair was found."""
-
-
-def _require_word_rows(n: int) -> None:
-    if n > _INT64_SAFE_N:
-        raise ResourceLimitError(
-            f"the batched bin walk needs machine-word table rows (n <= {_INT64_SAFE_N}), got n={n}"
-        )
 
 
 def _first_repeat(values: np.ndarray) -> tuple[int, int] | None:

@@ -2,11 +2,12 @@
 
 Two algorithm families:
 
-* meet-in-the-middle ("mitm"): split the indices in half, enumerate one
-  half into a dictionary, scan the other half. Deterministic; complete for
-  the plain and modular target problems. For shifted sums it enumerates one
-  size class per split, so a miss is only evidence, not a proof: the result
-  is Inconclusive unless the exhaustive variant ran.
+* meet-in-the-middle ("mitm"): split the indices in half, enumerate both
+  halves and join them (sorted numpy arrays of sums mod 2^64 for a plain
+  target, a dictionary of residues for a modular one). Deterministic;
+  complete for the plain and modular target problems. For shifted sums it
+  enumerates one size class per split, so a miss is only evidence, not a
+  proof: the result is Inconclusive unless the exhaustive variant ran.
 
 * residue binning ("rep"): pick a random prime p, build the count table,
   and walk the one bin (or pair of bins) that must contain a solution. For
@@ -18,7 +19,9 @@ Two algorithm families:
 mitm or rep per ratio by their cost exponents, and a final folklore
 exhaustive pass (all sizes at once) settles NotFound for small n.
 
-All witnesses are re-verified against the instance before being returned.
+Numpy sums wrap mod 2^64 whatever the item width, so a match there is only
+a candidate until exact integer arithmetic confirms it. All witnesses are
+re-verified against the instance before being returned.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .core import (
     Pair,
     ProblemInstance,
     Subset,
-    TwoSubsetReduction,
     reduce_two_subset_to_shifted,
     verify,
 )
@@ -45,7 +47,7 @@ from .dpbins import (
     DEFAULT_MEMORY_CAP_BYTES,
     ResourceLimitError,
     _bin_sums_batch,
-    _has_word_rows,
+    _require_word_rows,
     _unrank_mask,
     build_table,
 )
@@ -71,8 +73,6 @@ __all__ = [
 _EXHAUSTIVE_CAP_N = 24  # 3^(n/2) pair states per half
 _TRACE_DRAWS = 24  # keep at most this many per-draw records in a trace
 _BATCH_CHUNK = 1 << 15  # bin ranks unranked per vector call
-_JOIN_CAP = 1 << 22  # largest bin held in memory for the vectorized join
-_MITM_VEC_HALF = 24  # vectorized mitm half size cap (8 * 2^24 bytes per array)
 _WORD_MASK = (1 << 64) - 1
 
 
@@ -163,13 +163,11 @@ def _half_sums(items: Sequence[int], positions: Sequence[int]) -> list[int]:
 
 
 def _half_sums_vec(items: Sequence[int], positions: Sequence[int]) -> np.ndarray:
-    """The same doubling as :func:`_half_sums`, as an int64 vector.
-
-    Callers must ensure sum(items) < 2^62 so no entry can overflow.
-    """
-    sums = np.zeros(1, dtype=np.int64)
-    for pos in positions:
-        sums = np.concatenate((sums, sums + np.int64(items[pos])))
+    """The same doubling as :func:`_half_sums`, as a uint64 vector of the
+    sums mod 2^64 (items of any width)."""
+    sums = np.zeros(1 << len(positions), dtype=np.uint64)
+    for i, pos in enumerate(positions):
+        np.add(sums[: 1 << i], np.uint64(items[pos] & _WORD_MASK), out=sums[1 << i : 2 << i])
     return sums
 
 
@@ -191,65 +189,65 @@ def _mask_value(items: Sequence[int], mask: int) -> int:
 def solve_subset_sum_mitm(
     items: Sequence[int], target: int, budget: SolverBudget | None = None
 ) -> SolveOutcome:
-    """Deterministic complete search in O(2^(n/2)) time and space."""
+    """Deterministic complete search in O(2^(n/2)) time and space.
+
+    The half sums are hashed mod 2^64 and joined over sorted numpy arrays;
+    probing with needles that are themselves sorted keeps the binary
+    searches cache friendly. A wrapped match is only a candidate: second-half
+    masks are confirmed exactly in ascending order, and the witness pairs
+    the first one with an exact partner with the lowest first-half mask
+    holding the needed value.
+    """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
     items = tuple(items)
     n = len(items)
     h1 = n - n // 2
     trace = {"algorithm": "subset-sum-mitm", "halves": [h1, n - h1], "scanned": 0}
-
-    # Word-sized sums admit a join over sorted numpy halves. Probing with
-    # needles that are themselves sorted keeps the binary searches cache
-    # friendly, and the witness is the one the dictionary path below finds:
-    # the first second-half mask with a partner, paired with the lowest
-    # first-half mask holding the needed value.
-    if h1 <= _MITM_VEC_HALF and 0 <= target <= sum(items) < (1 << 62):
-        sums1 = _half_sums_vec(items, range(h1))
-        sv1 = np.sort(sums1, kind="stable")
-        if deadline.expired():
+    # Eight-byte arrays: three over the first half, at most five over the
+    # second, which is no larger.
+    need_bytes = 64 << h1
+    if need_bytes > budget.memory_cap_bytes:
+        raise ResourceLimitError(
+            f"mitm halves for n={n} need about {need_bytes} bytes, cap is {budget.memory_cap_bytes}"
+        )
+    sums1 = _half_sums_vec(items, range(h1))
+    order1 = np.argsort(sums1)
+    sv1 = sums1[order1]
+    if deadline.expired():
+        trace["timed_out"] = True
+        return _outcome(SolveStatus.INCONCLUSIVE, None, None, deadline, trace)
+    need2 = np.uint64(target & _WORD_MASK) - _half_sums_vec(items, range(h1, n))
+    needles = np.sort(need2)
+    pos = np.searchsorted(sv1, needles)
+    ok = pos < sv1.size
+    ok[ok] = sv1[pos[ok]] == needles[ok]
+    # Needed values that have a wrapped partner, then the second-half masks
+    # asking for one of them, in natural order.
+    matched = np.unique(needles[ok])
+    pos2 = np.searchsorted(matched, need2)
+    hit2 = pos2 < matched.size
+    hit2[hit2] = matched[pos2[hit2]] == need2[hit2]
+    partners: dict[int, dict[int, int]] = {}  # wrapped need -> exact sum -> lowest mask1
+    for count, mask2 in enumerate(np.flatnonzero(hit2).tolist()):
+        if count % 4096 == 0 and deadline.expired():
+            trace["scanned"] = mask2
             trace["timed_out"] = True
             return _outcome(SolveStatus.INCONCLUSIVE, None, None, deadline, trace)
-        sums2 = _half_sums_vec(items, range(h1, n))
-        needles = target - np.sort(sums2, kind="stable")[::-1]  # ascending
-        pos = np.searchsorted(sv1, needles)
-        ok = pos < sv1.size
-        ok[ok] = sv1[pos[ok]] == needles[ok]
-        if not ok.any():
-            trace["scanned"] = int(sums2.size)
-            return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
-        # Values of sums2 that have a partner, then the first second-half
-        # mask in natural order carrying one of them.
-        matched = np.unique(target - needles[ok])
-        pos2 = np.searchsorted(matched, sums2)
-        hit2 = pos2 < matched.size
-        hit2[hit2] = matched[pos2[hit2]] == sums2[hit2]
-        mask2 = int(np.argmax(hit2))
-        needed = target - int(sums2[mask2])
-        mask1 = int(np.nonzero(sums1 == needed)[0][0])
-        trace["scanned"] = mask2 + 1
-        witness = Subset.from_mask(mask1 | (mask2 << h1))
-        _check_witness(sum(items[i - 1] for i in witness.indices) == target)
-        return _outcome(SolveStatus.FOUND, witness, None, deadline, trace)
-
-    sums1 = _half_sums(items, range(h1))
-    first: dict[int, int] = {}
-    for mask, v in enumerate(sums1):
-        if v not in first:
-            first[v] = mask
-    sums2 = _half_sums(items, range(h1, n))
-    for mask2, v2 in enumerate(sums2):
-        mask1 = first.get(target - v2)
+        w = need2[mask2]
+        if w not in partners:
+            group = order1[np.searchsorted(sv1, w) : np.searchsorted(sv1, w, "right")]
+            exact: dict[int, int] = {}
+            for mask1 in sorted(group.tolist()):
+                exact.setdefault(_mask_value(items, mask1), mask1)
+            partners[w] = exact
+        mask1 = partners[w].get(target - _mask_value(items, mask2 << h1))
         if mask1 is not None:
             trace["scanned"] = mask2 + 1
             witness = Subset.from_mask(mask1 | (mask2 << h1))
             _check_witness(sum(items[i - 1] for i in witness.indices) == target)
             return _outcome(SolveStatus.FOUND, witness, None, deadline, trace)
-        if mask2 % 4096 == 0 and deadline.expired():
-            trace["scanned"] = mask2 + 1
-            trace["timed_out"] = True
-            return _outcome(SolveStatus.INCONCLUSIVE, None, None, deadline, trace)
-    trace["scanned"] = len(sums2)
+    trace["scanned"] = int(need2.size)
     return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
 
 
@@ -278,6 +276,7 @@ def solve_modular_subset_sum_mitm(
         if mask1 is not None:
             trace["scanned"] = mask2 + 1
             witness = Subset.from_mask(mask1 | (mask2 << h1))
+            _check_witness(sum(items[i - 1] for i in witness.indices) % q == target % q)
             return _outcome(SolveStatus.FOUND, witness, None, deadline, trace)
         if mask2 % 4096 == 0 and deadline.expired():
             trace["scanned"] = mask2 + 1
@@ -299,42 +298,39 @@ def _sample_random_subsets(
     count: int,
     deadline: _Deadline,
 ) -> tuple[int | None, int]:
-    """Try ``count`` uniform random subsets; return (hit mask or None, tried)."""
+    """Try ``count`` uniform random subsets; return (hit mask or None, tried).
+
+    Masks are drawn a chunk at a time as 64-bit words, and the chunk's
+    subset sums accumulate per bit mod 2^64; each wrapped hit is confirmed
+    exactly, in draw order.
+    """
     n = len(items)
-    total = sum(items)
-    if n <= 64 and total < (1 << 62) and count >= 256:
-        # Per-bit accumulation of the chunk's subset sums; masks are words
-        # (n <= 64), and with the total below 2^62 the word sums are exact,
-        # so a hit is a hit.
-        gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
-        tgt = np.uint64(target & _WORD_MASK) if 0 <= target <= total else None
-        one = np.uint64(1)
-        tried = 0
-        while tried < count:
-            chunk = min(count - tried, 1 << 16)
-            masks = gen.integers(0, 1 << n, size=chunk, dtype=np.uint64)
-            if tgt is not None:
-                acc = np.zeros(chunk, dtype=np.uint64)
-                buf = np.empty(chunk, dtype=np.uint64)
-                for i in range(n):
-                    np.right_shift(masks, np.uint64(i), out=buf)
-                    np.bitwise_and(buf, one, out=buf)
-                    np.multiply(buf, np.uint64(items[i]), out=buf)
-                    np.add(acc, buf, out=acc)
-                hits = np.nonzero(acc == tgt)[0]
-                if hits.size:
-                    return int(masks[hits[0]]), tried + int(hits[0]) + 1
-            tried += chunk
-            if deadline.expired():
-                return None, tried
-        return None, tried
-    for i in range(count):
-        mask = rng.getrandbits(n)
-        if _mask_value(items, mask) == target:
-            return mask, i + 1
-        if i % 1024 == 0 and deadline.expired():
-            return None, i + 1
-    return None, count
+    gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
+    tgt = np.uint64(target & _WORD_MASK)
+    addends = [np.uint64(a & _WORD_MASK) for a in items]
+    one = np.uint64(1)
+    tried = 0
+    while tried < count:
+        chunk = min(count - tried, 1 << 16)
+        words = [
+            gen.integers(0, 1 << min(64, n - lo), size=chunk, dtype=np.uint64)
+            for lo in range(0, n, 64)
+        ]
+        acc = np.zeros(chunk, dtype=np.uint64)
+        buf = np.empty(chunk, dtype=np.uint64)
+        for i in range(n):
+            np.right_shift(words[i >> 6], np.uint64(i & 63), out=buf)
+            np.bitwise_and(buf, one, out=buf)
+            np.multiply(buf, addends[i], out=buf)
+            np.add(acc, buf, out=acc)
+        for off in np.flatnonzero(acc == tgt).tolist():
+            mask = sum(int(word[off]) << (64 * w) for w, word in enumerate(words))
+            if _mask_value(items, mask) == target:
+                return mask, tried + off + 1
+        tried += chunk
+        if deadline.expired():
+            return None, tried
+    return None, tried
 
 
 def solve_subset_sum_rep(
@@ -371,6 +367,7 @@ def solve_subset_sum_rep(
         if deadline.expired():
             trace["timed_out"] = True
             break
+        _require_word_rows(n)
         p = random_prime(1 << half_bits, 1 << (half_bits + 1), derive_seed(seed, "subset-rep-prime", r))
         k = target % p
         table = build_table(items, p, budget.memory_cap_bytes)
@@ -380,42 +377,28 @@ def solve_subset_sum_rep(
         if len(trace["draws"]) < _TRACE_DRAWS:
             trace["draws"].append(record)
         draws_done += 1
-        if _has_word_rows(table):
-            # Chunked vector scan; candidate sums match mod 2^64, and each
-            # candidate rank is re-unranked and confirmed exactly, so the
-            # first confirmed rank is the same index the scalar walk stops at.
-            tgt = np.uint64(target & _WORD_MASK)
-            done = 0
-            while done < scan:
-                chunk = min(scan - done, _BATCH_CHUNK)
-                sums_c = _bin_sums_batch(table, k, done + 1, chunk)
-                for off in np.nonzero(sums_c == tgt)[0]:
-                    rank = done + int(off) + 1
-                    mask, value = _unrank_mask(table, k, rank)
-                    if value == target:
-                        record["enumerated"] = rank
-                        witness = Subset.from_mask(mask)
-                        trace["draw_count"] = draws_done
-                        return _outcome(SolveStatus.FOUND, witness, seed, deadline, trace)
-                done += chunk
-                if done < scan and deadline.expired():
-                    record["enumerated"] = done
-                    trace["timed_out"] = True
-                    trace["draw_count"] = draws_done
-                    return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
-        else:
-            for index in range(1, scan + 1):
-                mask, value = _unrank_mask(table, k, index)
+        # Chunked vector scan; candidate sums match mod 2^64, and each
+        # candidate rank is re-unranked and confirmed exactly, so the first
+        # confirmed rank is the first solution of the bin in chi order.
+        tgt = np.uint64(target & _WORD_MASK)
+        done = 0
+        while done < scan:
+            chunk = min(scan - done, _BATCH_CHUNK)
+            sums_c = _bin_sums_batch(table, k, done + 1, chunk)
+            for off in np.nonzero(sums_c == tgt)[0]:
+                rank = done + int(off) + 1
+                mask, value = _unrank_mask(table, k, rank)
                 if value == target:
-                    record["enumerated"] = index
+                    record["enumerated"] = rank
                     witness = Subset.from_mask(mask)
                     trace["draw_count"] = draws_done
                     return _outcome(SolveStatus.FOUND, witness, seed, deadline, trace)
-                if index % 4096 == 0 and deadline.expired():
-                    record["enumerated"] = index
-                    trace["timed_out"] = True
-                    trace["draw_count"] = draws_done
-                    return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+            done += chunk
+            if done < scan and deadline.expired():
+                record["enumerated"] = done
+                trace["timed_out"] = True
+                trace["draw_count"] = draws_done
+                return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
         if scan == size:
             # The whole bin holding every possible solution was checked.
             trace["draw_count"] = draws_done
@@ -561,7 +544,6 @@ def solve_shifted_mitm(
 
 def _shifted_rep_join(
     table,
-    items: Sequence[int],
     shift: int,
     k: int,
     k2: int,
@@ -573,9 +555,9 @@ def _shifted_rep_join(
 
     Enumerates bin k2 once (sums reduced mod 2^64), stable-sorts it, then
     streams bin k against it. Wrapped matches are confirmed with exact
-    arithmetic before acceptance, so the returned pair is the one the
-    dictionary path finds: lowest bin-k rank first, ties broken by bin-k2
-    rank. Returns (pair or None, timed out).
+    arithmetic before acceptance, so the returned pair is the first exact
+    one: lowest bin-k rank first, ties broken by bin-k2 rank. Returns (pair
+    or None, timed out).
     """
     parts_s: list[np.ndarray] = []
     done = 0
@@ -634,6 +616,7 @@ def solve_shifted_rep(
     deadline = _Deadline(budget.time_cap_ms)
     items = tuple(items)
     n = len(items)
+    _require_word_rows(n)
     t = max(1, min(n - 1, round(ratio * n)))
     rng = as_rng(seed, "shifted-rep", t)
     if t > n // 2:
@@ -643,6 +626,10 @@ def solve_shifted_rep(
         bn_bits = (n + 1) // 2
         heavy_ceil = _ceil_half_pow(n)
     enum_cap = n * n * heavy_ceil
+    # The join holds about 32 bytes per bin-k2 entry (its chunks, their
+    # concatenation, the sort order and the sorted copy). A miss is only
+    # INCONCLUSIVE, so capping that scan is as sound as enum_cap.
+    join_cap = budget.memory_cap_bytes // 32
     trace: dict = {
         "algorithm": "shifted-rep",
         "class_size": t,
@@ -680,50 +667,25 @@ def solve_shifted_rep(
         table = build_table(items, p, budget.memory_cap_bytes)
         size1 = table.bin_size(k)
         size2 = table.bin_size(k2)
+        scan1 = min(size1, enum_cap)
+        scan2 = min(size2, enum_cap, join_cap)
         record = {
             "p": p,
             "k": k,
             "bins": [size1, size2],
-            "enumerated": [min(size1, enum_cap), min(size2, enum_cap)],
+            "enumerated": [scan1, scan2],
         }
         if len(trace["draws"]) < _TRACE_DRAWS:
             trace["draws"].append(record)
         draws_done += 1
-        scan1 = min(size1, enum_cap)
-        scan2 = min(size2, enum_cap)
-        if _has_word_rows(table) and scan2 <= _JOIN_CAP:
-            pair, timed_out = _shifted_rep_join(
-                table, items, shift, k, k2, scan1, scan2, deadline
-            )
-            if timed_out:
-                trace["timed_out"] = True
-                trace["draw_count"] = draws_done
-                return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
-            if pair is not None:
-                trace["draw_count"] = draws_done
-                return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
-            continue
-        by_value: dict[int, list[int]] = {}
-        for index in range(1, scan2 + 1):
-            mask, value = _unrank_mask(table, k2, index)
-            slot = by_value.setdefault(value, [])
-            if len(slot) < 2:
-                slot.append(mask)
-            if index % 4096 == 0 and deadline.expired():
-                trace["timed_out"] = True
-                trace["draw_count"] = draws_done
-                return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
-        for index in range(1, scan1 + 1):
-            mask, value = _unrank_mask(table, k, index)
-            for other in by_value.get(value - shift, ()):
-                if other != mask:
-                    pair = Pair(Subset.from_mask(mask), Subset.from_mask(other))
-                    trace["draw_count"] = draws_done
-                    return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
-            if index % 4096 == 0 and deadline.expired():
-                trace["timed_out"] = True
-                trace["draw_count"] = draws_done
-                return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+        pair, timed_out = _shifted_rep_join(table, shift, k, k2, scan1, scan2, deadline)
+        if timed_out:
+            trace["timed_out"] = True
+            trace["draw_count"] = draws_done
+            return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+        if pair is not None:
+            trace["draw_count"] = draws_done
+            return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
     trace["draw_count"] = draws_done
     return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
 
@@ -907,9 +869,7 @@ def solve_instance(
             out = solve_subset_sum_mitm(items, instance.target, budget)
     elif v == "modular_subset_sum":
         out = solve_modular_subset_sum_mitm(items, instance.target, instance.modulus, budget)
-    elif v in ("equal_sums", "shifted_sums", "shifted_sums_modular"):
-        if v == "shifted_sums_modular":
-            raise ValueError("modular shifted instances are solved via their original instance")
+    elif v in ("equal_sums", "shifted_sums"):
         s = 0 if v == "equal_sums" else instance.shift
         if algo == "exhaustive":
             out = solve_shifted_exhaustive(items, s, budget)

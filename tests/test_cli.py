@@ -219,6 +219,26 @@ def test_solve_invalid_json(tmp_path, capsys):
     assert code == 3
 
 
+def test_solver_fault_is_runtime_failure(tmp_path, capsys, monkeypatch):
+    # the instance is valid, so whatever escapes the solver is a program
+    # fault (4), never a usage error (3)
+    path = write_instance(tmp_path / "i.json", ProblemInstance("subset_sum", (3, 5, 7), target=12))
+    for exc in (IndexError, ValueError, KeyError, TypeError):
+        def boom(*args, **kwargs):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli, "solve_instance", boom)
+        code, _ = run(capsys, "solve", path)
+        assert code == 4
+
+
+def test_solve_bad_ratio_is_usage_error(tmp_path, capsys):
+    path = write_instance(tmp_path / "i.json", ProblemInstance("equal_sums", (1, 2, 3)))
+    for bad in ("nan", "inf", "0", "1.5"):
+        code, _ = run(capsys, "solve", path, "--algo", "rep", "--ratio", bad)
+        assert code == 3
+
+
 def test_solve_csv_format(tmp_path, capsys):
     path = str(tmp_path / "inst.json")
     run(capsys, "gen", "--variant", "subset_sum", "--n", "10",

@@ -1,7 +1,6 @@
-"""Instance model, witness verification, and the two reductions."""
+"""Instance model, witness verification, and the two-subset reduction."""
 
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +14,11 @@ from sumbins.core import (
     instance_from_json,
     instance_to_json,
     load_instance,
-    reduce_modulo_prime,
     reduce_two_subset_to_shifted,
-    reduce_with_prime,
     save_instance,
     subset_sum,
     verify,
 )
-from sumbins.numtheory import is_probable_prime
 
 
 def S(*indices):
@@ -234,55 +230,6 @@ class TestTwoSubsetReduction:
                     assert all(c in (0, 1, 2) for c in coeffs)
                     assert sum(a * e for a, e in zip(items, coeffs)) == m
                     return
-
-
-class TestModularReduction:
-    def test_identity_when_items_small(self):
-        inst = ProblemInstance("subset_sum", (3, 5, 7), target=12)
-        red = reduce_with_prime(inst, 101)
-        assert red.reduced.items == (3, 5, 7)
-        assert red.reduced.target == 12
-        assert red.reduced.modulus == 101
-
-    def test_big_items_reduce(self):
-        big = (1 << 100) + 1
-        inst = ProblemInstance("subset_sum", (big, 3), target=big + 3)
-        red = reduce_with_prime(inst, 101)
-        # 2^100 = 1 mod 101 by Fermat, so big = 2 mod 101
-        assert red.reduced.items == (2, 3)
-        assert red.reduced.target == 5
-        assert verify(red.reduced, S(1, 2))
-
-    def test_zero_residues_map_to_p(self):
-        inst = ProblemInstance("subset_sum", (101, 5), target=5)
-        red = reduce_with_prime(inst, 101)
-        assert red.reduced.items == (101, 5)
-
-    def test_random_prime_reduction_is_sound(self):
-        inst = ProblemInstance("subset_sum", (3, 5, 7, 11), target=15)
-        red = reduce_modulo_prime(inst, seed=9)
-        assert is_probable_prime(red.prime)
-        # the true witness still verifies modulo p
-        assert verify(red.reduced, S(1, 3, 4)) or verify(red.reduced, S(1, 2, 3))
-
-    def test_shifted_reduction_verifies(self):
-        inst = ProblemInstance("shifted_sums", (1, 2, 4), shift=1)
-        red = reduce_with_prime(inst, 13)
-        w = Pair(S(1, 2), S(2))
-        assert verify(red.reduced, w)
-
-    def test_false_positive_rate_small(self):
-        # non-solutions stay non-solutions for nearly all sampled primes
-        rng = random.Random(4)
-        inst = ProblemInstance("subset_sum", (12, 34, 56, 78), target=99)
-        bad = S(1, 2)  # sums to 46 != 99
-        hits = 0
-        trials = 300
-        for t in range(trials):
-            red = reduce_modulo_prime(inst, seed=rng.randrange(1 << 30), bits=8)
-            if verify(red.reduced, bad):
-                hits += 1
-        assert hits / trials < 0.2
 
 
 class TestJson:

@@ -14,10 +14,8 @@ from sumbins.dpbins import (
     ResourceLimitError,
     build_table,
     compare_chi,
-    dump_table,
     enumerate_bin,
     estimate_table_bytes,
-    load_table,
     unrank,
 )
 from sumbins.oracles import brute_bin, brute_bin_masks
@@ -242,32 +240,3 @@ class TestBinRef:
         t = build_table((1, 2, 3), 3)
         with pytest.raises(ValueError):
             BinRef(t, 3)
-
-
-class TestDumpLoad:
-    def test_round_trip_small(self, tmp_path):
-        t = build_table((3, 5, 6, 9), 7)
-        path = str(tmp_path / "table.bin")
-        dump_table(t, path)
-        again = load_table(path)
-        assert again.items == t.items
-        assert again.p == t.p
-        for i in range(5):
-            for j in range(7):
-                assert again.count(i, j) == t.count(i, j)
-
-    def test_round_trip_big_entries(self, tmp_path):
-        rng = random.Random(5)
-        items = tuple(rng.randrange(1, 1 << 10) for _ in range(63))
-        t = build_table(items, 3)
-        path = str(tmp_path / "big.bin")
-        dump_table(t, path)
-        again = load_table(path)
-        assert again.bin_sizes() == t.bin_sizes()
-        assert unrank(again, 1, 5) == unrank(t, 1, 5)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            load_table(str(path))

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import sumbins
@@ -8,10 +9,40 @@ import sumbins
 SRC = Path(sumbins.__file__).parent
 
 
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_assert_statements():
     # `python -O` strips asserts, so every check in the package must raise
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _modules():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in sumbins.__all__ if not hasattr(sumbins, name)]
+    for path, _ in _modules():
+        module = importlib.import_module(f"sumbins.{path.stem}")
+        names = getattr(module, "__all__", ())
+        missing += [f"{path.stem}.{name}" for name in names if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_no_unused_top_level_imports():
+    # __init__.py imports only to re-export; everywhere else an import that
+    # no expression names is dead
+    unused = []
+    for path, tree in _modules():
+        if path.name == "__init__.py":
+            continue
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert unused == []

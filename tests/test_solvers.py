@@ -70,6 +70,12 @@ class TestSubsetSumMitm:
             if want:
                 assert verify(inst, out.witness)
 
+    def test_memory_cap(self):
+        items = tuple(range(1, 21))  # 2^10 eight-byte sums per half
+        with pytest.raises(ResourceLimitError):
+            solve_subset_sum_mitm(items, 50, SolverBudget(memory_cap_bytes=8 << 10))
+        assert solve_subset_sum_mitm(items, 50, SolverBudget(memory_cap_bytes=1 << 20)).found
+
 
 class TestSubsetSumRep:
     def test_full_set_target(self):
@@ -142,6 +148,12 @@ class TestModularMitm:
             if out.found:
                 assert verify(inst, out.witness)
 
+    def test_bad_witness_never_returned(self, monkeypatch):
+        # wrong half sums make the join pair up the empty set for target 2
+        monkeypatch.setattr(solvers, "_half_sums", lambda items, positions: [1] * (1 << len(positions)))
+        with pytest.raises(RuntimeError):
+            solve_modular_subset_sum_mitm((3, 5, 7), 2, 10)
+
 
 class TestShiftedMitm:
     def test_equal_sums_hand_case(self):
@@ -197,6 +209,13 @@ class TestShiftedRep:
         assert out.trace["prime_bits"] == 2  # n - t = 8 - 6
         light = solve_shifted_rep(items, 0, ratio=0.25, seed=3)
         assert light.trace["prime_bits"] == 4  # ceil(n / 2)
+
+    def test_refuses_rows_past_machine_words(self):
+        # n = 63 table entries reach 2^63; refused before the prefilter runs
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            solve_shifted_rep(tuple(range(1, 64)), 0, ratio=0.6, seed=0)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestShiftedExhaustive:
