@@ -9,8 +9,10 @@ i items with sum = j (mod p):
     rows[i][j]  = rows[i-1][j] + rows[i-1][(j - a_i) mod p]
 
 so ``rows[n][k]`` is the size of bin k and each row i sums to 2^i. Counts are
-exact (arbitrary precision); a fast path keeps rows in 64-bit machine words
-whenever n <= 62, where no entry can exceed 2^62.
+exact. Whenever n <= 62, where no entry can exceed 2^62, rows are machine
+words sized to their bound: row i holds at most 2^i, so rows 0..30 below row
+n are int32 and the rest, row n (the bin sizes) included, int64. For n > 62
+rows are lists of Python integers.
 
 On top of the table, :func:`unrank` gives random access into a bin under a
 fixed total order on subsets: S1 < S2 iff the largest index where they differ
@@ -57,7 +59,9 @@ class CountTable:
 
     items: tuple[int, ...]
     p: int
-    rows: list  # rows[i] is indexable by residue; int64 ndarray or list[int]
+    # rows[i] is indexable by residue: an int32 ndarray for i <= 30 and
+    # i < n, else int64; a list[int] for every row when n > 62.
+    rows: list
     mods: tuple[int, ...]  # items reduced mod p, aligned with items
 
     @property
@@ -79,7 +83,9 @@ def estimate_table_bytes(n: int, p: int) -> int:
     """Planning estimate used for the memory cap check.
 
     Entries are bounded by 2^n, i.e. up to n/8 bytes each, and the fast path
-    stores 8-byte words; the estimate takes the larger of the two.
+    stores words of at most 8 bytes; the estimate takes the larger of the
+    two. It stays a conservative upper bound: rows 0..30 of the fast path
+    take 4 bytes per entry.
     """
     return (n + 1) * p * max(8, n // 8)
 
@@ -111,14 +117,17 @@ def build_table(
     mods = tuple(a % p for a in items)
 
     if n <= _INT64_SAFE_N:
+        # Row i holds counts up to 2^i, so rows 0..30 fit int32. Fewer bytes
+        # mean fewer first-touch page faults, which are most of a fresh
+        # build. Row n (the bin sizes) stays int64 for every reader.
         rows: list = []
-        row = np.zeros(p, dtype=np.int64)
+        row = np.zeros(p, dtype=np.int32)
         row[0] = 1
         for i in range(n + 1):
             rows.append(row)
             if i < n:
                 sh = mods[i]
-                nxt = np.empty_like(row)
+                nxt = np.empty(p, dtype=np.int32 if i + 1 <= 30 and i + 1 < n else np.int64)
                 nxt[:sh] = row[p - sh :]
                 nxt[sh:] = row[: p - sh]
                 nxt += row
@@ -158,11 +167,14 @@ def _unrank_mask(table: CountTable, k: int, index: int) -> tuple[int, int]:
     mods = table.mods
     items = table.items
     p = table.p
+    # Counts are read as Python ints: a NumPy int32 scalar would turn
+    # ``index`` into an int32 that overflows past 2^31.
+    words = isinstance(rows[0], np.ndarray)
     mask = 0
     value = 0
     j = k
     for i in range(table.n, 0, -1):
-        without = rows[i - 1][j]
+        without = rows[i - 1].item(j) if words else rows[i - 1][j]
         if index > without:
             index -= without
             mask |= 1 << (i - 1)
@@ -224,13 +236,21 @@ def _bin_sums_batch(
     # Masked ufuncs (``where=``) are several times slower on random masks.
     take = np.empty(count, dtype=np.int64)
     scratch = np.empty(count, dtype=np.int64)
+    # ``take`` only writes its row's dtype: int32 rows go through a narrow
+    # scratch that is widened once per level.
+    narrow = np.empty(count, dtype=np.int32)
     contrib = scratch.view(sums.dtype)
     take_s = take.view(sums.dtype)
     rows = table.rows
     mods = table.mods
     p = table.p
     for i in range(table.n, 0, -1):
-        np.take(rows[i - 1], j, out=scratch)
+        row = rows[i - 1]
+        if row.dtype == np.int32:
+            row.take(j, out=narrow)
+            np.copyto(scratch, narrow)
+        else:
+            row.take(j, out=scratch)
         np.greater(idx, scratch, out=take, casting="unsafe")
         np.multiply(scratch, take, out=scratch)
         np.subtract(idx, scratch, out=idx)

@@ -553,11 +553,11 @@ def _shifted_rep_join(
 ) -> tuple[Pair | None, bool]:
     """Vectorized bin-pair matching for :func:`solve_shifted_rep`.
 
-    Enumerates bin k2 once (sums reduced mod 2^64), stable-sorts it, then
-    streams bin k against it. Wrapped matches are confirmed with exact
-    arithmetic before acceptance, so the returned pair is the first exact
-    one: lowest bin-k rank first, ties broken by bin-k2 rank. Returns (pair
-    or None, timed out).
+    Enumerates bin k2 once (sums reduced mod 2^64), sorts it, then streams
+    bin k against it. Wrapped matches are confirmed with exact arithmetic
+    before acceptance, visiting each equal-sum group in ascending bin-k2
+    rank, so the returned pair is the first exact one: lowest bin-k rank
+    first, ties broken by bin-k2 rank. Returns (pair or None, timed out).
     """
     parts_s: list[np.ndarray] = []
     done = 0
@@ -570,7 +570,7 @@ def _shifted_rep_join(
     if not parts_s:
         return None, False
     sums2 = parts_s[0] if len(parts_s) == 1 else np.concatenate(parts_s)
-    order = np.argsort(sums2, kind="stable")
+    order = np.argsort(sums2)
     sv = sums2[order]
     shift_w = np.uint64(shift & _WORD_MASK)
     done = 0
@@ -581,14 +581,12 @@ def _shifted_rep_join(
         pos = np.searchsorted(sv, want)
         ok = pos < sv.size
         ok[ok] = sv[pos[ok]] == want[ok]
-        for off in np.nonzero(ok)[0]:
-            mask, value = _unrank_mask(table, k, done + int(off) + 1)
-            g = int(pos[off])
-            w = want[off]
-            while g < sv.size and sv[g] == w:
-                rank2 = int(order[g]) + 1
-                g += 1
-                other, other_value = _unrank_mask(table, k2, rank2)
+        hits = np.nonzero(ok)[0]
+        ends = np.searchsorted(sv, want[hits], "right")
+        for off, lo, hi in zip(hits.tolist(), pos[hits].tolist(), ends.tolist()):
+            mask, value = _unrank_mask(table, k, done + off + 1)
+            for rank2 in sorted(order[lo:hi].tolist()):
+                other, other_value = _unrank_mask(table, k2, rank2 + 1)
                 if other != mask and value - other_value == shift:
                     return Pair(Subset.from_mask(mask), Subset.from_mask(other)), False
         done += chunk

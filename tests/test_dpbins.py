@@ -82,6 +82,58 @@ class TestBuildTable:
             assert sum(t.count(i, j) for j in range(5)) == 1 << i
 
 
+def _recurrence_rows(items, p):
+    """Reference rows by the defining recurrence, in Python integers."""
+    row = [1] + [0] * (p - 1)
+    rows = [row]
+    for a in items:
+        row = [row[j] + row[(j - a) % p] for j in range(p)]
+        rows.append(row)
+    return rows
+
+
+class TestNarrowRows:
+    # Row i counts at most 2^i subsets: rows 0..30 below row n are int32,
+    # the rest int64.
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rows_dtypes_and_walks(self, data):
+        n = data.draw(st.integers(1, 40))
+        p = data.draw(st.integers(1, 3000))
+        bits = data.draw(st.sampled_from([8, 40, 70]))
+        items = data.draw(st.lists(st.integers(1, (1 << bits) - 1), min_size=n, max_size=n))
+        t = build_table(items, p)
+        for i, (row, want) in enumerate(zip(t.rows, _recurrence_rows(items, p))):
+            assert row.dtype == (np.int32 if i <= 30 and i < n else np.int64)
+            assert row.tolist() == want
+        k = data.draw(st.integers(0, p - 1))
+        size = t.bin_size(k)
+        if size:
+            start = data.draw(st.integers(1, size))
+            count = min(size - start + 1, 64)
+            got = dpbins._bin_sums_batch(t, k, start, count)
+            want = [
+                dpbins._unrank_mask(t, k, r)[1] % (1 << 64) for r in range(start, start + count)
+            ]
+            assert got.tolist() == want
+
+    def test_ranks_across_the_int32_bound(self):
+        # With p = 1 every subset is in bin 0, and rank r is mask r - 1.
+        items = tuple(range(1, 34))
+        t = build_table(items, 1)
+        assert [row.dtype for row in t.rows[30:]] == [np.int32] + [np.int64] * 3
+        for r in (1, (1 << 31) - 1, 1 << 31, (1 << 31) + 1, 1 << 33):
+            mask, value = dpbins._unrank_mask(t, 0, r)
+            assert type(mask) is int and type(value) is int
+            assert mask == r - 1
+            assert value == sum(a for i, a in enumerate(items) if mask >> i & 1)
+        start = (1 << 31) - 2
+        got = dpbins._bin_sums_batch(t, 0, start, 6)
+        assert got.tolist() == [
+            sum(a for i, a in enumerate(items) if (r - 1) >> i & 1) for r in range(start, start + 6)
+        ]
+
+
 class TestCompareChi:
     def test_empty_is_minimum(self):
         assert compare_chi(S(), S(1)) < 0

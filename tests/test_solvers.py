@@ -218,6 +218,117 @@ class TestShiftedRep:
         assert time.perf_counter() - t0 < 1.0
 
 
+# (items, shift, t, seed, s1, s2): solve_shifted_rep at ratio t/n with the
+# prefilter off and repeat_cap=4, so the bin join decides, recorded from the
+# join that stable-sorted bin k2. Repeated item values give equal-sum groups
+# of several bin-k2 ranks; a join that walks a group in sort order rather
+# than rank order returns a different pair on 13 of these. Every third case
+# mixes in 2^64 + x items, whose sums collide mod 2^64.
+SHIFTED_REP_GOLDEN = [
+    ((7, 1, 5, 8, 7, 5, 8, 6, 4, 3, 5), 0, 10, 0, (1, 2), (4,)),
+    ((199879674711312843576, 199879674711312843576, 6, 6, 199879674711312843576), 0, 4, 2, (1,), (2,)),
+    ((3, 6, 8, 2, 1, 8, 5, 4), 27, 4, 3, (1, 2, 3, 6, 7), (1,)),
+    ((108178, 108178, 318032, 318032, 318032, 318032, 108178, 756251), 527886, 7, 4, (3, 4), (1,)),
+    ((8, 5, 1, 1, 3, 8), 0, 4, 6, (2,), (3, 4, 5)),
+    ((414003, 993909, 993909, 414003, 993909, 158177, 414003, 993909, 414003, 993909), 2394095, 4, 7, (1, 2, 4, 6, 7), ()),
+    ((6, 5, 3, 3, 1, 6, 8, 2, 6, 1, 7, 3), 0, 10, 9, (1, 3, 4), (1, 2, 5)),
+    ((1005492197983540430967, 18446744073709551652, 18446744073709551652, 1005492197983540430967, 30, 1005492197983540430967, 1005492197983540430967, 18446744073709551652, 18446744073709551652, 30, 30, 18446744073709551652), 18446744073709551682, 7, 11, (1, 2, 3, 4, 5, 6), (1, 2, 4, 6)),
+    ((5, 6, 3, 7, 1, 6, 8, 5, 8, 4, 1, 3), 15, 6, 12, (1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4)),
+    ((16, 308708693994440740530, 18446744073709551650, 308708693994440740530, 16, 16), 48, 3, 14, (1, 3, 5, 6), (3,)),
+    ((1, 1, 3, 4, 1, 1, 3, 6), 2, 3, 15, (1, 2, 3, 4, 8), (1, 2, 3, 4, 5, 7)),
+    ((503821, 492016, 503821, 492016, 503821, 298775, 298775, 503821, 492016, 298775), 802596, 5, 16, (1, 2, 3, 4, 6, 7, 9), (1, 2, 4, 6, 9)),
+    ((907112889870583128987, 907112889870583128987, 907112889870583128987, 907112889870583128987, 24, 18446744073709551636, 18446744073709551636, 18446744073709551636, 24, 907112889870583128987, 24), 944006378018002232307, 4, 17, (1, 2, 5, 6, 7, 9, 11), (1, 5)),
+    ((2, 8, 6, 4, 4, 8, 8), 0, 2, 18, (2, 3, 4, 6, 7), (2, 3, 5, 6, 7)),
+    ((823040, 545749, 823040, 938907, 938907), 1484656, 4, 19, (2, 4), ()),
+    ((18446744073709551633, 18446744073709551633, 7, 7, 18446744073709551633, 18446744073709551633, 18446744073709551633), 0, 3, 20, (1, 3), (2, 3)),
+    ((7, 7, 5, 8, 4, 8, 3), 16, 2, 21, (1, 3, 5), ()),
+    ((24764, 254403, 642869, 254403, 642869, 642869, 24764), 0, 3, 22, (1, 3), (1, 5)),
+    ((2, 503720516552559106216, 2, 18446744073709551622, 503720516552559106216, 18446744073709551622, 2, 2, 18446744073709551622), 1025887777178827764050, 1, 23, (1, 2, 3, 4, 5, 6, 9), (1, 3, 4, 6, 7, 8)),
+    ((3, 4, 3, 4, 3, 2, 3, 5, 1, 8, 8), 0, 8, 24, (2,), (4,)),
+    ((805817, 805817, 971809, 884513, 971809, 805817, 971809, 805817, 971809, 884513, 971809), 6470679, 4, 25, (1, 2, 3, 4, 5, 6, 7, 8, 9, 11), (1, 2, 4)),
+    ((18446744073709551630, 28, 18446744073709551630, 65375526274063874076, 65375526274063874076, 65375526274063874076, 65375526274063874076, 18446744073709551630), 233020066969610725516, 7, 26, (1, 2, 3, 4, 5, 6), ()),
+    ((5, 5, 4, 2, 2, 5, 6, 5, 6, 7, 3, 4), 4, 1, 27, (1, 2, 3, 6, 7, 8, 9, 10, 11), (1, 2, 3, 4, 5, 6, 7, 9, 10)),
+    ((572162, 572162, 778415, 778415, 778415, 572162), 1922739, 2, 28, (1, 2, 3, 4), (3,)),
+    ((1, 4, 5, 1, 7, 7, 3, 2, 8), 2, 3, 30, (1, 2, 3, 5, 6, 7, 9), (1, 2, 3, 4, 5, 6, 9)),
+    ((117859, 492389, 801088, 492389, 492389), 374530, 2, 31, (2, 3, 4), (1, 2, 3)),
+    ((18446744073709551630, 10, 18446744073709551630, 1064346769094990221725, 18446744073709551630, 18446744073709551630), 1027453280947571118475, 1, 32, (1, 2, 3, 4), (1, 3, 5, 6)),
+    ((4, 5, 8, 3, 6, 8, 8), 7, 5, 33, (2, 3), (5,)),
+    ((614201, 614201, 29017, 29017, 614201, 29017, 29017, 29017, 614201, 884292), 3457164, 9, 34, (1, 2, 3, 4, 5, 6, 7, 9, 10), ()),
+    ((22, 22, 334883090491208079602, 18446744073709551625, 334883090491208079602, 334883090491208079602, 22, 334883090491208079602, 22, 334883090491208079602), 1023096015547333790475, 8, 35, (1, 2, 3, 4, 5, 6), ()),
+    ((697757, 697757, 697757, 980748, 697757, 647828), 0, 4, 37, (1, 2, 3), (1, 2, 5)),
+    ((7, 7, 18446744073709551644, 818415579979861756858, 818415579979861756858, 18446744073709551644, 818415579979861756858, 7, 7, 7, 818415579979861756858), 2455246739939585270595, 3, 38, (1, 2, 3, 4, 5, 6, 7, 8), (3, 6)),
+    ((5, 7, 1, 4, 4, 7, 1, 5), 29, 1, 39, (1, 2, 3, 4, 5, 6, 8), (4,)),
+    ((607637, 607637, 920512, 549426, 549426, 549426, 607637, 607637, 920512, 920512, 549426, 920512), 6469276, 11, 40, (1, 2, 3, 4, 5, 6, 7, 8, 9, 11), ()),
+    ((15, 1054527249063471682613, 1054527249063471682613, 15, 1054527249063471682613, 15, 15, 1054527249063471682613, 1054527249063471682613, 18446744073709551638, 18446744073709551638), 0, 6, 41, (1, 2, 3, 4, 5, 6, 8, 9, 10, 11), (1, 2, 3, 4, 5, 7, 8, 9, 10, 11)),
+    ((1, 5, 4, 4, 3, 2), 14, 5, 42, (1, 2, 3, 4), ()),
+    ((7, 8, 5, 2, 5, 6, 1, 2, 8), 0, 5, 45, (1, 2, 4, 6), (1, 3, 5, 6)),
+    ((28, 28, 672451536947643112235, 28, 28, 672451536947643112235, 18446744073709551621, 28, 672451536947643112235, 18446744073709551621), 2035801354916638888354, 1, 47, (1, 2, 3, 4, 6, 7, 9, 10), (1, 2, 7)),
+    ((361057, 433317, 978660, 978660, 361057, 978660), 184286, 1, 49, (1, 3, 4), (1, 2, 3, 5)),
+    ((293133767869060702386, 24, 24, 18446744073709551634, 293133767869060702386, 24, 18446744073709551634, 293133767869060702386, 293133767869060702386, 18446744073709551634, 18446744073709551634, 24), 293133767869060702386, 6, 50, (1, 2, 4, 5, 7, 8, 9, 10, 11), (1, 2, 4, 5, 7, 8, 10, 11)),
+    ((3, 4, 4, 5, 7, 8, 6, 6), 23, 3, 51, (2, 3, 4, 5, 6, 7, 8), (2, 4, 6)),
+    ((1097262066678418546519, 1097262066678418546519, 33, 1097262066678418546519, 33, 1097262066678418546519, 18446744073709551646, 18446744073709551646), 18446744073709551646, 6, 53, (1, 2, 7), (1, 2)),
+    ((8, 5, 8, 8, 7, 4, 8), 11, 1, 54, (1, 2, 3, 4, 5, 6), (1, 2, 3, 4)),
+    ((1035871, 205780, 996812, 1035871, 205780, 1035871), 1621123, 4, 55, (1, 3, 4, 6), (1, 2, 4, 5)),
+    ((34, 641350127242236630303, 18446744073709551647, 18446744073709551647, 34), 0, 2, 56, (1, 3), (1, 4)),
+    ((6, 1, 4, 6, 8), 15, 3, 57, (1, 2, 3, 5), (3,)),
+    ((215718, 215718, 215718, 774180, 774180, 774180, 774180, 774180), 1979796, 4, 58, (1, 2, 4, 5), ()),
+    ((30, 998636071563161731474, 18446744073709551622, 998636071563161731474, 998636071563161731474, 18446744073709551622, 30, 30), 0, 2, 59, (1, 2, 3, 4, 5, 6), (2, 3, 4, 5, 6, 7)),
+    ((5, 3, 5, 4, 8, 8, 6, 1, 2), 13, 1, 60, (1, 2, 5), (2,)),
+    ((583734, 583734, 583734, 227303, 190532, 583734, 583734, 583734, 190532, 583734, 583734, 583734), 1775835, 11, 61, (1, 2, 4, 5, 9), ()),
+    ((359061299749591698157, 16, 18446744073709551621, 359061299749591698157, 18446744073709551621, 18446744073709551621, 18446744073709551621), 377508043823301249794, 5, 62, (1, 2, 3, 4), (1,)),
+    ((8, 5, 5, 8, 2, 7, 2, 2, 4, 5, 2, 5), 41, 10, 63, (1, 2, 3, 4, 5, 6, 7, 9), ()),
+    ((660833, 642766, 642766, 130916, 130916, 660833, 642766, 642766, 130916, 642766, 642766, 130916), 660833, 2, 64, (1, 2, 3, 4, 7), (2, 3, 4, 7)),
+    ((5, 7, 4, 8, 5, 5), 30, 2, 66, (1, 2, 4, 5, 6), ()),
+    ((803210, 803210, 803210, 428224, 803210, 803210), 2837854, 4, 67, (1, 2, 3, 4), ()),
+    ((8, 8, 8, 287396088583954701317, 287396088583954701317, 8, 8, 287396088583954701317, 8, 18446744073709551649, 287396088583954701317, 287396088583954701317), 862188265751864103967, 6, 68, (1, 2, 4, 5, 8, 11), (4,)),
+    ((2, 3, 2, 6, 6), 15, 4, 69, (1, 2, 3, 4, 5), (1, 3)),
+    ((503552, 128147, 526533, 526533, 503552, 128147, 526533, 526533, 503552), 526533, 1, 73, (1, 2, 3, 4, 5), (1, 2, 3, 5)),
+    ((18446744073709551637, 8, 18446744073709551637, 8, 8, 208616465124790383578), 8, 1, 74, (1, 2, 3), (1, 3)),
+    ((7, 8, 1, 8, 6, 2, 6, 2, 5, 5, 8, 6), 50, 3, 75, (1, 2, 3, 4, 5, 7, 9, 10, 11, 12), (2, 6)),
+    ((485761, 996342, 485761, 996342, 485761, 996342, 996342, 996342, 996342, 485761), 485761, 9, 76, (1, 3, 5), (1, 3)),
+    ((18446744073709551637, 13, 13, 962793314781590780845, 962793314781590780845, 18446744073709551637, 18446744073709551637, 962793314781590780845, 962793314781590780845), 0, 8, 77, (1, 2), (1, 3)),
+    ((2, 5, 5, 7, 1, 3, 7, 4), 24, 3, 78, (1, 2, 3, 4, 5, 6, 7, 8), (2, 3)),
+    ((458756, 458756, 458756, 624801, 624801, 366490, 458756), 458756, 6, 79, (1, 4), (4,)),
+    ((35, 35, 35, 1027633623293992968907, 35, 35, 18446744073709551642, 1027633623293992968907, 35), 18446744073709551607, 3, 80, (4, 7), (1, 4)),
+    ((6, 7, 8, 1, 3, 3, 8, 1, 6, 5, 6, 4), 0, 9, 81, (2, 3, 4), (1, 2, 5)),
+    ((1031195, 513695, 806770, 806770, 1031195, 513695, 806770), 1544890, 1, 82, (1, 2), ()),
+    ((18446744073709551646, 43874142706551486091, 18446744073709551646, 18446744073709551646, 18446744073709551646, 6, 18446744073709551646, 18446744073709551646, 6, 18446744073709551646, 6, 6), 48359577661996272157, 3, 83, (1, 3, 4, 5, 6, 7, 9, 11), (2,)),
+    ((1, 8, 1, 6, 4, 8, 8, 6, 3), 3, 8, 84, (1, 2), (4,)),
+    ((735374, 644930, 735374, 735374, 644930, 644930, 859959, 735374), 3620567, 6, 85, (1, 2, 3, 4, 5, 6, 7), (1, 2)),
+    ((18446744073709551652, 904112155291224601680, 904112155291224601680, 904112155291224601680, 904112155291224601680), 0, 4, 86, (1, 2), (1, 3)),
+    ((4, 2, 5, 6, 6, 2, 6), 7, 4, 87, (1, 3), (2,)),
+    ((1021023, 348975, 1021023, 348975, 348975, 1021023, 198718, 348975, 198718, 1021023, 1021023), 672048, 6, 88, (1, 3, 6, 10, 11), (1, 2, 3, 6, 10)),
+    ((18446744073709551655, 18446744073709551655, 17, 17, 18446744073709551655, 17), 55340232221128654914, 2, 89, (1, 2, 5), (3, 4, 6)),
+    ((2, 8, 5, 6, 8, 5, 5, 8), 17, 6, 90, (1, 2, 4, 5), (1, 3)),
+    ((6, 2, 2, 6, 3, 3, 7, 2, 3, 1, 2, 6), 18, 10, 93, (1, 2, 3, 4, 5), (10,)),
+    ((863784, 863784, 130149, 293700, 863784, 863784, 863784), 700233, 4, 94, (1, 2, 3), (1, 4)),
+    ((6, 7, 4, 2, 6, 1, 1, 3, 7, 6), 13, 9, 96, (1, 2, 4), (4,)),
+    ((845234, 449802, 1043489, 449802, 1043489, 449802, 449802, 1043489), 4875305, 3, 97, (1, 2, 3, 4, 5, 6, 8), (2,)),
+    ((3, 3, 63054141881673153714, 63054141881673153714, 63054141881673153714, 18446744073709551653, 3, 18446744073709551653, 3, 18446744073709551653), 118394374102801808679, 8, 98, (1, 2, 3, 6, 8, 10), ()),
+    ((7, 4, 3, 4, 4, 3, 2, 5, 7, 2, 8), 0, 4, 99, (1, 2, 3, 4, 6, 8), (1, 2, 3, 5, 6, 8)),
+    ((481851, 997949, 477026, 997949, 477026, 477026, 997949), 477026, 4, 100, (2, 3), (2,)),
+    ((775658305295698257550, 18446744073709551651, 775658305295698257550, 18446744073709551651, 23, 23, 775658305295698257550, 18446744073709551651), 1551316610591396515100, 4, 101, (1, 3, 7), (1,)),
+    ((6, 3, 3, 7, 5, 7, 1), 20, 2, 102, (1, 2, 4, 6), (2,)),
+    ((730305, 979589, 730305, 979589, 730305, 730305, 979589, 730305, 753766, 753766, 753766, 730305), 249284, 1, 103, (1, 2, 4, 9, 10), (1, 2, 3, 9, 10)),
+    ((2, 1, 5, 6, 5, 3, 6, 3, 3, 2), 28, 3, 105, (1, 3, 4, 5, 6, 7, 8, 9, 10), (1, 3)),
+    ((987825, 582376, 17578, 582376, 17578, 17578, 582376, 582376, 582376, 582376, 987825, 987825), 1182330, 6, 106, (1, 2, 3, 4, 5, 6, 11), (1, 3, 5, 11)),
+    ((18446744073709551654, 28, 364566664938959303222, 18446744073709551654, 28, 28, 364566664938959303222, 18446744073709551654), 0, 6, 107, (3,), (7,)),
+    ((2, 7, 5, 7, 4, 2, 5), 0, 2, 108, (1, 2), (1, 4)),
+    ((471906, 240141, 240141, 240141, 471906, 481589, 481589, 471906, 471906), 712047, 3, 109, (1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 3, 5, 6, 7)),
+]
+
+
+class TestShiftedRepGolden:
+    def test_same_pairs_as_stable_sort_join(self):
+        budget = SolverBudget(prefilter=False, repeat_cap=4)
+        got = []
+        for items, shift, t, seed, _, _ in SHIFTED_REP_GOLDEN:
+            out = solve_shifted_rep(items, shift, t / len(items), seed=seed, budget=budget)
+            assert out.found
+            got.append((out.witness.s1.indices, out.witness.s2.indices))
+        assert got == [(s1, s2) for *_, s1, s2 in SHIFTED_REP_GOLDEN]
+
+
 class TestShiftedExhaustive:
     def test_complete_not_found(self):
         out = solve_shifted_exhaustive((1, 2, 4, 8), 0)
