@@ -5,8 +5,10 @@ Two algorithm families:
 * meet-in-the-middle ("mitm"): split the indices in half, enumerate both
   halves and join them (sorted numpy arrays of sums mod 2^64 for a plain
   target, a dictionary of residues for a modular one). Deterministic;
-  complete for the plain and modular target problems. For shifted sums it
-  enumerates one size class per split, so a miss is only evidence, not a
+  complete for the plain and modular target problems. For shifted sums each
+  half's disjoint pair states (S1, S2) become numpy arrays of sum
+  differences mod 2^64, joined the same way. The single-class search builds
+  one size class per random split, so a miss is only evidence, not a
   proof: the result is Inconclusive unless the exhaustive variant ran.
 
 * residue binning ("rep"): pick a random prime p, build the count table,
@@ -17,7 +19,8 @@ Two algorithm families:
 
 ``solve_shifted`` combines both: a sweep over solution-size ratios picks
 mitm or rep per ratio by their cost exponents, and a final folklore
-exhaustive pass (all sizes at once) settles NotFound for small n.
+exhaustive pass (all 3^(n/2) pair states of each half, all sizes at once)
+settles NotFound for small n.
 
 Numpy sums wrap mod 2^64 whatever the item width, so a match there is only
 a candidate until exact integer arithmetic confirms it. All witnesses are
@@ -31,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -409,45 +412,166 @@ def solve_subset_sum_rep(
 
 
 # ---------------------------------------------------------------------------
-# Shifted pairs: meet-in-the-middle over one size class
+# Shifted pairs: meet-in-the-middle over disjoint pair states
 # ---------------------------------------------------------------------------
 
-
-def _pairs_of_total_size(
-    items: Sequence[int], positions: Sequence[int], size: int
-) -> Iterator[tuple[int, int, int]]:
-    """Disjoint (S1, S2) with |S1| + |S2| = size: (mask1, mask2, sum diff)."""
-    if size > len(positions):
-        return
-    for union in combinations(positions, size):
-        masks = [0]
-        vals = [0]
-        for pos in union:
-            bit = 1 << pos
-            a = items[pos]
-            masks += [m | bit for m in masks]
-            vals += [v + a for v in vals]
-        full_mask = masks[-1]
-        full_val = vals[-1]
-        for m1, v1 in zip(masks, vals):
-            yield m1, full_mask ^ m1, 2 * v1 - full_val
+_PAIR_CHUNK = 1 << 16  # pair states of the single-class path built per vector call
+# Bytes per pair state: its key, the sort order, the sorted copy and the
+# probe positions, eight each, plus temporaries while the keys are built.
+_PAIR_STATE_BYTES = 48
+# Odd, so distinct small tags (split or class size) stay distinct mod 2^64.
+_TAG = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _all_disjoint_pairs(
-    items: Sequence[int], positions: Sequence[int]
-) -> list[tuple[int, int, int, int]]:
-    """All 3^len disjoint pairs as (mask1, mask2, sum diff, total size)."""
-    entries = [(0, 0, 0, 0)]
-    for pos in positions:
-        bit = 1 << pos
-        a = items[pos]
-        nxt = []
-        for m1, m2, d, sz in entries:
-            nxt.append((m1, m2, d, sz))
-            nxt.append((m1 | bit, m2, d + a, sz + 1))
-            nxt.append((m1, m2 | bit, d - a, sz + 1))
-        entries = nxt
-    return entries
+def _require_pair_bytes(states: int, cap: int) -> None:
+    need = _PAIR_STATE_BYTES * states
+    if need > cap:
+        raise ResourceLimitError(f"{states} pair states need about {need} bytes, cap is {cap}")
+
+
+def _class_states(words: np.ndarray, combos: np.ndarray, t: int) -> np.ndarray:
+    """Sum differences mod 2^64 of the disjoint pairs of total size t.
+
+    Row b of ``words`` holds one side's item values mod 2^64. Row b of the
+    result holds, at index u * 2^t + s, sum(S1) - sum(S2) for the pair whose
+    union is ``combos[u]`` (positions into the row) and whose first set
+    takes union member j when bit j of s is set.
+    """
+    a = words[:, combos]
+    d = np.empty(a.shape[:2] + (1 << t,), dtype=np.uint64)
+    d[..., 0] = -a.sum(axis=-1)
+    a += a
+    for j in range(t):
+        np.add(d[..., : 1 << j], a[..., j, None], out=d[..., 1 << j : 2 << j])
+    return d.reshape(len(words), -1)
+
+
+def _all_states(words: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum differences mod 2^64 and sizes of all 3^h disjoint pairs over
+    ``words``, in ternary index order: digit j, most significant first, puts
+    item j in neither set, in S1 or in S2."""
+    d = np.zeros(1, dtype=np.uint64)
+    size = np.zeros(1, dtype=np.uint8)
+    step = np.array([0, 1, 1], dtype=np.uint8)
+    for w in words:
+        d = (d[:, None] + np.array([0, w, -w & _WORD_MASK], dtype=np.uint64)).ravel()
+        size = (size[:, None] + step).ravel()
+    return d, size
+
+
+def _class_decoder(sides: list[list[int]], combos: list[tuple[int, ...]], t: int):
+    """decode(i) -> (split, S1 mask, S2 mask) for the class states of
+    :func:`_class_states` stacked split after split."""
+    per_split = len(combos) << t
+
+    def decode(i: int) -> tuple[int, int, int]:
+        split, local = divmod(i, per_split)
+        side = sides[split]
+        m1 = m2 = 0
+        for j, p in enumerate(combos[local >> t]):
+            if local >> j & 1:
+                m1 |= 1 << side[p]
+            else:
+                m2 |= 1 << side[p]
+        return split, m1, m2
+
+    return decode
+
+
+def _ternary_decoder(positions: Sequence[int], tag_of_size):
+    """decode(i) -> (tag_of_size(size), S1 mask, S2 mask) for the states of
+    :func:`_all_states` over the items at ``positions``."""
+
+    def decode(i: int) -> tuple[int, int, int]:
+        m1 = m2 = 0
+        for p in reversed(positions):
+            i, digit = divmod(i, 3)
+            if digit == 1:
+                m1 |= 1 << p
+            elif digit:
+                m2 |= 1 << p
+        return tag_of_size((m1 | m2).bit_count()), m1, m2
+
+    return decode
+
+
+def _join_pair_states(
+    items: Sequence[int], shift: int, keys1: np.ndarray, needs2: np.ndarray, decode1, decode2,
+    deadline: _Deadline,
+) -> tuple[tuple[int, Pair] | None, bool]:
+    """First exact shifted pair across two sides of pair states.
+
+    ``keys1[i]`` is left state i's key mod 2^64 and ``needs2[j]`` the key
+    right state j needs from its partner; both hold sum differences with a
+    tag (split or class size) mixed in. ``decode`` gives a state's exact
+    (tag, S1 mask, S2 mask), where a right state gives the tag it needs. A
+    wrapped match is only a candidate: right states are confirmed in
+    ascending index, each against its left partners with the same tag and
+    the exact difference in ascending index, and the first partner whose
+    union pair is not (empty, empty) wins. Returns ((right index, pair) or
+    None, timed out).
+    """
+    sv = np.sort(keys1)
+    if deadline.expired():
+        return None, True
+    order = None  # left states in key order, needed only once a match turns up
+    groups: dict[int, dict[tuple[int, int], list[tuple[int, int]]]] = {}
+    for start in range(0, needs2.size, _BATCH_CHUNK):
+        want = needs2[start : start + _BATCH_CHUNK]
+        # Probing with sorted needles keeps the binary searches cache friendly.
+        needles = np.sort(want)
+        pos = np.searchsorted(sv, needles)
+        ok = pos < sv.size
+        ok[ok] = sv[pos[ok]] == needles[ok]
+        hits = np.flatnonzero(np.isin(want, needles[ok]))
+        starts = np.searchsorted(sv, want[hits])
+        ends = np.searchsorted(sv, want[hits], "right")
+        for off, lo, hi in zip(hits.tolist(), starts.tolist(), ends.tolist()):
+            # One exact table per wrapped group: (tag, exact difference) ->
+            # its left states in ascending index.
+            exact = groups.get(lo)
+            if exact is None:
+                if order is None:
+                    order = np.argsort(keys1)
+                exact = groups[lo] = {}
+                for i in sorted(order[lo:hi].tolist()):
+                    tag, g1, g2 = decode1(i)
+                    key = (tag, _mask_value(items, g1) - _mask_value(items, g2))
+                    exact.setdefault(key, []).append((g1, g2))
+            tag, m1, m2 = decode2(start + off)
+            for g1, g2 in exact.get((tag, shift - _mask_value(items, m1) + _mask_value(items, m2)), ()):
+                c1, c2 = g1 | m1, g2 | m2
+                if c1 != c2:
+                    pair = Pair(Subset.from_mask(c1), Subset.from_mask(c2))
+                    _check_witness(_verify_pair(items, pair, shift))
+                    return (start + off, pair), False
+        if deadline.expired():
+            return None, True
+    return None, False
+
+
+def _exhaustive_join(
+    items: Sequence[int], shift: int, left: list[int], right: list[int], class_size: int | None,
+    deadline: _Deadline, memory_cap_bytes: int,
+) -> tuple[Pair | None, bool]:
+    """Join all 3^h pair states of each side of one split; ``class_size``
+    None admits every total size. Returns (pair or None, timed out)."""
+    _require_pair_bytes(3 ** len(left) + 3 ** len(right), memory_cap_bytes)
+    d1, size1 = _all_states([items[p] & _WORD_MASK for p in left])
+    if deadline.expired():
+        return None, True
+    d2, size2 = _all_states([items[p] & _WORD_MASK for p in right])
+    needs2 = np.uint64(shift & _WORD_MASK) - d2
+    if class_size is None:
+        tag1 = tag2 = lambda size: 0
+    else:
+        d1 += size1 * _TAG
+        needs2 += (np.uint64(class_size) - size2) * _TAG
+        tag1, tag2 = (lambda size: size), (lambda size: class_size - size)
+    hit, timed_out = _join_pair_states(
+        items, shift, d1, needs2, _ternary_decoder(left, tag1), _ternary_decoder(right, tag2), deadline
+    )
+    return (hit[1] if hit else None), timed_out
 
 
 def _verify_pair(items: Sequence[int], pair: Pair, s: int) -> bool:
@@ -466,15 +590,26 @@ def solve_shifted_mitm(
     exhaustive: bool = False,
 ) -> SolveOutcome:
     """Search for disjoint (S1, S2) with sum(S1) - sum(S2) = shift and
-    |S1| + |S2| = round(ratio * n), across random balanced splits.
+    |S1| + |S2| = t = round(ratio * n), across random balanced splits.
 
     Per split the left half contributes floor(t/2) of the pair and the right
     half the rest, so a miss is INCONCLUSIVE: the random split may simply
     have cut the solution unevenly. ``exhaustive`` instead admits every
     left/right size distribution across one fixed split, which covers the
     whole size class; a miss then proves no disjoint solution pair of total
-    size round(ratio * n) exists and returns NOT_FOUND scoped to that class
-    (other size classes were never looked at).
+    size t exists and returns NOT_FOUND scoped to that class (other size
+    classes were never looked at).
+
+    Each side's pair states are built as numpy arrays of sum differences mod
+    2^64, only those of the wanted size: C(h, t1) * 2^t1 states for t1 of h
+    items. Splits are drawn as before but joined in doubling batches (1, 2,
+    4, ...), and a wrapped match counts only once exact integers confirm it.
+    The witness is the first exact one in the order of a sequential search:
+    earliest split, then lowest right state, then lowest left state, where a
+    side's states are ordered by their union in lexicographic order, then by
+    the subset of the union in S1 (its bit j for union member j). The
+    ``exhaustive`` states are in ternary index order (see
+    :func:`solve_shifted_exhaustive`), tagged with their size.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -489,51 +624,60 @@ def solve_shifted_mitm(
         "splits": 0,
         "exhaustive_class": exhaustive,
     }
-    for _ in range(repeats):
+    h1 = n // 2
+    if exhaustive:
+        if deadline.expired():
+            trace["timed_out"] = True
+            return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+        perm = rng.sample(range(n), n)
+        trace["splits"] = 1
+        pair, timed_out = _exhaustive_join(
+            items, shift, sorted(perm[:h1]), sorted(perm[h1:]), t, deadline, budget.memory_cap_bytes
+        )
+        if pair is not None:
+            return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
+        if timed_out:
+            trace["timed_out"] = True
+            return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+        # both halves fully enumerated: the class has no solution
+        return _outcome(SolveStatus.NOT_FOUND, None, seed, deadline, trace)
+
+    t1, t2 = t // 2, t - t // 2
+    per1, per2 = math.comb(h1, t1) << t1, math.comb(n - h1, t2) << t2
+    _require_pair_bytes(per1 + per2, budget.memory_cap_bytes)
+    combos1 = list(combinations(range(h1), t1))
+    combos2 = list(combinations(range(n - h1), t2))
+    index1 = np.array(combos1, dtype=np.intp).reshape(len(combos1), t1)
+    index2 = np.array(combos2, dtype=np.intp).reshape(len(combos2), t2)
+    words = np.array([a & _WORD_MASK for a in items], dtype=np.uint64)
+    shift_w = np.uint64(shift & _WORD_MASK)
+    batch_cap = max(1, _PAIR_CHUNK // (per1 + per2))
+    batch = 1
+    while trace["splits"] < repeats:
         if deadline.expired():
             trace["timed_out"] = True
             break
-        perm = rng.sample(range(n), n)
-        left = sorted(perm[: n // 2])
-        right = sorted(perm[n // 2 :])
-        trace["splits"] += 1
-        if exhaustive:
-            table: dict[tuple[int, int], tuple[int, int]] = {}
-            for m1, m2, d, sz in _all_disjoint_pairs(items, left):
-                table.setdefault((sz, d), (m1, m2))
-            for m1, m2, d, sz in _all_disjoint_pairs(items, right):
-                got = table.get((t - sz, shift - d))
-                if got is not None:
-                    g1, g2 = got
-                    pair = Pair(Subset.from_mask(g1 | m1), Subset.from_mask(g2 | m2))
-                    if _verify_pair(items, pair, shift):
-                        return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
-            # both halves fully enumerated: the class has no solution
-            return _outcome(SolveStatus.NOT_FOUND, None, seed, deadline, trace)
-        else:
-            t1 = t // 2
-            t2 = t - t1
-            if t1 > len(left) or t2 > len(right):
-                continue
-            first: dict[int, tuple[int, int]] = {}
-            states = 0
-            for m1, m2, d in _pairs_of_total_size(items, left, t1):
-                first.setdefault(d, (m1, m2))
-                states += 1
-                if states % 8192 == 0 and deadline.expired():
-                    trace["timed_out"] = True
-                    return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
-            for m1, m2, d in _pairs_of_total_size(items, right, t2):
-                got = first.get(shift - d)
-                if got is not None:
-                    g1, g2 = got
-                    pair = Pair(Subset.from_mask(g1 | m1), Subset.from_mask(g2 | m2))
-                    if _verify_pair(items, pair, shift):
-                        return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
-                states += 1
-                if states % 8192 == 0 and deadline.expired():
-                    trace["timed_out"] = True
-                    return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+        done = trace["splits"]
+        size = min(batch, batch_cap, repeats - done)
+        perms = [rng.sample(range(n), n) for _ in range(size)]
+        lefts = [sorted(p[:h1]) for p in perms]
+        rights = [sorted(p[h1:]) for p in perms]
+        tags = (np.arange(size, dtype=np.uint64) * _TAG)[:, None]
+        keys1 = _class_states(words[np.array(lefts, dtype=np.intp)], index1, t1)
+        keys1 += tags
+        needs2 = shift_w - _class_states(words[np.array(rights, dtype=np.intp)], index2, t2)
+        needs2 += tags
+        trace["splits"] = done + size
+        decode1, decode2 = _class_decoder(lefts, combos1, t1), _class_decoder(rights, combos2, t2)
+        keys1, needs2 = keys1.ravel(), needs2.ravel()
+        hit, timed_out = _join_pair_states(items, shift, keys1, needs2, decode1, decode2, deadline)
+        if hit is not None:
+            trace["splits"] = done + hit[0] // per2 + 1
+            return _outcome(SolveStatus.FOUND, hit[1], seed, deadline, trace)
+        if timed_out:
+            trace["timed_out"] = True
+            break
+        batch *= 2
     return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
 
 
@@ -584,8 +728,14 @@ def _shifted_rep_join(
         hits = np.nonzero(ok)[0]
         ends = np.searchsorted(sv, want[hits], "right")
         for off, lo, hi in zip(hits.tolist(), pos[hits].tolist(), ends.tolist()):
+            group = sorted(order[lo:hi].tolist())
+            if k2 == k:
+                # bin-k2 rank r is then bin-k rank r, the same subset
+                group = [rank2 for rank2 in group if rank2 != done + off]
+                if not group:
+                    continue
             mask, value = _unrank_mask(table, k, done + off + 1)
-            for rank2 in sorted(order[lo:hi].tolist()):
+            for rank2 in group:
                 other, other_value = _unrank_mask(table, k2, rank2 + 1)
                 if other != mask and value - other_value == shift:
                     return Pair(Subset.from_mask(mask), Subset.from_mask(other)), False
@@ -699,10 +849,17 @@ def solve_shifted_exhaustive(
     """Complete O(3^(n/2)) search over all disjoint pairs; NotFound is final.
 
     One fixed split suffices: any solution decomposes into a left disjoint
-    pair and a right disjoint pair, the dictionary keeps up to two left
-    representatives per value (the second one nonempty), and recombination
-    preserves the difference. The only degenerate recombination is
-    empty-with-empty, which the second representative rescues.
+    pair and a right disjoint pair, and recombination preserves the
+    difference. Each half's 3^h pair states are built as a numpy array of
+    sum differences mod 2^64 in ternary index order (digit j, most
+    significant first, puts item j in neither set, in S1 or in S2), and a
+    wrapped match counts only once exact integers confirm it. The witness
+    joins the first right state with an exact partner to its lowest exact
+    left partner, skipping only the degenerate empty-with-empty pair.
+
+    A ``time_cap_ms`` that expires before the join ends gives INCONCLUSIVE
+    with ``trace["timed_out"]``; state arrays above ``memory_cap_bytes``
+    raise :class:`ResourceLimitError`.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -713,23 +870,13 @@ def solve_shifted_exhaustive(
             f"exhaustive pair search is capped at n <= {_EXHAUSTIVE_CAP_N}"
         )
     trace: dict = {"algorithm": "shifted-exhaustive", "pair_states": 2 * 3 ** (n - n // 2)}
-    left = list(range(n // 2))
-    right = list(range(n // 2, n))
-    reps: dict[int, list[tuple[int, int]]] = {}
-    for m1, m2, d, sz in _all_disjoint_pairs(items, left):
-        slot = reps.setdefault(d, [])
-        if not slot:
-            slot.append((m1, m2))
-        elif len(slot) == 1 and slot[0] == (0, 0) and sz > 0:
-            slot.append((m1, m2))
-    for m1, m2, d, _sz in _all_disjoint_pairs(items, right):
-        for g1, g2 in reps.get(shift - d, ()):
-            c1 = g1 | m1
-            c2 = g2 | m2
-            if c1 != c2:
-                pair = Pair(Subset.from_mask(c1), Subset.from_mask(c2))
-                _check_witness(_verify_pair(items, pair, shift))
-                return _outcome(SolveStatus.FOUND, pair, None, deadline, trace)
+    left, right = list(range(n // 2)), list(range(n // 2, n))
+    pair, timed_out = _exhaustive_join(items, shift, left, right, None, deadline, budget.memory_cap_bytes)
+    if pair is not None:
+        return _outcome(SolveStatus.FOUND, pair, None, deadline, trace)
+    if timed_out:
+        trace["timed_out"] = True
+        return _outcome(SolveStatus.INCONCLUSIVE, None, None, deadline, trace)
     return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
 
 
@@ -748,6 +895,10 @@ def solve_shifted(
     search so a miss becomes a definitive NOT_FOUND for n small enough to
     afford it; perfect-partition pairs (total size n) are only reachable by
     phase 2, since phase 1 classes stop at n-1.
+
+    Every ``trace["phases"]`` entry carries the phase's ``elapsed_ms``. An
+    INCONCLUSIVE result names its ``trace["reason"]``: "timed_out", or
+    "exhaustive_skipped" when n is above the exhaustive pass's cap.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -771,28 +922,38 @@ def solve_shifted(
         )
 
     trace: dict = {"algorithm": "shifted-dispatch", "phases": []}
+
+    def give_up(reason: str) -> SolveOutcome:
+        trace[reason] = True
+        trace["reason"] = reason
+        return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+
+    def record(t, sub: SolveOutcome) -> None:
+        entry = {"t": t, "algorithm": sub.trace.get("algorithm"), "status": sub.status.value}
+        trace["phases"].append({**entry, "elapsed_ms": sub.elapsed_ms})
+
     for t in range(n - 1, 0, -1):
         if deadline.expired():
-            trace["timed_out"] = True
-            return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+            return give_up("timed_out")
         ratio = t / n
         child_seed = derive_seed(seed, "dispatch", t)
         if lo <= ratio < hi:
             sub = solve_shifted_rep(items, shift, ratio, child_seed, phase_budget())
         else:
             sub = solve_shifted_mitm(items, shift, ratio, child_seed, phase_budget())
-        trace["phases"].append(
-            {"t": t, "algorithm": sub.trace.get("algorithm"), "status": sub.status.value}
-        )
+        record(t, sub)
         if sub.found and _verify_pair(items, sub.witness, shift):
             trace["found_at_class"] = t
             return _outcome(SolveStatus.FOUND, sub.witness, seed, deadline, trace)
-    if n <= _EXHAUSTIVE_CAP_N and not deadline.expired():
-        final = solve_shifted_exhaustive(items, shift, phase_budget())
-        trace["phases"].append({"t": "all", "algorithm": "shifted-exhaustive", "status": final.status.value})
-        return _outcome(final.status, final.witness, seed, deadline, trace)
-    trace["exhaustive_skipped"] = True
-    return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+    if n > _EXHAUSTIVE_CAP_N:
+        return give_up("exhaustive_skipped")
+    if deadline.expired():
+        return give_up("timed_out")
+    final = solve_shifted_exhaustive(items, shift, phase_budget())
+    record("all", final)
+    if final.status is SolveStatus.INCONCLUSIVE:
+        return give_up("timed_out")
+    return _outcome(final.status, final.witness, seed, deadline, trace)
 
 
 def solve_equal_sums(

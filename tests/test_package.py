@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import sumbins
@@ -46,3 +48,21 @@ def test_no_unused_top_level_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
     assert unused == []
+
+
+def test_benchmark_layers_resolve(monkeypatch):
+    # bench/tracing.py wraps these functions by name; a renamed or deleted
+    # one would silently drop its metrics from the benchmark record
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    missing = []
+    for layer in tracing.LAYERS:
+        owner = importlib.import_module(layer.module)
+        for part in layer.attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{layer.module}:{layer.attr}")
+    assert missing == []

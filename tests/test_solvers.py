@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ import sumbins.solvers as solvers
 from sumbins.core import Pair, ProblemInstance, Subset, subset_sum, verify
 from sumbins.dpbins import ResourceLimitError
 from sumbins.oracles import brute_solve
+from sumbins.rng import as_rng
 from sumbins.solvers import (
     SolverBudget,
     SolveStatus,
@@ -183,6 +185,143 @@ class TestShiftedMitm:
         assert out.found
         assert verify(ProblemInstance("equal_sums", items), out.witness)
 
+    def test_memory_cap(self):
+        # t = 7 of 14: C(7,3) * 2^3 + C(7,4) * 2^4 = 840 pair states per split
+        items = tuple(range(1, 15))
+        small, large = SolverBudget(memory_cap_bytes=1024), SolverBudget(memory_cap_bytes=1 << 20)
+        for exhaustive in (False, True):
+            with pytest.raises(ResourceLimitError):
+                solve_shifted_mitm(items, 0, 0.5, budget=small, exhaustive=exhaustive)
+            assert solve_shifted_mitm(items, 0, 0.5, budget=large, exhaustive=exhaustive).found
+
+    def test_time_cap(self):
+        # no pair at all; t = 14 of 28 has 2 * C(14,7) * 2^7 states per split
+        items = tuple(1 << i for i in range(28))
+        budget = SolverBudget(time_cap_ms=5.0)
+        for exhaustive in (False, True):
+            t0 = time.perf_counter()
+            out = solve_shifted_mitm(items, 0, 0.5, budget=budget, exhaustive=exhaustive)
+            assert time.perf_counter() - t0 < 2.0
+            assert out.status is SolveStatus.INCONCLUSIVE
+            assert out.trace["timed_out"] is True
+
+
+# Pure-Python pair-state generators, the reference for the numpy engine.
+
+
+def _ref_pairs_of_total_size(items, positions, size):
+    """Disjoint (S1, S2) with |S1| + |S2| = size: (mask1, mask2, sum diff)."""
+    if size > len(positions):
+        return
+    for union in combinations(positions, size):
+        masks = [0]
+        vals = [0]
+        for pos in union:
+            masks += [m | 1 << pos for m in masks]
+            vals += [v + items[pos] for v in vals]
+        for m1, v1 in zip(masks, vals):
+            yield m1, masks[-1] ^ m1, 2 * v1 - vals[-1]
+
+
+def _ref_all_disjoint_pairs(items, positions):
+    """All 3^len disjoint pairs as (mask1, mask2, sum diff, total size)."""
+    entries = [(0, 0, 0, 0)]
+    for pos in positions:
+        bit = 1 << pos
+        a = items[pos]
+        entries = [
+            e
+            for m1, m2, d, sz in entries
+            for e in ((m1, m2, d, sz), (m1 | bit, m2, d + a, sz + 1), (m1, m2 | bit, d - a, sz + 1))
+        ]
+    return entries
+
+
+def _ref_exhaustive(items, shift):
+    """Masks of the pair the dict join over all pair states returns, or None."""
+    n = len(items)
+    reps = {}
+    for m1, m2, d, sz in _ref_all_disjoint_pairs(items, range(n // 2)):
+        slot = reps.setdefault(d, [])
+        if not slot or (len(slot) == 1 and slot[0] == (0, 0) and sz > 0):
+            slot.append((m1, m2))
+    for m1, m2, d, _ in _ref_all_disjoint_pairs(items, range(n // 2, n)):
+        for g1, g2 in reps.get(shift - d, ()):
+            if g1 | m1 != g2 | m2:
+                return g1 | m1, g2 | m2
+    return None
+
+
+def _ref_shifted_mitm(items, shift, ratio, seed, repeats, exhaustive):
+    """(masks of the pair or None, splits) of the sequential split search."""
+    n = len(items)
+    t = max(1, min(n, round(ratio * n)))
+    rng = as_rng(seed, "shifted-mitm", t)
+    for split in range(1 if exhaustive else repeats):
+        perm = rng.sample(range(n), n)
+        left, right = sorted(perm[: n // 2]), sorted(perm[n // 2 :])
+        if exhaustive:
+            table = {}
+            for m1, m2, d, sz in _ref_all_disjoint_pairs(items, left):
+                table.setdefault((sz, d), (m1, m2))
+            for m1, m2, d, sz in _ref_all_disjoint_pairs(items, right):
+                got = table.get((t - sz, shift - d))
+                if got is not None:
+                    return (got[0] | m1, got[1] | m2), 1
+            return None, 1
+        first = {}
+        for m1, m2, d in _ref_pairs_of_total_size(items, left, t // 2):
+            first.setdefault(d, (m1, m2))
+        for m1, m2, d in _ref_pairs_of_total_size(items, right, t - t // 2):
+            got = first.get(shift - d)
+            if got is not None:
+                return (got[0] | m1, got[1] | m2), split + 1
+    return None, repeats
+
+
+def _masks(out):
+    if out.witness is None:
+        return None
+    return tuple(sum(1 << (i - 1) for i in side.indices) for side in (out.witness.s1, out.witness.s2))
+
+
+class TestPairStateEngine:
+    """The numpy pair-state join against the pure-Python generators."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_same_pairs_as_generators(self, data):
+        n = data.draw(st.integers(1, 12))
+        bits = data.draw(st.sampled_from([8, 62, 64, 200]))
+        items = tuple(data.draw(st.integers(1, (1 << bits) - 1)) for _ in range(n))
+        digits = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        planted = abs(sum(a * (g == 1) - a * (g == 2) for a, g in zip(items, digits)))
+        total = sum(items)  # a shifted_sums instance takes shifts below it
+        shift = data.draw(st.sampled_from([0, planted % total, data.draw(st.integers(0, total - 1))]))
+        repeats = data.draw(st.sampled_from([1, 5, 4 * n]))
+        seed = data.draw(st.integers(0, 1000))
+        inst = ProblemInstance("shifted_sums", items, shift=shift)
+
+        out = solve_shifted_exhaustive(items, shift)
+        want = _ref_exhaustive(items, shift)
+        assert _masks(out) == want
+        assert out.status is (SolveStatus.FOUND if want else SolveStatus.NOT_FOUND)
+        outcomes = [out]
+        for t in range(1, n + 1):
+            out = solve_shifted_mitm(items, shift, t / n, seed, exhaustive=True)
+            want, _ = _ref_shifted_mitm(items, shift, t / n, seed, 1, True)
+            assert _masks(out) == want
+            assert out.status is (SolveStatus.FOUND if want else SolveStatus.NOT_FOUND)
+            out2 = solve_shifted_mitm(items, shift, t / n, seed, SolverBudget(repeat_cap=repeats))
+            want, splits = _ref_shifted_mitm(items, shift, t / n, seed, repeats, False)
+            assert _masks(out2) == want
+            assert out2.status is (SolveStatus.FOUND if want else SolveStatus.INCONCLUSIVE)
+            assert out2.trace["splits"] == splits
+            outcomes += [out, out2]
+        for out in outcomes:
+            if out.found:
+                assert verify(inst, out.witness)
+
 
 class TestShiftedRep:
     def test_found_small(self):
@@ -329,6 +468,38 @@ class TestShiftedRepGolden:
         assert got == [(s1, s2) for *_, s1, s2 in SHIFTED_REP_GOLDEN]
 
 
+# (items, shift, t, seed, s1, s2), recorded from the dict join over
+# pure-Python pair generators. Small items repeat values, so several left
+# states share a difference; every third case holds 2^64 + x items, whose
+# differences collide mod 2^64.
+SHIFTED_EXHAUSTIVE_GOLDEN = [
+    ((3, 5, 4, 7, 5, 4, 8, 6, 7, 4), 0, None, None, (2,), (5,)),
+    ((659210, 436806, 488513, 130216, 760550, 779621, 145717, 799866), 744589, None, None, (2, 5, 7, 8), (3, 4, 6)),
+    ((36893488147419103236, 18446744073709551617, 18446744073709551617, 36893488147419103238, 36893488147419103234, 36893488147419103236), 0, None, None, (2,), (3,)),
+    ((5, 7, 6, 6, 8), 1, None, None, (5,), (2,)),
+    ((175621, 910768, 371076, 790102, 225804, 137945, 403994, 701659, 749498), 0, None, None, (3, 5, 7, 9), (2, 6, 8)),
+    ((18446744073709551617, 36893488147419103236, 36893488147419103240, 18446744073709551617, 18446744073709551618, 18446744073709551624), 129127208515966861335, None, None, (1, 2, 3, 5, 6), ()),
+    ((7, 6, 7, 7, 2, 2, 3, 6, 5, 3), 0, None, None, (3,), (4,)),
+    ((403096, 921626, 191433), 191433, None, None, (3,), ()),
+    ((18446744073709551621, 18446744073709551624, 36893488147419103239, 36893488147419103238, 18446744073709551617, 36893488147419103233, 36893488147419103233), 0, None, None, (6,), (7,)),
+    ((1, 2, 2, 1, 2, 8, 1, 5, 5, 7, 1), 5, None, None, (3, 4, 5), ()),
+    ((700554, 458695, 537647, 304890, 272102, 103151, 721041, 126036, 177095, 717045, 856289), 0, None, None, (10, 11), (2, 3, 4, 5)),
+    ((36893488147419103233, 36893488147419103240, 36893488147419103235, 36893488147419103235, 18446744073709551619), 129127208515966861327, None, None, (1, 2, 4, 5), ()),
+    ((6, 1, 4, 4, 1, 2, 5, 8, 6, 3, 2), 0, None, None, (3,), (4,)),
+    ((364374, 961415, 665003), 1029377, None, None, (1, 3), ()),
+    ((36893488147419103237, 36893488147419103238, 18446744073709551621, 18446744073709551623, 36893488147419103237, 18446744073709551620, 36893488147419103236, 18446744073709551621, 36893488147419103240, 18446744073709551619, 18446744073709551618), 0, None, None, (1,), (5,)),
+    ((7, 7, 8), 8, None, None, (3,), ()),
+    ((795684, 368305, 255943, 984500, 977294, 573134, 281933, 974187, 950435, 439137, 657073, 472089), 0, 9, 1, (2, 3, 4, 6, 11), (5, 9, 10, 12)),
+    ((18446744073709551623, 36893488147419103238, 36893488147419103240, 36893488147419103240, 36893488147419103234, 18446744073709551624, 36893488147419103236, 18446744073709551620), 92233720368547758094, 3, 93, (3, 5, 8), ()),
+    ((5, 8, 5, 8), 0, 2, 96, (4,), (2,)),
+    ((783633, 781287, 656447, 778899, 965487, 566712, 249749, 895754, 239471, 988645), 1138861, 5, 60, (1, 2, 4), (5, 9)),
+    ((36893488147419103236, 18446744073709551618, 18446744073709551618, 36893488147419103236, 36893488147419103237, 36893488147419103240, 18446744073709551617, 18446744073709551619, 18446744073709551619, 18446744073709551618), 0, 10, 75, (2, 4, 6, 7, 10), (1, 3, 5, 8, 9)),
+    ((1, 4, 2, 8, 5, 2), 2, 5, 33, (1, 3, 5, 6), (4,)),
+    ((860159, 1002913, 506503, 815037, 287251, 917314, 888595, 87090, 891592, 680255, 1005445, 985653), 0, 8, 60, (3, 5, 6, 8, 11), (2, 4, 12)),
+    ((18446744073709551623, 18446744073709551621, 18446744073709551618, 18446744073709551618, 36893488147419103234), 5, 2, 74, (1,), (4,)),
+]
+
+
 class TestShiftedExhaustive:
     def test_complete_not_found(self):
         out = solve_shifted_exhaustive((1, 2, 4, 8), 0)
@@ -342,6 +513,36 @@ class TestShiftedExhaustive:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             solve_shifted_exhaustive(tuple(range(1, 26)), 0)
+
+    def test_memory_cap(self):
+        items = tuple(range(1, 11))  # 2 * 3^5 pair states
+        with pytest.raises(ResourceLimitError):
+            solve_shifted_exhaustive(items, 0, SolverBudget(memory_cap_bytes=4096))
+        assert solve_shifted_exhaustive(items, 0, SolverBudget(memory_cap_bytes=1 << 20)).found
+
+    def test_time_cap_never_not_found(self):
+        # unsolvable, so only an overrun could end it early: the cap expires
+        # before the 3^12 left states are built and joined
+        items = tuple(1 << i for i in range(24))
+        t0 = time.perf_counter()
+        out = solve_shifted_exhaustive(items, 0, SolverBudget(time_cap_ms=0.001))
+        assert time.perf_counter() - t0 < 2.0
+        assert out.status is SolveStatus.INCONCLUSIVE
+        assert out.trace["timed_out"] is True
+        assert solve_shifted_exhaustive(items, 0).status is SolveStatus.NOT_FOUND
+
+    def test_golden_pairs(self):
+        # t None: solve_shifted_exhaustive; else solve_shifted_mitm at ratio
+        # t/n with exhaustive=True and the seed
+        got = []
+        for items, shift, t, seed, _, _ in SHIFTED_EXHAUSTIVE_GOLDEN:
+            if t is None:
+                out = solve_shifted_exhaustive(items, shift)
+            else:
+                out = solve_shifted_mitm(items, shift, t / len(items), seed=seed, exhaustive=True)
+            assert out.found
+            got.append((out.witness.s1.indices, out.witness.s2.indices))
+        assert got == [(s1, s2) for *_, s1, s2 in SHIFTED_EXHAUSTIVE_GOLDEN]
 
 
 class TestShiftedDispatcher:
@@ -383,6 +584,18 @@ class TestShiftedDispatcher:
         out = solve_shifted((1, 2, 4, 8), 0, seed=0, budget=SolverBudget(repeat_cap=1))
         assert out.trace["algorithm"] == "shifted-dispatch"
         assert out.trace["phases"]
+
+    def test_phase_times_and_reasons(self, monkeypatch):
+        out = solve_shifted((1, 2, 4, 8, 16), 0, seed=0, budget=SolverBudget(repeat_cap=1))
+        assert [p["t"] for p in out.trace["phases"]] == [4, 3, 2, 1, "all"]
+        assert all(p["elapsed_ms"] >= 0.0 for p in out.trace["phases"])
+        assert "reason" not in out.trace
+        late = solve_shifted((1, 2, 4, 8, 16), 0, seed=0, budget=SolverBudget(time_cap_ms=0.0))
+        assert late.status is SolveStatus.INCONCLUSIVE
+        assert late.trace["reason"] == "timed_out" and late.trace["timed_out"] is True
+        monkeypatch.setattr(solvers, "_EXHAUSTIVE_CAP_N", 3)
+        big = solve_shifted((1, 2, 4, 8), 0, seed=0, budget=SolverBudget(repeat_cap=1))
+        assert big.trace["reason"] == "exhaustive_skipped" and big.trace["exhaustive_skipped"] is True
 
 
 class TestEqualSums:
@@ -579,3 +792,27 @@ class TestWideItems:
         for seed in range(20):
             out = solve_shifted_rep(items, 7, 2 / 3, seed=seed)
             assert out.status is SolveStatus.INCONCLUSIVE
+
+    def test_pair_states_match_only_mod_word(self):
+        # every pair-state difference of the last two cases is 0 mod 2^64,
+        # so every left state is a wrapped candidate for every right state
+        cases = [
+            ((2**64 + 8, 1, 2), 7),
+            (tuple((2 * i + 2) << 64 for i in range(8)), 0),
+            (tuple(1 << (64 + i) for i in range(8)), 0),
+        ]
+        for items, shift in cases:
+            inst = ProblemInstance("shifted_sums", items, shift=shift)
+            want = brute_solve(inst).solvable
+            out = solve_shifted_exhaustive(items, shift)
+            assert out.found == want
+            assert out.found or out.status is SolveStatus.NOT_FOUND
+            classes = []
+            for t in range(1, len(items) + 1):
+                for exhaustive in (False, True):
+                    out = solve_shifted_mitm(items, shift, t / len(items), seed=t, exhaustive=exhaustive)
+                    if out.found:
+                        assert want and verify(inst, out.witness)
+                    if exhaustive:
+                        classes.append(out.found)
+            assert any(classes) == want
