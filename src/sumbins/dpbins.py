@@ -26,7 +26,7 @@ per-bin cursor state and any slice of a bin can be streamed independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -194,18 +194,48 @@ def _require_word_rows(n: int) -> None:
         )
 
 
+class _TableStack(NamedTuple):
+    """Tables over the same items with their rows laid end to end, so that
+    one :func:`_bin_sums_batch` walk covers bins of all of them."""
+
+    items: tuple[int, ...]
+    rows: list  # rows[i]: row i of every table, one after another
+    offset: np.ndarray  # where each table's residues start in a stacked row
+    # steps[i, g]: the stacked position a walk at position g moves to when it
+    # takes item i+1, residue j - a_{i+1} mod p of the same table
+    steps: np.ndarray
+
+
+def _stack_tables(tables: Sequence[CountTable]) -> _TableStack:
+    """Stack machine-word tables that share their items (and so their n)."""
+    p = np.array([t.p for t in tables], dtype=np.int64)
+    offset = np.cumsum(p) - p
+    of = np.repeat(np.arange(len(tables)), p)
+    mods = np.array([t.mods for t in tables], dtype=np.int64).T[:, of]
+    steps = (np.arange(p.sum()) - offset[of] - mods) % p[of] + offset[of]
+    rows = [np.concatenate(level) for level in zip(*(t.rows for t in tables))]
+    return _TableStack(tables[0].items, rows, offset, steps)
+
+
 def _bin_sums_batch(
-    table: CountTable,
+    table: CountTable | _TableStack,
     k,
     start,
     count: int,
     values: Sequence[int] | None = None,
     modulus: int = 0,
+    which=None,
 ) -> np.ndarray:
     """Subset sums of ranks start .. start+count-1 of bin k.
 
     ``k`` and ``start`` may also be int64 arrays of ``count`` bins and
     1-based ranks, one pair per entry, so many bins go through in one call.
+    Given ``which``, an array of ``count`` table indices, ``table`` is a
+    :class:`_TableStack` and entry e walks bin k[e] of table which[e]: it
+    starts at that table's row offset and moves by the stack's ``steps``,
+    which stand for its p and item residues. Without ``which`` it is one
+    table.
+
     The walk is that of :func:`_unrank_mask`, run level by level over the
     whole rank vector; callers that need the subsets themselves re-unrank
     the few ranks they care about. Valid only on machine-word rows, which
@@ -242,9 +272,12 @@ def _bin_sums_batch(
     contrib = scratch.view(sums.dtype)
     take_s = take.view(sums.dtype)
     rows = table.rows
-    mods = table.mods
-    p = table.p
-    for i in range(table.n, 0, -1):
+    if which is None:
+        mods = table.mods
+        p = table.p
+    else:
+        np.add(j, table.offset[which], out=j)
+    for i in range(len(table.items), 0, -1):
         row = rows[i - 1]
         if row.dtype == np.int32:
             row.take(j, out=narrow)
@@ -254,11 +287,17 @@ def _bin_sums_batch(
         np.greater(idx, scratch, out=take, casting="unsafe")
         np.multiply(scratch, take, out=scratch)
         np.subtract(idx, scratch, out=idx)
-        np.multiply(take, mods[i - 1], out=scratch)
-        np.subtract(j, scratch, out=j)
-        np.right_shift(j, 63, out=scratch)
-        np.bitwise_and(scratch, p, out=scratch)
-        np.add(j, scratch, out=j)
+        if which is None:
+            np.multiply(take, mods[i - 1], out=scratch)
+            np.subtract(j, scratch, out=j)
+            np.right_shift(j, 63, out=scratch)
+            np.bitwise_and(scratch, p, out=scratch)
+            np.add(j, scratch, out=j)
+        else:
+            table.steps[i - 1].take(j, out=scratch)
+            np.subtract(scratch, j, out=scratch)
+            np.multiply(scratch, take, out=scratch)
+            np.add(j, scratch, out=j)
         np.multiply(take_s, addends[i - 1], out=contrib)
         np.add(sums, contrib, out=sums)
         if modulus:

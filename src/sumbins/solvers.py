@@ -51,8 +51,10 @@ from .dpbins import (
     ResourceLimitError,
     _bin_sums_batch,
     _require_word_rows,
+    _stack_tables,
     _unrank_mask,
     build_table,
+    estimate_table_bytes,
 )
 from .numtheory import random_prime, random_residue
 from .rng import as_rng, derive_seed
@@ -336,6 +338,13 @@ def _sample_random_subsets(
     return None, tried
 
 
+def _record_draws(trace: dict, records: list[dict]) -> None:
+    """Keep at most _TRACE_DRAWS per-draw records and count the others."""
+    kept = records[: max(0, _TRACE_DRAWS - len(trace["draws"]))]
+    trace["draws"] += kept
+    trace["draws_dropped"] += len(records) - len(kept)
+
+
 def solve_subset_sum_rep(
     items: Sequence[int],
     target: int,
@@ -353,7 +362,7 @@ def solve_subset_sum_rep(
     items = tuple(items)
     n = len(items)
     rng = as_rng(seed, "subset-rep")
-    trace: dict = {"algorithm": "subset-sum-rep", "samples": 0, "draws": []}
+    trace: dict = {"algorithm": "subset-sum-rep", "samples": 0, "draws": [], "draws_dropped": 0}
 
     sample_cap = min(budget.resolved_sample_cap(n), _ceil_half_pow(n))
     hit, tried = _sample_random_subsets(items, target, rng, sample_cap, deadline)
@@ -377,17 +386,13 @@ def solve_subset_sum_rep(
         size = table.bin_size(k)
         scan = min(size, enum_cap)
         record = {"p": p, "k": k, "bin_size": size, "enumerated": scan}
-        if len(trace["draws"]) < _TRACE_DRAWS:
-            trace["draws"].append(record)
+        _record_draws(trace, [record])
         draws_done += 1
         # Chunked vector scan; candidate sums match mod 2^64, and each
         # candidate rank is re-unranked and confirmed exactly, so the first
         # confirmed rank is the first solution of the bin in chi order.
         tgt = np.uint64(target & _WORD_MASK)
-        done = 0
-        while done < scan:
-            chunk = min(scan - done, _BATCH_CHUNK)
-            sums_c = _bin_sums_batch(table, k, done + 1, chunk)
+        for done, _, sums_c in _walk_draws(table, None, np.array([k]), np.array([scan])):
             for off in np.nonzero(sums_c == tgt)[0]:
                 rank = done + int(off) + 1
                 mask, value = _unrank_mask(table, k, rank)
@@ -396,7 +401,7 @@ def solve_subset_sum_rep(
                     witness = Subset.from_mask(mask)
                     trace["draw_count"] = draws_done
                     return _outcome(SolveStatus.FOUND, witness, seed, deadline, trace)
-            done += chunk
+            done += sums_c.size
             if done < scan and deadline.expired():
                 record["enumerated"] = done
                 trace["timed_out"] = True
@@ -686,60 +691,85 @@ def solve_shifted_mitm(
 # ---------------------------------------------------------------------------
 
 
-def _shifted_rep_join(
-    table,
-    shift: int,
-    k: int,
-    k2: int,
-    scan1: int,
-    scan2: int,
-    deadline: _Deadline,
-) -> tuple[Pair | None, bool]:
-    """Vectorized bin-pair matching for :func:`solve_shifted_rep`.
+# Bytes the shifted-rep join holds per bin-k2 entry: its walked key, their
+# concatenation, its draw id, the sort order and the sorted copy, eight each
+# (tracemalloc: 40 B per entry beside ~3 MB of walk-chunk temporaries).
+_REP_ENTRY_BYTES = 40
 
-    Enumerates bin k2 once (sums reduced mod 2^64), sorts it, then streams
-    bin k against it. Wrapped matches are confirmed with exact arithmetic
-    before acceptance, visiting each equal-sum group in ascending bin-k2
-    rank, so the returned pair is the first exact one: lowest bin-k rank
-    first, ties broken by bin-k2 rank. Returns (pair or None, timed out).
+
+def _walk_draws(walked, tab: np.ndarray, ks: np.ndarray, scans: np.ndarray):
+    """Keys of ranks 1..scans[d] of bin ks[d] for draw after draw d, a chunk
+    at a time: yields (first position, draw of each entry or None for one
+    draw, keys). A key is the rank's sum mod 2^64, plus draw * _TAG when
+    ``walked`` stacks the draws' tables (draw d's being ``tab[d]``)."""
+    ends = np.cumsum(scans)
+    for a in range(0, int(ends[-1]), _BATCH_CHUNK):
+        b = min(int(ends[-1]), a + _BATCH_CHUNK)
+        if len(scans) == 1:
+            yield a, None, _bin_sums_batch(walked, int(ks[0]), a + 1, b - a)
+            continue
+        seg = np.repeat(np.arange(len(scans)), np.diff(np.clip(ends, a, b), prepend=a))
+        ranks = np.arange(a + 1, b + 1) - (ends - scans)[seg]
+        keys = _bin_sums_batch(walked, ks[seg], ranks, b - a, which=tab[seg])
+        yield a, seg, keys + seg.astype(np.uint64) * _TAG
+
+
+def _shifted_rep_join(
+    items: Sequence[int], shift: int, tables: list, draws: list, deadline: _Deadline
+) -> tuple[tuple[int, Pair] | None, bool]:
+    """One sorted join for a batch of :func:`solve_shifted_rep` draws.
+
+    ``draws[d]`` is (table index, k, k2, scan1, scan2). Bin k2 of every draw
+    is walked in one pass, keyed by (draw, sum mod 2^64) and sorted; bin k
+    of every draw is then streamed against it (at k2 == k and equal scans,
+    from the same keys). A key match is only a candidate: one across draws
+    is rejected, a bin-k rank that meets only itself (k2 == k) is dropped
+    unvisited, and the rest are confirmed with exact arithmetic in (draw,
+    bin-k rank, bin-k2 rank) order, so the pair returned is the first exact
+    one of the first draw that has one. Returns ((draw, pair) or None,
+    timed out).
     """
-    parts_s: list[np.ndarray] = []
-    done = 0
-    while done < scan2:
-        chunk = min(scan2 - done, _BATCH_CHUNK)
-        parts_s.append(_bin_sums_batch(table, k2, done + 1, chunk))
-        done += chunk
+    tab, ks, k2s, scan1, scan2 = (np.array(c, dtype=np.int64) for c in zip(*draws))
+    walked = tables[0] if len(draws) == 1 else _stack_tables(tables)
+    parts = []
+    for _, _, keys in _walk_draws(walked, tab, k2s, scan2):
+        parts.append(keys)
         if deadline.expired():
             return None, True
-    if not parts_s:
+    if not parts:
         return None, False
-    sums2 = parts_s[0] if len(parts_s) == 1 else np.concatenate(parts_s)
-    order = np.argsort(sums2)
-    sv = sums2[order]
-    shift_w = np.uint64(shift & _WORD_MASK)
-    done = 0
-    while done < scan1:
-        chunk = min(scan1 - done, _BATCH_CHUNK)
-        s_c = _bin_sums_batch(table, k, done + 1, chunk)
-        want = s_c - shift_w
+    key2 = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    draw2 = np.repeat(np.arange(len(draws)), scan2)
+    order = np.argsort(key2)
+    sv = key2[order]
+    base1, base2, same = np.cumsum(scan1) - scan1, np.cumsum(scan2) - scan2, k2s == ks
+    if same.all() and (scan1 == scan2).all():
+        chunks = range(0, key2.size, _BATCH_CHUNK)
+        stream = ((a, draw2[a : a + _BATCH_CHUNK], key2[a : a + _BATCH_CHUNK]) for a in chunks)
+    else:
+        stream = _walk_draws(walked, tab, ks, scan1)
+    for a, seg, keys in stream:
+        want = keys - np.uint64(shift & _WORD_MASK)
         pos = np.searchsorted(sv, want)
         ok = pos < sv.size
         ok[ok] = sv[pos[ok]] == want[ok]
-        hits = np.nonzero(ok)[0]
-        ends = np.searchsorted(sv, want[hits], "right")
-        for off, lo, hi in zip(hits.tolist(), pos[hits].tolist(), ends.tolist()):
-            group = sorted(order[lo:hi].tolist())
-            if k2 == k:
-                # bin-k2 rank r is then bin-k rank r, the same subset
-                group = [rank2 for rank2 in group if rank2 != done + off]
-                if not group:
-                    continue
-            mask, value = _unrank_mask(table, k, done + off + 1)
-            for rank2 in group:
-                other, other_value = _unrank_mask(table, k2, rank2 + 1)
+        hits = np.flatnonzero(ok)
+        lo, hi = pos[hits], np.searchsorted(sv, want[hits], "right")
+        d = np.zeros(hits.size, dtype=np.int64) if seg is None else seg[hits]
+        rank = a + hits - base1[d]
+        # At k2 == k, bin-k rank r is bin-k2 rank r: alone in its group it is no pair.
+        me = np.where(same[d] & (rank < scan2[d]), base2[d] + rank, -1)
+        keep = (hi - lo > 1) | (order[lo] != me)
+        for dd, r, l, h, m in zip(*(x[keep].tolist() for x in (d, rank, lo, hi, me))):
+            group = sorted(g for g in order[l:h].tolist() if draw2[g] == dd and g != m)
+            if not group:
+                continue
+            table = tables[tab[dd]]
+            mask, value = _unrank_mask(table, int(ks[dd]), r + 1)
+            for g in group:
+                other, other_value = _unrank_mask(table, int(k2s[dd]), g - int(base2[dd]) + 1)
                 if other != mask and value - other_value == shift:
-                    return Pair(Subset.from_mask(mask), Subset.from_mask(other)), False
-        done += chunk
+                    return (dd, Pair(Subset.from_mask(mask), Subset.from_mask(other))), False
         if deadline.expired():
             return None, True
     return None, False
@@ -759,6 +789,15 @@ def solve_shifted_rep(
     sum(S1) = k, sum(S2) = k - shift (mod p) with sum(S1) - sum(S2) = shift
     over the two bins, enumerating at most n^2 * 2^((1-b) n) entries per
     bin. Optionally a sampling pre-filter tries random pairs first.
+
+    Draws run in doubling batches of 1, 2, 4, ... draws, grown only while a
+    batch's bins fit one walk chunk. A batch builds one table per distinct
+    prime and joins all its draws at once (:func:`_shifted_rep_join`). The
+    witness rule is that of one draw at a time: the first draw with an
+    exact pair, then its lowest bin-k rank, then its lowest bin-k2 rank.
+    ``trace["draw_count"]`` counts the draws up to the deciding one, and
+    only those get ``draws`` records (at most _TRACE_DRAWS, the rest are
+    counted in ``draws_dropped``).
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -774,21 +813,20 @@ def solve_shifted_rep(
         bn_bits = (n + 1) // 2
         heavy_ceil = _ceil_half_pow(n)
     enum_cap = n * n * heavy_ceil
-    # The join holds about 32 bytes per bin-k2 entry (its chunks, their
-    # concatenation, the sort order and the sorted copy). A miss is only
-    # INCONCLUSIVE, so capping that scan is as sound as enum_cap.
-    join_cap = budget.memory_cap_bytes // 32
+    cap = budget.memory_cap_bytes
     trace: dict = {
         "algorithm": "shifted-rep",
         "class_size": t,
         "prime_bits": bn_bits,
         "prefilter_samples": 0,
         "draws": [],
+        "draws_dropped": 0,
+        "batches": 0,
+        "tables_built": 0,
     }
 
     if budget.prefilter:
-        cap = min(budget.resolved_sample_cap(n), 1 << bn_bits)
-        for i in range(cap):
+        for i in range(min(budget.resolved_sample_cap(n), 1 << bn_bits)):
             ma = rng.getrandbits(n)
             mb = rng.getrandbits(n)
             trace["prefilter_samples"] = i + 1
@@ -804,37 +842,52 @@ def solve_shifted_rep(
                 return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
 
     repeats = budget.resolved_repeat_cap(n)
-    draws_done = 0
-    for r in range(repeats):
+    r, size = 0, 1
+    while r < repeats:
         if deadline.expired():
             trace["timed_out"] = True
             break
-        p = random_prime(1 << bn_bits, 1 << (bn_bits + 1), derive_seed(seed, "shifted-rep-prime", t, r))
-        k = random_residue(p, derive_seed(seed, "shifted-rep-residue", t, r))
-        k2 = (k - shift) % p
-        table = build_table(items, p, budget.memory_cap_bytes)
-        size1 = table.bin_size(k)
-        size2 = table.bin_size(k2)
-        scan1 = min(size1, enum_cap)
-        scan2 = min(size2, enum_cap, join_cap)
-        record = {
-            "p": p,
-            "k": k,
-            "bins": [size1, size2],
-            "enumerated": [scan1, scan2],
-        }
-        if len(trace["draws"]) < _TRACE_DRAWS:
-            trace["draws"].append(record)
-        draws_done += 1
-        pair, timed_out = _shifted_rep_join(table, shift, k, k2, scan1, scan2, deadline)
+        # Several draws stack their tables too (the rows again and a step
+        # per entry): the batch stops short where that would pass the cap.
+        batch, table_of, table_bytes = [], {}, 0
+        for i in range(r, min(repeats, r + size)):
+            p = random_prime(1 << bn_bits, 1 << (bn_bits + 1), derive_seed(seed, "shifted-rep-prime", t, i))
+            need = table_bytes + (0 if p in table_of else estimate_table_bytes(n, p))
+            if batch and 3 * need > cap:
+                break
+            table_of.setdefault(p, len(table_of))
+            table_bytes = need
+            batch.append((p, random_residue(p, derive_seed(seed, "shifted-rep-residue", t, i))))
+        tables = [build_table(items, p, cap) for p in table_of]
+        trace["tables_built"] += len(tables)
+        # The join holds _REP_ENTRY_BYTES per bin-k2 entry. A miss is only
+        # INCONCLUSIVE, so capping that scan is as sound as enum_cap; a draw
+        # capped only for the draws before it waits for the next batch.
+        room = max(0, cap - table_bytes * (3 if len(batch) > 1 else 1)) // _REP_ENTRY_BYTES
+        draws, records = [], []
+        for p, k in batch:
+            table, k2 = tables[table_of[p]], (k - shift) % p
+            bins = [table.bin_size(k), table.bin_size(k2)]
+            scans = [min(bins[0], enum_cap), min(bins[1], enum_cap, room)]
+            if draws and scans[1] < min(bins[1], enum_cap):
+                break
+            room -= scans[1]
+            draws.append((table_of[p], k, k2, *scans))
+            records.append({"p": p, "k": k, "bins": bins, "enumerated": scans})
+        hit, timed_out = _shifted_rep_join(items, shift, tables, draws, deadline)
+        trace["batches"] += 1
+        decided = len(draws) if hit is None else hit[0] + 1
+        r += decided
+        _record_draws(trace, records[:decided])
+        if hit is not None:
+            trace["draw_count"] = r
+            return _outcome(SolveStatus.FOUND, hit[1], seed, deadline, trace)
         if timed_out:
             trace["timed_out"] = True
-            trace["draw_count"] = draws_done
-            return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
-        if pair is not None:
-            trace["draw_count"] = draws_done
-            return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
-    trace["draw_count"] = draws_done
+            break
+        fits = 2 * max(sum(d[3] for d in draws), sum(d[4] for d in draws)) <= _BATCH_CHUNK
+        size = 2 * len(draws) if fits else len(draws)
+    trace["draw_count"] = r
     return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
 
 

@@ -255,6 +255,31 @@ class TestBatchWalk:
         assert got.tolist() == want
 
 
+class TestStackedWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stacked_tables_match_one_table_walks(self, data):
+        # n up to 40 puts int32 and int64 rows in the same stacked walk
+        n = data.draw(st.integers(1, 40))
+        bits = data.draw(st.sampled_from([8, 40, 70]))
+        items = data.draw(st.lists(st.integers(1, (1 << bits) - 1), min_size=n, max_size=n))
+        ps = data.draw(st.lists(st.integers(1, 600), min_size=1, max_size=5))
+        tables = [build_table(items, p) for p in ps]
+        entries = []
+        for _ in range(data.draw(st.integers(1, 40))):
+            m = data.draw(st.integers(0, len(ps) - 1))
+            k = data.draw(st.integers(0, ps[m] - 1))
+            if tables[m].bin_size(k):
+                entries.append((m, k, data.draw(st.integers(1, tables[m].bin_size(k)))))
+        if not entries:
+            return
+        which, ks, ranks = (np.array(c) for c in zip(*entries))
+        got = dpbins._bin_sums_batch(dpbins._stack_tables(tables), ks, ranks, len(entries), which=which)
+        one = [dpbins._bin_sums_batch(tables[m], k, r, 1)[0] for m, k, r in entries]
+        want = [dpbins._unrank_mask(tables[m], k, r)[1] % (1 << 64) for m, k, r in entries]
+        assert got.tolist() == one == want
+
+
 class TestEnumerateBin:
     def test_zero_count(self):
         t = build_table((1, 2, 3), 3)

@@ -4,15 +4,17 @@ import random
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sumbins.solvers as solvers
 from sumbins.core import Pair, ProblemInstance, Subset, subset_sum, verify
-from sumbins.dpbins import ResourceLimitError
+from sumbins.dpbins import ResourceLimitError, build_table, estimate_table_bytes
+from sumbins.numtheory import random_prime, random_residue
 from sumbins.oracles import brute_solve
-from sumbins.rng import as_rng
+from sumbins.rng import as_rng, derive_seed
 from sumbins.solvers import (
     SolverBudget,
     SolveStatus,
@@ -466,6 +468,181 @@ class TestShiftedRepGolden:
             assert out.found
             got.append((out.witness.s1.indices, out.witness.s2.indices))
         assert got == [(s1, s2) for *_, s1, s2 in SHIFTED_REP_GOLDEN]
+
+
+def _ref_rep_join(table, shift, k, k2, scan1, scan2):
+    """One draw's bin join as solve_shifted_rep ran it draw by draw: first
+    exact pair by bin-k rank, then bin-k2 rank."""
+    if not scan2:
+        return None
+    sums2 = solvers._bin_sums_batch(table, k2, 1, scan2)
+    order = np.argsort(sums2)
+    sv = sums2[order]
+    want = solvers._bin_sums_batch(table, k, 1, scan1) - np.uint64(shift % (1 << 64))
+    pos = np.searchsorted(sv, want)
+    for rank in np.flatnonzero(pos < sv.size).tolist():
+        hi = np.searchsorted(sv, want[rank], "right")
+        group = sorted(g for g in order[pos[rank]:hi].tolist() if not (k2 == k and g == rank))
+        if not group:
+            continue
+        mask, value = solvers._unrank_mask(table, k, rank + 1)
+        for g in group:
+            other, other_value = solvers._unrank_mask(table, k2, g + 1)
+            if other != mask and value - other_value == shift:
+                return mask, other
+    return None
+
+
+def _ref_shifted_rep(items, shift, ratio, seed, budget):
+    """solve_shifted_rep one draw at a time, a table per draw: (status,
+    masks, draw count, every draw's record)."""
+    n = len(items)
+    t = max(1, min(n - 1, round(ratio * n)))
+    rng = as_rng(seed, "shifted-rep", t)
+    bn_bits, heavy = (n - t, 1 << t) if t > n // 2 else ((n + 1) // 2, solvers._ceil_half_pow(n))
+    if budget.prefilter:
+        for _ in range(min(budget.resolved_sample_cap(n), 1 << bn_bits)):
+            ma, mb = rng.getrandbits(n), rng.getrandbits(n)
+            if ma != mb and solvers._mask_value(items, ma) - solvers._mask_value(items, mb) == shift:
+                return SolveStatus.FOUND, (ma, mb), None, []
+    records = []
+    for r in range(budget.resolved_repeat_cap(n)):
+        p = random_prime(1 << bn_bits, 1 << (bn_bits + 1), derive_seed(seed, "shifted-rep-prime", t, r))
+        k = random_residue(p, derive_seed(seed, "shifted-rep-residue", t, r))
+        k2 = (k - shift) % p
+        table = build_table(items, p)
+        bins = [table.bin_size(k), table.bin_size(k2)]
+        scans = [min(b, n * n * heavy) for b in bins]
+        records.append({"p": p, "k": k, "bins": bins, "enumerated": scans})
+        hit = _ref_rep_join(table, shift, k, k2, *scans)
+        if hit:
+            return SolveStatus.FOUND, hit, r + 1, records
+    return SolveStatus.INCONCLUSIVE, None, len(records), records
+
+
+class TestShiftedRepBatches:
+    """Batched draws against the one-draw-at-a-time reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_same_outcome_as_per_draw_loop(self, data):
+        n = data.draw(st.integers(1, 16))
+        bits = data.draw(st.sampled_from([8, 62, 64, 200, None]))
+        if bits is None:
+            items = tuple((2 * i + 2) << 64 for i in range(n))
+        else:
+            items = tuple(data.draw(st.integers(1, (1 << bits) - 1)) for _ in range(n))
+        digits = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        planted = abs(sum(a * (g == 1) - a * (g == 2) for a, g in zip(items, digits)))
+        total = sum(items)  # a shifted_sums instance takes shifts below it
+        shift = data.draw(st.sampled_from([0, planted % total, data.draw(st.integers(0, total - 1))]))
+        t = data.draw(st.integers(1, max(1, n - 1)))
+        seed = data.draw(st.integers(0, 1000))
+        # 1, 2, 3 and 8 draws take 1, 2, 2 and 4 batches; None is 4n draws
+        budget = SolverBudget(
+            repeat_cap=data.draw(st.sampled_from([1, 2, 3, 8, None])),
+            prefilter=data.draw(st.booleans()),
+        )
+        if n == 1:  # no prime range below 2^0
+            with pytest.raises(ValueError):
+                solve_shifted_rep(items, shift, t / n, seed, budget)
+            return
+        status, masks, draw_count, records = _ref_shifted_rep(items, shift, t / n, seed, budget)
+        out = solve_shifted_rep(items, shift, t / n, seed, budget)
+        assert out.status is status
+        assert _masks(out) == masks
+        assert out.trace.get("draw_count") == draw_count
+        assert out.trace["draws"] == records[: solvers._TRACE_DRAWS]
+        assert out.trace["draws_dropped"] == max(0, len(records) - solvers._TRACE_DRAWS)
+        if out.found:
+            assert verify(ProblemInstance("shifted_sums", items, shift=shift), out.witness)
+
+    def test_deciding_draw_inside_a_batch(self):
+        # Draws 3, 5-7, 9-15, ... are not the first of their batch: the first
+        # exact pair must still come from the earliest draw that has one.
+        rng = random.Random(6)
+        budget = SolverBudget(prefilter=False)
+        inside = 0
+        for seed in range(40):
+            n = rng.randrange(8, 13)
+            items = tuple(rng.randrange(1, 1 << 20) for _ in range(n))
+            shift = abs(sum(items[: n // 3]) - sum(items[n // 3 : n // 2]))
+            want = _ref_shifted_rep(items, shift, 0.5, seed, budget)
+            out = solve_shifted_rep(items, shift, 0.5, seed, budget)
+            assert (out.status, _masks(out), out.trace["draw_count"]) == want[:3]
+            inside += out.found and want[2] not in (1, 2, 4, 8, 16, 32)
+        assert inside >= 3
+
+    def test_match_across_draws_is_no_pair(self, monkeypatch):
+        # Every subset sum is 0 mod 2^64, so with shift = -_TAG mod 2^64 the
+        # key draw d wants from bin k2, d * _TAG - shift = (d + 1) * _TAG,
+        # is the key of every bin-k2 rank of draw d + 1 and of none of its
+        # own: the join rejects those matches before confirming any.
+        items = tuple((2 * i + 2) << 64 for i in range(6))
+        shift = (1 << 64) - int(solvers._TAG)
+        table = build_table(items, 5)
+        draws = []
+        for k in range(5):
+            k2 = (k - shift) % 5
+            assert not solvers._bin_sums_batch(table, k, 1, table.bin_size(k)).any()
+            draws.append((0, k, k2, table.bin_size(k), table.bin_size(k2)))
+        unranked = []
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_unrank_mask", lambda *a: unranked.append(a))
+            assert solvers._shifted_rep_join(items, shift, [table], draws, solvers._Deadline(None)) == (None, False)
+        assert unranked == []
+        out = solve_shifted_rep(items, shift, 0.5, seed=1, budget=SolverBudget(prefilter=False))
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["batches"] > 1
+
+    def test_shift_zero_self_matches_are_never_confirmed(self, monkeypatch):
+        # Powers of two have distinct subset sums: at shift 0 each bin-k rank
+        # meets only itself, and none of them reaches exact confirmation.
+        items = tuple(1 << i for i in range(12))
+        tables = [build_table(items, p) for p in (7, 11, 13)]
+        draws = [(i, k, k, tables[i].bin_size(k), tables[i].bin_size(k)) for i, k in ((0, 3), (1, 0), (2, 12), (0, 5))]
+        unranked = []
+        monkeypatch.setattr(solvers, "_unrank_mask", lambda *a: unranked.append(a))
+        assert solvers._shifted_rep_join(items, 0, tables, draws, solvers._Deadline(None)) == (None, False)
+        assert unranked == []
+        out = solve_shifted_rep(items, 0, 0.5, seed=2, budget=SolverBudget(prefilter=False))
+        assert out.status is SolveStatus.INCONCLUSIVE and unranked == []
+
+    def test_trace_counts_batches_tables_and_dropped_draws(self):
+        out = solve_shifted_rep(tuple(1 << i for i in range(16)), 0, 0.5, seed=3)
+        trace = out.trace
+        assert trace["draw_count"] == 64
+        assert len(trace["draws"]) == solvers._TRACE_DRAWS
+        assert trace["draws_dropped"] == 64 - solvers._TRACE_DRAWS
+        assert 1 < trace["batches"] < 64  # 1 + 2 + 4 + 8 + 16 + 32 + 1 draws
+        assert trace["tables_built"] <= 64 and len({d["p"] for d in trace["draws"]}) <= trace["tables_built"]
+        sub = solve_subset_sum_rep((2, 4, 8), 5, seed=1)
+        assert sub.trace["draws_dropped"] == 0
+
+    @pytest.mark.parametrize("shift", [0, 123456789])
+    def test_time_cap_at_n20(self, shift):
+        rng = random.Random(20)
+        items = [rng.randrange(1, 1 << 60) for _ in range(20)]
+        t0 = time.perf_counter()
+        out = solve_shifted_rep(items, shift, 15 / 20, seed=5, budget=SolverBudget(time_cap_ms=150.0))
+        elapsed = time.perf_counter() - t0
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["timed_out"]
+        assert elapsed < 0.3
+
+    def test_tiny_memory_cap(self):
+        items = tuple(1 << i for i in range(12))  # no pair at shift 0
+        with pytest.raises(ResourceLimitError):
+            solve_shifted_rep(items, 0, 0.5, seed=0, budget=SolverBudget(memory_cap_bytes=1000))
+        # Room for any one table of p in [64, 128) and a few bin-k2 entries,
+        # but not for two tables: one draw per batch, its scan capped.
+        cap = estimate_table_bytes(12, 127) + 10 * solvers._REP_ENTRY_BYTES
+        out = solve_shifted_rep(items, 0, 0.5, seed=0, budget=SolverBudget(memory_cap_bytes=cap))
+        assert out.status is SolveStatus.INCONCLUSIVE
+        assert out.trace["draw_count"] == 48 == out.trace["batches"]
+        room = [(cap - estimate_table_bytes(12, d["p"])) // solvers._REP_ENTRY_BYTES for d in out.trace["draws"]]
+        assert [d["enumerated"][1] for d in out.trace["draws"]] == [
+            min(d["bins"][1], r) for d, r in zip(out.trace["draws"], room)
+        ]
+        assert any(d["enumerated"][1] < d["bins"][1] for d in out.trace["draws"])
 
 
 # (items, shift, t, seed, s1, s2), recorded from the dict join over
