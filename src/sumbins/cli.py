@@ -244,7 +244,6 @@ def _cmd_solve(args) -> int:
         sample_cap=args.budget_samples,
         repeat_cap=args.budget_repeats,
         time_cap_ms=args.time_cap_ms,
-        prefilter=not args.no_prefilter,
     )
     try:
         outcome = solve_instance(
@@ -573,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-samples", type=int, default=None)
     p.add_argument("--budget-repeats", type=int, default=None)
     p.add_argument("--time-cap-ms", type=float, default=None)
-    p.add_argument("--no-prefilter", action="store_true")
     p.add_argument("--trace", action="store_true", help="include the solver trace")
     add_common(p)
     p.set_defaults(func=_cmd_solve)

@@ -308,6 +308,36 @@ def _bin_sums_batch(
     return sums
 
 
+_WALK_CHUNK = 1 << 15  # ranks per batched walk call; bounds scratch memory
+
+
+def _walk_bins(
+    table: CountTable | _TableStack, bins: np.ndarray, ranks: np.ndarray, lo: int, hi: int,
+    which: np.ndarray | None = None, values: Sequence[int] | None = None, modulus: int = 0,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Sums of positions lo .. hi-1 of ranks 1..ranks[b] of bin bins[b], for
+    b = 0, 1, ... laid end to end: yields (first position, b of each entry,
+    sums) a chunk of _WALK_CHUNK at a time. ``values`` and ``modulus`` are
+    those of :func:`_bin_sums_batch`; given ``which``, ``table`` is a
+    :class:`_TableStack` and bin b is one of table which[b]."""
+    ends = np.cumsum(ranks)
+    for a in range(lo, hi, _WALK_CHUNK):
+        b = min(hi, a + _WALK_CHUNK)
+        e = int(ends.searchsorted(a, "right"))  # the bin that holds position a
+        if ends[e] >= b:
+            # Inside one bin: the scalar form and a zero-stride bin index
+            # leave out per-entry arrays, each a round of page faults.
+            seg = np.broadcast_to(e, (b - a,))
+            k, start = int(bins[e]), a - int(ends[e] - ranks[e]) + 1
+            tab = None if which is None else int(which[e])
+        else:
+            counts = np.diff(np.clip(ends, a, b), prepend=a)
+            seg = np.repeat(np.arange(ends.size), counts)
+            k, start = np.repeat(bins, counts), np.repeat(ranks - ends + 1, counts) + np.arange(a, b)
+            tab = None if which is None else np.repeat(which, counts)
+        yield a, seg, _bin_sums_batch(table, k, start, b - a, values, modulus, tab)
+
+
 def unrank(table: CountTable, k: int, index: int) -> Subset:
     """The index-th subset (1-based) of bin k in the chi order; O(n^2)."""
     if not 0 <= k < table.p:

@@ -114,19 +114,6 @@ def collision_values(items: Sequence[int], s: int = 0) -> set[int]:
     return {v for v in seen if (v - s) in seen}
 
 
-def _first_two_masks_with(sums, value) -> list[int]:
-    out: list[int] = []
-    if isinstance(sums, np.ndarray):
-        idx = np.nonzero(sums == value)[0]
-        return [int(m) for m in idx[:2]]
-    for mask, v in enumerate(sums):
-        if v == value:
-            out.append(mask)
-            if len(out) == 2:
-                break
-    return out
-
-
 def _pair_witness(sums, s: int) -> Pair | None:
     """Some distinct (S1, S2) with sum(S1) - sum(S2) = s, or None."""
     if isinstance(sums, np.ndarray):

@@ -27,7 +27,7 @@ subsets than residues, and bucketing those subsets by true residue mod q
 exhibits the collision.
 
 Every enumeration here is one batched walk of the quotient table
-(``dpbins._bin_sums_batch``): the ranks of all the bins involved go through
+(``dpbins._walk_bins``): the ranks of all the bins involved go through
 together, a bounded chunk at a time, and the walk accumulates the true
 residues a_i mod q instead of the quotient items. Those sums are exact in
 int64 (add, then subtract q once if the sum reached it; q < 2^62), so class
@@ -42,7 +42,7 @@ walk steps anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,9 +50,9 @@ from .core import Pair, Subset
 from .dpbins import (
     DEFAULT_MEMORY_CAP_BYTES,
     CountTable,
-    _bin_sums_batch,
     _require_word_rows,
     _unrank_mask,
+    _walk_bins,
     build_table,
 )
 
@@ -64,7 +64,6 @@ __all__ = [
     "solve_pigeonhole_modular",
 ]
 
-_WALK_CHUNK = 1 << 15  # ranks per batched walk call; bounds scratch memory
 _FIRST_SCAN = 1 << 10  # first chunk of a doubling collision scan
 
 
@@ -72,20 +71,44 @@ class _Expired(Exception):
     """The caller's time budget ran out before a pair was found."""
 
 
-def _first_repeat(values: np.ndarray) -> tuple[int, int] | None:
-    """Positions (first, second) of the earliest second occurrence of any
-    value, i.e. what a sequential scan with a seen-set stops at; None if all
-    values are distinct. A stable sort keeps equal values in scan order.
+def _repeat_masks(
+    table: CountTable, bins: np.ndarray, total: int, values: Sequence[int] | None = None,
+    modulus: int = 0, expired: Callable[[], bool] | None = None,
+) -> tuple[int, int]:
+    """Masks of the earliest repeated sum among the first ``total`` subsets
+    of ``bins`` taken one after another, each in chi order (sums as in
+    :func:`dpbins._walk_bins`). The callers' counting arguments promise a
+    repeat, so none is a fault: RuntimeError.
+
+    Scans in doubling chunks. A stable sort keeps equal sums in scan order,
+    so the earliest second occurrence in the scanned prefix is where a
+    sequential scan with a seen-set stops. Raises :class:`_Expired` when
+    ``expired()`` turns true between walk chunks.
     """
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    dup = sv[1:] == sv[:-1]
-    if not dup.any():
-        return None
-    run_start = dup & ~np.concatenate(([False], dup[:-1]))
-    starts = np.nonzero(run_start)[0]
-    g = int(starts[int(np.argmin(order[starts + 1]))])
-    return int(order[g]), int(order[g + 1])
+    sizes = table.rows[table.n][bins]
+    ends = np.cumsum(sizes)
+    parts: list[np.ndarray] = []
+    done = 0
+    while done < total:
+        stop = min(total, 2 * done + _FIRST_SCAN)  # chunks of _FIRST_SCAN, twice that, ...
+        for _, _, sums in _walk_bins(table, bins, sizes, done, stop, None, values, modulus):
+            if expired is not None and expired():
+                raise _Expired
+            parts.append(sums)
+        done = stop
+        scanned = np.concatenate(parts)
+        order = np.argsort(scanned, kind="stable")
+        sv = scanned[order]
+        dup = sv[1:] == sv[:-1]
+        if dup.any():
+            run_start = dup & ~np.concatenate(([False], dup[:-1]))
+            starts = np.nonzero(run_start)[0]
+            g = int(starts[int(np.argmin(order[starts + 1]))])
+            pos = order[g : g + 2]
+            seg = np.searchsorted(ends, pos, side="right")
+            ranks = (pos - ends[seg] + sizes[seg] + 1).tolist()
+            return tuple(_unrank_mask(table, int(bins[b]), r)[0] for b, r in zip(seg.tolist(), ranks))
+    raise RuntimeError(f"no repeated sum among {total} subsets that must hold one")
 
 
 # ---------------------------------------------------------------------------
@@ -131,23 +154,11 @@ def solve_pigeonhole_equal(
     p = 1 << ((n + 1) // 2)
     table = build_table(items, p, memory_cap_bytes)
     k = find_heavy_bin(items, p, table)
-    size = table.bin_size(k)
-    parts: list[np.ndarray] = []
-    done = 0
-    chunk = _FIRST_SCAN
-    while done < size:
-        if expired is not None and expired():
-            return None
-        take = min(size - done, chunk)
-        parts.append(_bin_sums_batch(table, k, done + 1, take))
-        done += take
-        chunk *= 2
-        hit = _first_repeat(np.concatenate(parts))
-        if hit is not None:
-            first, _ = _unrank_mask(table, k, hit[0] + 1)
-            second, _ = _unrank_mask(table, k, hit[1] + 1)
-            return Pair(Subset.from_mask(first), Subset.from_mask(second))
-    raise RuntimeError("bin guaranteed to repeat a value did not")
+    try:
+        hit = _repeat_masks(table, np.array([k]), table.bin_size(k), expired=expired)
+    except _Expired:
+        return None
+    return Pair(Subset.from_mask(hit[0]), Subset.from_mask(hit[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +234,6 @@ class _ModularContext:
         self.prefix = [0, *np.cumsum(self.sizes).tolist()]
         n = self.n
         self.boundary_bin_cap = (4 * n + 2) * (1 << d.h) + 1
-        self.marked_extract_cap = (4 * n + 2) * (1 << d.h) + 1
         self.final_extract_cap = (8 * n + 2) * (1 << d.h) + 1
 
     def c_interval_count(self, x: int, y: int) -> int:
@@ -234,30 +244,6 @@ class _ModularContext:
         if x <= y:
             return self.prefix[y + 1] - self.prefix[x]
         return self.prefix[q1] - self.prefix[x] + self.prefix[y + 1]
-
-    def _walk(self, bins: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
-        """Residues mod q of positions lo .. hi-1 of the C-bins ``bins``
-        taken one after another, each in chi order, a chunk at a time.
-
-        The time budget is checked before every chunk.
-        """
-        sizes = self.sizes[bins]
-        ends = np.cumsum(sizes)
-        for a in range(lo, hi, _WALK_CHUNK):
-            if self.expired is not None and self.expired():
-                raise _Expired
-            pos = np.arange(a, min(hi, a + _WALK_CHUNK), dtype=np.int64)
-            seg = np.searchsorted(ends, pos, side="right")
-            ranks = pos - (ends[seg] - sizes[seg]) + 1
-            yield _bin_sums_batch(self.table, bins[seg], ranks, pos.size, self.residues, self.q)
-
-    def _subset_at(self, bins: np.ndarray, pos: int) -> Subset:
-        """The subset at position ``pos`` of the walk over ``bins``."""
-        ends = np.cumsum(self.sizes[bins])
-        seg = int(np.searchsorted(ends, pos, side="right"))
-        rank = pos - (int(ends[seg]) - int(self.sizes[bins[seg]])) + 1
-        mask, _ = _unrank_mask(self.table, int(bins[seg]), rank)
-        return Subset.from_mask(mask)
 
     def count_b(self, i: int, j: int) -> BClassCount:
         """Exact number of subsets with quotient class in [i, j] (circular),
@@ -282,7 +268,10 @@ class _ModularContext:
         if over.size:
             return BClassCount(None, self._mark_overfull_class(int(bins[over[0]])))
         span = (j - i) % q1
-        for res in self._walk(bins, 0, int(sizes.sum())):
+        walk = _walk_bins(self.table, bins, sizes, 0, int(sizes.sum()), None, self.residues, self.q)
+        for _, _, res in walk:
+            if self.expired is not None and self.expired():
+                raise _Expired
             count += int(np.count_nonzero((d.fold(res) - i) % q1 <= span))
         return BClassCount(count, None)
 
@@ -294,7 +283,14 @@ class _ModularContext:
         The class returned is the first to pass its beta in scan order.
         """
         d = self.decomp
-        cls = d.fold(np.concatenate(list(self._walk(np.array([c]), 0, self.boundary_bin_cap))))
+        cap = self.boundary_bin_cap
+        walk = _walk_bins(self.table, np.array([c]), np.array([cap]), 0, cap, None, self.residues, self.q)
+        parts = []
+        for _, _, res in walk:
+            if self.expired is not None and self.expired():
+                raise _Expired
+            parts.append(res)
+        cls = d.fold(np.concatenate(parts))
         # Occurrence number of each scanned subset within its class.
         order = np.argsort(cls, kind="stable")
         sc = cls[order]
@@ -318,20 +314,8 @@ class _ModularContext:
         q1 = self.decomp.q1
         bins = (lo + np.arange((hi - lo) % q1 + 1)) % q1
         total = min(int(self.sizes[bins].sum()), cap)
-        parts: list[np.ndarray] = []
-        done = 0
-        chunk = _FIRST_SCAN
-        while done < total:
-            take = min(total - done, chunk)
-            parts.extend(self._walk(bins, done, done + take))
-            done += take
-            chunk *= 2
-            hit = _first_repeat(np.concatenate(parts))
-            if hit is not None:
-                return Pair(self._subset_at(bins, hit[0]), self._subset_at(bins, hit[1]))
-        if total == cap:
-            raise RuntimeError("extraction cap hit without a collision")
-        raise RuntimeError("extraction interval held no collision")
+        hit = _repeat_masks(self.table, bins, total, self.residues, self.q, self.expired)
+        return Pair(Subset.from_mask(hit[0]), Subset.from_mask(hit[1]))
 
 
 def count_b_interval(
@@ -406,7 +390,7 @@ def solve_pigeonhole_modular(
             left = ctx.count_b(i, mid)
             if left.marked is not None:
                 jj = left.marked
-                return ctx.extract(jj - n + 1, jj + n, ctx.marked_extract_cap)
+                return ctx.extract(jj - n + 1, jj + n, ctx.boundary_bin_cap)
             beta_left = d.beta_interval(i, mid)
             if left.count > beta_left:
                 j = mid

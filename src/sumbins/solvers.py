@@ -9,7 +9,7 @@ Two algorithm families:
   half's disjoint pair states (S1, S2) become numpy arrays of sum
   differences mod 2^64, joined the same way. The single-class search builds
   one size class per random split, so a miss is only evidence, not a
-  proof: the result is Inconclusive unless the exhaustive variant ran.
+  proof: the result is Inconclusive.
 
 * residue binning ("rep"): pick a random prime p, build the count table,
   and walk the one bin (or pair of bins) that must contain a solution. For
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
 from typing import Sequence
@@ -49,10 +49,10 @@ from .core import (
 from .dpbins import (
     DEFAULT_MEMORY_CAP_BYTES,
     ResourceLimitError,
-    _bin_sums_batch,
     _require_word_rows,
     _stack_tables,
     _unrank_mask,
+    _walk_bins,
     build_table,
     estimate_table_bytes,
 )
@@ -115,7 +115,6 @@ class SolverBudget:
     repeat_cap: int | None = None  # independent redraws, default 4n
     time_cap_ms: float | None = None
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES
-    prefilter: bool = True  # sampling pre-filter in the shifted rep solver
 
     def resolved_sample_cap(self, n: int) -> int:
         if self.sample_cap is not None:
@@ -392,7 +391,7 @@ def solve_subset_sum_rep(
         # candidate rank is re-unranked and confirmed exactly, so the first
         # confirmed rank is the first solution of the bin in chi order.
         tgt = np.uint64(target & _WORD_MASK)
-        for done, _, sums_c in _walk_draws(table, None, np.array([k]), np.array([scan])):
+        for done, _, sums_c in _walk_bins(table, np.array([k]), np.array([scan]), 0, scan):
             for off in np.nonzero(sums_c == tgt)[0]:
                 rank = done + int(off) + 1
                 mask, value = _unrank_mask(table, k, rank)
@@ -424,7 +423,7 @@ _PAIR_CHUNK = 1 << 16  # pair states of the single-class path built per vector c
 # Bytes per pair state: its key, the sort order, the sorted copy and the
 # probe positions, eight each, plus temporaries while the keys are built.
 _PAIR_STATE_BYTES = 48
-# Odd, so distinct small tags (split or class size) stay distinct mod 2^64.
+# Odd, so distinct small tags (split or draw) stay distinct mod 2^64.
 _TAG = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -451,17 +450,14 @@ def _class_states(words: np.ndarray, combos: np.ndarray, t: int) -> np.ndarray:
     return d.reshape(len(words), -1)
 
 
-def _all_states(words: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Sum differences mod 2^64 and sizes of all 3^h disjoint pairs over
-    ``words``, in ternary index order: digit j, most significant first, puts
-    item j in neither set, in S1 or in S2."""
+def _all_states(words: Sequence[int]) -> np.ndarray:
+    """Sum differences mod 2^64 of all 3^h disjoint pairs over ``words``, in
+    ternary index order: digit j, most significant first, puts item j in
+    neither set, in S1 or in S2."""
     d = np.zeros(1, dtype=np.uint64)
-    size = np.zeros(1, dtype=np.uint8)
-    step = np.array([0, 1, 1], dtype=np.uint8)
     for w in words:
         d = (d[:, None] + np.array([0, w, -w & _WORD_MASK], dtype=np.uint64)).ravel()
-        size = (size[:, None] + step).ravel()
-    return d, size
+    return d
 
 
 def _class_decoder(sides: list[list[int]], combos: list[tuple[int, ...]], t: int):
@@ -483,8 +479,8 @@ def _class_decoder(sides: list[list[int]], combos: list[tuple[int, ...]], t: int
     return decode
 
 
-def _ternary_decoder(positions: Sequence[int], tag_of_size):
-    """decode(i) -> (tag_of_size(size), S1 mask, S2 mask) for the states of
+def _ternary_decoder(positions: Sequence[int]):
+    """decode(i) -> (0, S1 mask, S2 mask) for the states of
     :func:`_all_states` over the items at ``positions``."""
 
     def decode(i: int) -> tuple[int, int, int]:
@@ -495,7 +491,7 @@ def _ternary_decoder(positions: Sequence[int], tag_of_size):
                 m1 |= 1 << p
             elif digit:
                 m2 |= 1 << p
-        return tag_of_size((m1 | m2).bit_count()), m1, m2
+        return 0, m1, m2
 
     return decode
 
@@ -508,7 +504,7 @@ def _join_pair_states(
 
     ``keys1[i]`` is left state i's key mod 2^64 and ``needs2[j]`` the key
     right state j needs from its partner; both hold sum differences with a
-    tag (split or class size) mixed in. ``decode`` gives a state's exact
+    tag (the split, or 0) mixed in. ``decode`` gives a state's exact
     (tag, S1 mask, S2 mask), where a right state gives the tag it needs. A
     wrapped match is only a candidate: right states are confirmed in
     ascending index, each against its left partners with the same tag and
@@ -555,30 +551,6 @@ def _join_pair_states(
     return None, False
 
 
-def _exhaustive_join(
-    items: Sequence[int], shift: int, left: list[int], right: list[int], class_size: int | None,
-    deadline: _Deadline, memory_cap_bytes: int,
-) -> tuple[Pair | None, bool]:
-    """Join all 3^h pair states of each side of one split; ``class_size``
-    None admits every total size. Returns (pair or None, timed out)."""
-    _require_pair_bytes(3 ** len(left) + 3 ** len(right), memory_cap_bytes)
-    d1, size1 = _all_states([items[p] & _WORD_MASK for p in left])
-    if deadline.expired():
-        return None, True
-    d2, size2 = _all_states([items[p] & _WORD_MASK for p in right])
-    needs2 = np.uint64(shift & _WORD_MASK) - d2
-    if class_size is None:
-        tag1 = tag2 = lambda size: 0
-    else:
-        d1 += size1 * _TAG
-        needs2 += (np.uint64(class_size) - size2) * _TAG
-        tag1, tag2 = (lambda size: size), (lambda size: class_size - size)
-    hit, timed_out = _join_pair_states(
-        items, shift, d1, needs2, _ternary_decoder(left, tag1), _ternary_decoder(right, tag2), deadline
-    )
-    return (hit[1] if hit else None), timed_out
-
-
 def _verify_pair(items: Sequence[int], pair: Pair, s: int) -> bool:
     d = sum(items[i - 1] for i in pair.s1.indices) - sum(
         items[i - 1] for i in pair.s2.indices
@@ -592,18 +564,14 @@ def solve_shifted_mitm(
     ratio: float,
     seed: int = 0,
     budget: SolverBudget | None = None,
-    exhaustive: bool = False,
 ) -> SolveOutcome:
     """Search for disjoint (S1, S2) with sum(S1) - sum(S2) = shift and
     |S1| + |S2| = t = round(ratio * n), across random balanced splits.
 
     Per split the left half contributes floor(t/2) of the pair and the right
     half the rest, so a miss is INCONCLUSIVE: the random split may simply
-    have cut the solution unevenly. ``exhaustive`` instead admits every
-    left/right size distribution across one fixed split, which covers the
-    whole size class; a miss then proves no disjoint solution pair of total
-    size t exists and returns NOT_FOUND scoped to that class (other size
-    classes were never looked at).
+    have cut the solution unevenly. Only :func:`solve_shifted_exhaustive`
+    proves NOT_FOUND.
 
     Each side's pair states are built as numpy arrays of sum differences mod
     2^64, only those of the wanted size: C(h, t1) * 2^t1 states for t1 of h
@@ -612,9 +580,7 @@ def solve_shifted_mitm(
     The witness is the first exact one in the order of a sequential search:
     earliest split, then lowest right state, then lowest left state, where a
     side's states are ordered by their union in lexicographic order, then by
-    the subset of the union in S1 (its bit j for union member j). The
-    ``exhaustive`` states are in ternary index order (see
-    :func:`solve_shifted_exhaustive`), tagged with their size.
+    the subset of the union in S1 (its bit j for union member j).
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -622,31 +588,13 @@ def solve_shifted_mitm(
     n = len(items)
     t = max(1, min(n, round(ratio * n)))
     rng = as_rng(seed, "shifted-mitm", t)
-    repeats = budget.resolved_repeat_cap(n) if not exhaustive else 1
+    repeats = budget.resolved_repeat_cap(n)
     trace: dict = {
         "algorithm": "shifted-mitm",
         "class_size": t,
         "splits": 0,
-        "exhaustive_class": exhaustive,
     }
     h1 = n // 2
-    if exhaustive:
-        if deadline.expired():
-            trace["timed_out"] = True
-            return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
-        perm = rng.sample(range(n), n)
-        trace["splits"] = 1
-        pair, timed_out = _exhaustive_join(
-            items, shift, sorted(perm[:h1]), sorted(perm[h1:]), t, deadline, budget.memory_cap_bytes
-        )
-        if pair is not None:
-            return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
-        if timed_out:
-            trace["timed_out"] = True
-            return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
-        # both halves fully enumerated: the class has no solution
-        return _outcome(SolveStatus.NOT_FOUND, None, seed, deadline, trace)
-
     t1, t2 = t // 2, t - t // 2
     per1, per2 = math.comb(h1, t1) << t1, math.comb(n - h1, t2) << t2
     _require_pair_bytes(per1 + per2, budget.memory_cap_bytes)
@@ -697,23 +645,6 @@ def solve_shifted_mitm(
 _REP_ENTRY_BYTES = 40
 
 
-def _walk_draws(walked, tab: np.ndarray, ks: np.ndarray, scans: np.ndarray):
-    """Keys of ranks 1..scans[d] of bin ks[d] for draw after draw d, a chunk
-    at a time: yields (first position, draw of each entry or None for one
-    draw, keys). A key is the rank's sum mod 2^64, plus draw * _TAG when
-    ``walked`` stacks the draws' tables (draw d's being ``tab[d]``)."""
-    ends = np.cumsum(scans)
-    for a in range(0, int(ends[-1]), _BATCH_CHUNK):
-        b = min(int(ends[-1]), a + _BATCH_CHUNK)
-        if len(scans) == 1:
-            yield a, None, _bin_sums_batch(walked, int(ks[0]), a + 1, b - a)
-            continue
-        seg = np.repeat(np.arange(len(scans)), np.diff(np.clip(ends, a, b), prepend=a))
-        ranks = np.arange(a + 1, b + 1) - (ends - scans)[seg]
-        keys = _bin_sums_batch(walked, ks[seg], ranks, b - a, which=tab[seg])
-        yield a, seg, keys + seg.astype(np.uint64) * _TAG
-
-
 def _shifted_rep_join(
     items: Sequence[int], shift: int, tables: list, draws: list, deadline: _Deadline
 ) -> tuple[tuple[int, Pair] | None, bool]:
@@ -730,9 +661,15 @@ def _shifted_rep_join(
     timed out).
     """
     tab, ks, k2s, scan1, scan2 = (np.array(c, dtype=np.int64) for c in zip(*draws))
-    walked = tables[0] if len(draws) == 1 else _stack_tables(tables)
+    walked, which = (tables[0], None) if len(draws) == 1 else (_stack_tables(tables), tab)
+
+    def keyed(bins: np.ndarray, scans: np.ndarray):
+        # A key is the rank's sum mod 2^64, plus draw * _TAG for a stack.
+        for a, seg, sums in _walk_bins(walked, bins, scans, 0, int(scans.sum()), which):
+            yield a, seg, sums if which is None else sums + seg.astype(np.uint64) * _TAG
+
     parts = []
-    for _, _, keys in _walk_draws(walked, tab, k2s, scan2):
+    for _, _, keys in keyed(k2s, scan2):
         parts.append(keys)
         if deadline.expired():
             return None, True
@@ -747,7 +684,7 @@ def _shifted_rep_join(
         chunks = range(0, key2.size, _BATCH_CHUNK)
         stream = ((a, draw2[a : a + _BATCH_CHUNK], key2[a : a + _BATCH_CHUNK]) for a in chunks)
     else:
-        stream = _walk_draws(walked, tab, ks, scan1)
+        stream = keyed(ks, scan1)
     for a, seg, keys in stream:
         want = keys - np.uint64(shift & _WORD_MASK)
         pos = np.searchsorted(sv, want)
@@ -755,7 +692,7 @@ def _shifted_rep_join(
         ok[ok] = sv[pos[ok]] == want[ok]
         hits = np.flatnonzero(ok)
         lo, hi = pos[hits], np.searchsorted(sv, want[hits], "right")
-        d = np.zeros(hits.size, dtype=np.int64) if seg is None else seg[hits]
+        d = seg[hits]
         rank = a + hits - base1[d]
         # At k2 == k, bin-k rank r is bin-k2 rank r: alone in its group it is no pair.
         me = np.where(same[d] & (rank < scan2[d]), base2[d] + rank, -1)
@@ -788,7 +725,7 @@ def solve_shifted_rep(
     b = 1/2 otherwise. Each draw picks a random residue k and looks for
     sum(S1) = k, sum(S2) = k - shift (mod p) with sum(S1) - sum(S2) = shift
     over the two bins, enumerating at most n^2 * 2^((1-b) n) entries per
-    bin. Optionally a sampling pre-filter tries random pairs first.
+    bin.
 
     Draws run in doubling batches of 1, 2, 4, ... draws, grown only while a
     batch's bins fit one walk chunk. A batch builds one table per distinct
@@ -805,7 +742,6 @@ def solve_shifted_rep(
     n = len(items)
     _require_word_rows(n)
     t = max(1, min(n - 1, round(ratio * n)))
-    rng = as_rng(seed, "shifted-rep", t)
     if t > n // 2:
         bn_bits = n - t
         heavy_ceil = 1 << t
@@ -818,28 +754,11 @@ def solve_shifted_rep(
         "algorithm": "shifted-rep",
         "class_size": t,
         "prime_bits": bn_bits,
-        "prefilter_samples": 0,
         "draws": [],
         "draws_dropped": 0,
         "batches": 0,
         "tables_built": 0,
     }
-
-    if budget.prefilter:
-        for i in range(min(budget.resolved_sample_cap(n), 1 << bn_bits)):
-            ma = rng.getrandbits(n)
-            mb = rng.getrandbits(n)
-            trace["prefilter_samples"] = i + 1
-            if ma == mb:
-                continue
-            va = _mask_value(items, ma)
-            vb = _mask_value(items, mb)
-            if va - vb == shift:
-                pair = Pair(Subset.from_mask(ma), Subset.from_mask(mb))
-                return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
-            if i % 1024 == 0 and deadline.expired():
-                trace["timed_out"] = True
-                return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
 
     repeats = budget.resolved_repeat_cap(n)
     r, size = 0, 1
@@ -924,9 +843,15 @@ def solve_shifted_exhaustive(
         )
     trace: dict = {"algorithm": "shifted-exhaustive", "pair_states": 2 * 3 ** (n - n // 2)}
     left, right = list(range(n // 2)), list(range(n // 2, n))
-    pair, timed_out = _exhaustive_join(items, shift, left, right, None, deadline, budget.memory_cap_bytes)
-    if pair is not None:
-        return _outcome(SolveStatus.FOUND, pair, None, deadline, trace)
+    _require_pair_bytes(3 ** len(left) + 3 ** len(right), budget.memory_cap_bytes)
+    keys1 = _all_states([items[p] & _WORD_MASK for p in left])
+    timed_out = deadline.expired()
+    if not timed_out:
+        needs2 = np.uint64(shift & _WORD_MASK) - _all_states([items[p] & _WORD_MASK for p in right])
+        decode1, decode2 = _ternary_decoder(left), _ternary_decoder(right)
+        hit, timed_out = _join_pair_states(items, shift, keys1, needs2, decode1, decode2, deadline)
+        if hit is not None:
+            return _outcome(SolveStatus.FOUND, hit[1], None, deadline, trace)
     if timed_out:
         trace["timed_out"] = True
         return _outcome(SolveStatus.INCONCLUSIVE, None, None, deadline, trace)
@@ -966,13 +891,7 @@ def solve_shifted(
         remaining = None
         if budget.time_cap_ms is not None:
             remaining = max(1.0, budget.time_cap_ms - deadline.elapsed_ms())
-        return SolverBudget(
-            sample_cap=budget.sample_cap,
-            repeat_cap=budget.repeat_cap,
-            time_cap_ms=remaining,
-            memory_cap_bytes=budget.memory_cap_bytes,
-            prefilter=budget.prefilter,
-        )
+        return replace(budget, time_cap_ms=remaining)
 
     trace: dict = {"algorithm": "shifted-dispatch", "phases": []}
 
@@ -995,7 +914,8 @@ def solve_shifted(
         else:
             sub = solve_shifted_mitm(items, shift, ratio, child_seed, phase_budget())
         record(t, sub)
-        if sub.found and _verify_pair(items, sub.witness, shift):
+        if sub.found:
+            _check_witness(_verify_pair(items, sub.witness, shift))
             trace["found_at_class"] = t
             return _outcome(SolveStatus.FOUND, sub.witness, seed, deadline, trace)
     if n > _EXHAUSTIVE_CAP_N:

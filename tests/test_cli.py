@@ -239,6 +239,12 @@ def test_solve_bad_ratio_is_usage_error(tmp_path, capsys):
         assert code == 3
 
 
+def test_solve_has_no_prefilter_flag(tmp_path, capsys):
+    path = write_instance(tmp_path / "i.json", ProblemInstance("equal_sums", (1, 2, 3)))
+    code, _ = run(capsys, "solve", path, "--no-prefilter")
+    assert code == 3
+
+
 def test_solve_csv_format(tmp_path, capsys):
     path = str(tmp_path / "inst.json")
     run(capsys, "gen", "--variant", "subset_sum", "--n", "10",

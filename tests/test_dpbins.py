@@ -280,6 +280,52 @@ class TestStackedWalk:
         assert got.tolist() == one == want
 
 
+class TestBinWalk:
+    """The chunked multi-bin walk against the scalar unrank."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_positions_match_scalar_unrank(self, data):
+        n = data.draw(st.integers(1, 14))
+        items = data.draw(st.lists(st.integers(1, (1 << 70) - 1), min_size=n, max_size=n))
+        ps = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+        stacked = len(ps) > 1 and data.draw(st.booleans())
+        tables = [build_table(items, p) for p in (ps if stacked else ps[:1])]
+        which = data.draw(st.lists(st.integers(0, len(tables) - 1), min_size=1, max_size=8))
+        bins = [data.draw(st.integers(0, tables[m].p - 1)) for m in which]
+        # a bin may be empty, or walked only partly
+        ranks = [data.draw(st.integers(0, tables[m].bin_size(k))) for m, k in zip(which, bins)]
+        lo = data.draw(st.integers(0, sum(ranks)))
+        hi = data.draw(st.integers(lo, sum(ranks)))
+        modulus = data.draw(st.sampled_from([0, 5, (1 << 61) + 1]))
+        values = [a % modulus for a in items] if modulus else None
+        chunk = data.draw(st.sampled_from([1, 3, 7, 1 << 15]))
+
+        want_seg, want = [], []
+        for b, (m, k, r) in enumerate(zip(which, bins, ranks)):
+            for rank in range(1, r + 1):
+                mask, value = dpbins._unrank_mask(tables[m], k, rank)
+                if modulus:
+                    value = sum(v for i, v in enumerate(values) if mask >> i & 1)
+                want_seg.append(b)
+                want.append(value % (modulus or 1 << 64))
+        table = dpbins._stack_tables(tables) if stacked else tables[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dpbins, "_WALK_CHUNK", chunk)
+            walk = dpbins._walk_bins(
+                table, np.array(bins), np.array(ranks), lo, hi, np.array(which) if stacked else None, values, modulus
+            )
+            firsts, segs, sums = [], [], []
+            for first, seg, part in walk:
+                assert 0 < part.size <= chunk and seg.size == part.size
+                firsts.append(first)
+                segs += seg.tolist()
+                sums += part.tolist()
+        assert firsts == list(range(lo, hi, chunk))
+        assert segs == want_seg[lo:hi]
+        assert sums == want[lo:hi]
+
+
 class TestEnumerateBin:
     def test_zero_count(self):
         t = build_table((1, 2, 3), 3)

@@ -66,3 +66,22 @@ def test_benchmark_layers_resolve(monkeypatch):
         if not callable(owner):
             missing.append(f"{layer.module}:{layer.attr}")
     assert missing == []
+
+
+def test_no_unreferenced_private_helpers():
+    # a private top-level def or class that nothing else in the package
+    # names is dead code
+    defined, named = {}, []
+    for path, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.append(node.attr)
+            elif isinstance(node, ast.alias):
+                named.append(node.asname or node.name)
+    unreferenced = [where for name, where in defined.items() if name not in named]
+    assert unreferenced == []

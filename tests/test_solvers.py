@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sumbins.dpbins as dpbins
 import sumbins.solvers as solvers
 from sumbins.core import Pair, ProblemInstance, Subset, subset_sum, verify
 from sumbins.dpbins import ResourceLimitError, build_table, estimate_table_bytes
@@ -16,6 +17,7 @@ from sumbins.numtheory import random_prime, random_residue
 from sumbins.oracles import brute_solve
 from sumbins.rng import as_rng, derive_seed
 from sumbins.solvers import (
+    SolveOutcome,
     SolverBudget,
     SolveStatus,
     solve_equal_sums,
@@ -170,10 +172,6 @@ class TestShiftedMitm:
         out = solve_shifted_mitm((1, 2, 4, 8), 0, ratio=0.5, seed=0)
         assert out.status is SolveStatus.INCONCLUSIVE
 
-    def test_exhaustive_flag_gives_not_found(self):
-        out = solve_shifted_mitm((1, 2, 4, 8), 0, ratio=0.5, seed=0, exhaustive=True)
-        assert out.status is SolveStatus.NOT_FOUND
-
     def test_finds_planted_ratio(self):
         # items with a planted solution of known total size
         items = (5, 6, 7, 8, 9, 11, 12, 13)
@@ -191,21 +189,19 @@ class TestShiftedMitm:
         # t = 7 of 14: C(7,3) * 2^3 + C(7,4) * 2^4 = 840 pair states per split
         items = tuple(range(1, 15))
         small, large = SolverBudget(memory_cap_bytes=1024), SolverBudget(memory_cap_bytes=1 << 20)
-        for exhaustive in (False, True):
-            with pytest.raises(ResourceLimitError):
-                solve_shifted_mitm(items, 0, 0.5, budget=small, exhaustive=exhaustive)
-            assert solve_shifted_mitm(items, 0, 0.5, budget=large, exhaustive=exhaustive).found
+        with pytest.raises(ResourceLimitError):
+            solve_shifted_mitm(items, 0, 0.5, budget=small)
+        assert solve_shifted_mitm(items, 0, 0.5, budget=large).found
 
     def test_time_cap(self):
         # no pair at all; t = 14 of 28 has 2 * C(14,7) * 2^7 states per split
         items = tuple(1 << i for i in range(28))
         budget = SolverBudget(time_cap_ms=5.0)
-        for exhaustive in (False, True):
-            t0 = time.perf_counter()
-            out = solve_shifted_mitm(items, 0, 0.5, budget=budget, exhaustive=exhaustive)
-            assert time.perf_counter() - t0 < 2.0
-            assert out.status is SolveStatus.INCONCLUSIVE
-            assert out.trace["timed_out"] is True
+        t0 = time.perf_counter()
+        out = solve_shifted_mitm(items, 0, 0.5, budget=budget)
+        assert time.perf_counter() - t0 < 2.0
+        assert out.status is SolveStatus.INCONCLUSIVE
+        assert out.trace["timed_out"] is True
 
 
 # Pure-Python pair-state generators, the reference for the numpy engine.
@@ -254,23 +250,14 @@ def _ref_exhaustive(items, shift):
     return None
 
 
-def _ref_shifted_mitm(items, shift, ratio, seed, repeats, exhaustive):
+def _ref_shifted_mitm(items, shift, ratio, seed, repeats):
     """(masks of the pair or None, splits) of the sequential split search."""
     n = len(items)
     t = max(1, min(n, round(ratio * n)))
     rng = as_rng(seed, "shifted-mitm", t)
-    for split in range(1 if exhaustive else repeats):
+    for split in range(repeats):
         perm = rng.sample(range(n), n)
         left, right = sorted(perm[: n // 2]), sorted(perm[n // 2 :])
-        if exhaustive:
-            table = {}
-            for m1, m2, d, sz in _ref_all_disjoint_pairs(items, left):
-                table.setdefault((sz, d), (m1, m2))
-            for m1, m2, d, sz in _ref_all_disjoint_pairs(items, right):
-                got = table.get((t - sz, shift - d))
-                if got is not None:
-                    return (got[0] | m1, got[1] | m2), 1
-            return None, 1
         first = {}
         for m1, m2, d in _ref_pairs_of_total_size(items, left, t // 2):
             first.setdefault(d, (m1, m2))
@@ -310,16 +297,12 @@ class TestPairStateEngine:
         assert out.status is (SolveStatus.FOUND if want else SolveStatus.NOT_FOUND)
         outcomes = [out]
         for t in range(1, n + 1):
-            out = solve_shifted_mitm(items, shift, t / n, seed, exhaustive=True)
-            want, _ = _ref_shifted_mitm(items, shift, t / n, seed, 1, True)
+            out = solve_shifted_mitm(items, shift, t / n, seed, SolverBudget(repeat_cap=repeats))
+            want, splits = _ref_shifted_mitm(items, shift, t / n, seed, repeats)
             assert _masks(out) == want
-            assert out.status is (SolveStatus.FOUND if want else SolveStatus.NOT_FOUND)
-            out2 = solve_shifted_mitm(items, shift, t / n, seed, SolverBudget(repeat_cap=repeats))
-            want, splits = _ref_shifted_mitm(items, shift, t / n, seed, repeats, False)
-            assert _masks(out2) == want
-            assert out2.status is (SolveStatus.FOUND if want else SolveStatus.INCONCLUSIVE)
-            assert out2.trace["splits"] == splits
-            outcomes += [out, out2]
+            assert out.status is (SolveStatus.FOUND if want else SolveStatus.INCONCLUSIVE)
+            assert out.trace["splits"] == splits
+            outcomes.append(out)
         for out in outcomes:
             if out.found:
                 assert verify(inst, out.witness)
@@ -352,16 +335,15 @@ class TestShiftedRep:
         assert light.trace["prime_bits"] == 4  # ceil(n / 2)
 
     def test_refuses_rows_past_machine_words(self):
-        # n = 63 table entries reach 2^63; refused before the prefilter runs
+        # n = 63 table entries reach 2^63; refused before any table is built
         t0 = time.perf_counter()
         with pytest.raises(ResourceLimitError):
             solve_shifted_rep(tuple(range(1, 64)), 0, ratio=0.6, seed=0)
         assert time.perf_counter() - t0 < 1.0
 
 
-# (items, shift, t, seed, s1, s2): solve_shifted_rep at ratio t/n with the
-# prefilter off and repeat_cap=4, so the bin join decides, recorded from the
-# join that stable-sorted bin k2. Repeated item values give equal-sum groups
+# (items, shift, t, seed, s1, s2): solve_shifted_rep at ratio t/n with
+# repeat_cap=4, recorded from the join that stable-sorted bin k2. Repeated item values give equal-sum groups
 # of several bin-k2 ranks; a join that walks a group in sort order rather
 # than rank order returns a different pair on 13 of these. Every third case
 # mixes in 2^64 + x items, whose sums collide mod 2^64.
@@ -461,7 +443,7 @@ SHIFTED_REP_GOLDEN = [
 
 class TestShiftedRepGolden:
     def test_same_pairs_as_stable_sort_join(self):
-        budget = SolverBudget(prefilter=False, repeat_cap=4)
+        budget = SolverBudget(repeat_cap=4)
         got = []
         for items, shift, t, seed, _, _ in SHIFTED_REP_GOLDEN:
             out = solve_shifted_rep(items, shift, t / len(items), seed=seed, budget=budget)
@@ -475,10 +457,10 @@ def _ref_rep_join(table, shift, k, k2, scan1, scan2):
     exact pair by bin-k rank, then bin-k2 rank."""
     if not scan2:
         return None
-    sums2 = solvers._bin_sums_batch(table, k2, 1, scan2)
+    sums2 = dpbins._bin_sums_batch(table, k2, 1, scan2)
     order = np.argsort(sums2)
     sv = sums2[order]
-    want = solvers._bin_sums_batch(table, k, 1, scan1) - np.uint64(shift % (1 << 64))
+    want = dpbins._bin_sums_batch(table, k, 1, scan1) - np.uint64(shift % (1 << 64))
     pos = np.searchsorted(sv, want)
     for rank in np.flatnonzero(pos < sv.size).tolist():
         hi = np.searchsorted(sv, want[rank], "right")
@@ -498,13 +480,7 @@ def _ref_shifted_rep(items, shift, ratio, seed, budget):
     masks, draw count, every draw's record)."""
     n = len(items)
     t = max(1, min(n - 1, round(ratio * n)))
-    rng = as_rng(seed, "shifted-rep", t)
     bn_bits, heavy = (n - t, 1 << t) if t > n // 2 else ((n + 1) // 2, solvers._ceil_half_pow(n))
-    if budget.prefilter:
-        for _ in range(min(budget.resolved_sample_cap(n), 1 << bn_bits)):
-            ma, mb = rng.getrandbits(n), rng.getrandbits(n)
-            if ma != mb and solvers._mask_value(items, ma) - solvers._mask_value(items, mb) == shift:
-                return SolveStatus.FOUND, (ma, mb), None, []
     records = []
     for r in range(budget.resolved_repeat_cap(n)):
         p = random_prime(1 << bn_bits, 1 << (bn_bits + 1), derive_seed(seed, "shifted-rep-prime", t, r))
@@ -539,10 +515,7 @@ class TestShiftedRepBatches:
         t = data.draw(st.integers(1, max(1, n - 1)))
         seed = data.draw(st.integers(0, 1000))
         # 1, 2, 3 and 8 draws take 1, 2, 2 and 4 batches; None is 4n draws
-        budget = SolverBudget(
-            repeat_cap=data.draw(st.sampled_from([1, 2, 3, 8, None])),
-            prefilter=data.draw(st.booleans()),
-        )
+        budget = SolverBudget(repeat_cap=data.draw(st.sampled_from([1, 2, 3, 8, None])))
         if n == 1:  # no prime range below 2^0
             with pytest.raises(ValueError):
                 solve_shifted_rep(items, shift, t / n, seed, budget)
@@ -561,7 +534,7 @@ class TestShiftedRepBatches:
         # Draws 3, 5-7, 9-15, ... are not the first of their batch: the first
         # exact pair must still come from the earliest draw that has one.
         rng = random.Random(6)
-        budget = SolverBudget(prefilter=False)
+        budget = SolverBudget()
         inside = 0
         for seed in range(40):
             n = rng.randrange(8, 13)
@@ -584,14 +557,14 @@ class TestShiftedRepBatches:
         draws = []
         for k in range(5):
             k2 = (k - shift) % 5
-            assert not solvers._bin_sums_batch(table, k, 1, table.bin_size(k)).any()
+            assert not dpbins._bin_sums_batch(table, k, 1, table.bin_size(k)).any()
             draws.append((0, k, k2, table.bin_size(k), table.bin_size(k2)))
         unranked = []
         with monkeypatch.context() as m:
             m.setattr(solvers, "_unrank_mask", lambda *a: unranked.append(a))
             assert solvers._shifted_rep_join(items, shift, [table], draws, solvers._Deadline(None)) == (None, False)
         assert unranked == []
-        out = solve_shifted_rep(items, shift, 0.5, seed=1, budget=SolverBudget(prefilter=False))
+        out = solve_shifted_rep(items, shift, 0.5, seed=1)
         assert out.status is SolveStatus.INCONCLUSIVE and out.trace["batches"] > 1
 
     def test_shift_zero_self_matches_are_never_confirmed(self, monkeypatch):
@@ -604,7 +577,7 @@ class TestShiftedRepBatches:
         monkeypatch.setattr(solvers, "_unrank_mask", lambda *a: unranked.append(a))
         assert solvers._shifted_rep_join(items, 0, tables, draws, solvers._Deadline(None)) == (None, False)
         assert unranked == []
-        out = solve_shifted_rep(items, 0, 0.5, seed=2, budget=SolverBudget(prefilter=False))
+        out = solve_shifted_rep(items, 0, 0.5, seed=2)
         assert out.status is SolveStatus.INCONCLUSIVE and unranked == []
 
     def test_trace_counts_batches_tables_and_dropped_draws(self):
@@ -645,8 +618,8 @@ class TestShiftedRepBatches:
         assert any(d["enumerated"][1] < d["bins"][1] for d in out.trace["draws"])
 
 
-# (items, shift, t, seed, s1, s2), recorded from the dict join over
-# pure-Python pair generators. Small items repeat values, so several left
+# (items, shift, None, None, s1, s2): solve_shifted_exhaustive pairs,
+# recorded from the dict join over pure-Python pair generators. Small items repeat values, so several left
 # states share a difference; every third case holds 2^64 + x items, whose
 # differences collide mod 2^64.
 SHIFTED_EXHAUSTIVE_GOLDEN = [
@@ -666,14 +639,6 @@ SHIFTED_EXHAUSTIVE_GOLDEN = [
     ((364374, 961415, 665003), 1029377, None, None, (1, 3), ()),
     ((36893488147419103237, 36893488147419103238, 18446744073709551621, 18446744073709551623, 36893488147419103237, 18446744073709551620, 36893488147419103236, 18446744073709551621, 36893488147419103240, 18446744073709551619, 18446744073709551618), 0, None, None, (1,), (5,)),
     ((7, 7, 8), 8, None, None, (3,), ()),
-    ((795684, 368305, 255943, 984500, 977294, 573134, 281933, 974187, 950435, 439137, 657073, 472089), 0, 9, 1, (2, 3, 4, 6, 11), (5, 9, 10, 12)),
-    ((18446744073709551623, 36893488147419103238, 36893488147419103240, 36893488147419103240, 36893488147419103234, 18446744073709551624, 36893488147419103236, 18446744073709551620), 92233720368547758094, 3, 93, (3, 5, 8), ()),
-    ((5, 8, 5, 8), 0, 2, 96, (4,), (2,)),
-    ((783633, 781287, 656447, 778899, 965487, 566712, 249749, 895754, 239471, 988645), 1138861, 5, 60, (1, 2, 4), (5, 9)),
-    ((36893488147419103236, 18446744073709551618, 18446744073709551618, 36893488147419103236, 36893488147419103237, 36893488147419103240, 18446744073709551617, 18446744073709551619, 18446744073709551619, 18446744073709551618), 0, 10, 75, (2, 4, 6, 7, 10), (1, 3, 5, 8, 9)),
-    ((1, 4, 2, 8, 5, 2), 2, 5, 33, (1, 3, 5, 6), (4,)),
-    ((860159, 1002913, 506503, 815037, 287251, 917314, 888595, 87090, 891592, 680255, 1005445, 985653), 0, 8, 60, (3, 5, 6, 8, 11), (2, 4, 12)),
-    ((18446744073709551623, 18446744073709551621, 18446744073709551618, 18446744073709551618, 36893488147419103234), 5, 2, 74, (1,), (4,)),
 ]
 
 
@@ -709,14 +674,9 @@ class TestShiftedExhaustive:
         assert solve_shifted_exhaustive(items, 0).status is SolveStatus.NOT_FOUND
 
     def test_golden_pairs(self):
-        # t None: solve_shifted_exhaustive; else solve_shifted_mitm at ratio
-        # t/n with exhaustive=True and the seed
         got = []
-        for items, shift, t, seed, _, _ in SHIFTED_EXHAUSTIVE_GOLDEN:
-            if t is None:
-                out = solve_shifted_exhaustive(items, shift)
-            else:
-                out = solve_shifted_mitm(items, shift, t / len(items), seed=seed, exhaustive=True)
+        for items, shift, _, _, _, _ in SHIFTED_EXHAUSTIVE_GOLDEN:
+            out = solve_shifted_exhaustive(items, shift)
             assert out.found
             got.append((out.witness.s1.indices, out.witness.s2.indices))
         assert got == [(s1, s2) for *_, s1, s2 in SHIFTED_EXHAUSTIVE_GOLDEN]
@@ -750,6 +710,19 @@ class TestShiftedDispatcher:
                 assert verify(inst, out.witness)
             else:
                 assert out.status is SolveStatus.NOT_FOUND
+
+    def test_bad_sub_solver_pair_is_a_fault(self, monkeypatch):
+        # a class solver that returns FOUND with a wrong pair is a program
+        # fault: the sweep raises instead of moving on to the next class
+        bad = Pair(S(1), S(2))  # 1 - 2 != 0
+
+        def found(items, shift, ratio, seed, budget):
+            return SolveOutcome(SolveStatus.FOUND, bad, seed, 0.0, {"algorithm": "stub"})
+
+        monkeypatch.setattr(solvers, "solve_shifted_rep", found)
+        monkeypatch.setattr(solvers, "solve_shifted_mitm", found)
+        with pytest.raises(RuntimeError):
+            solve_shifted((1, 2, 4, 8), 0, seed=0)
 
     def test_skips_exhaustive_above_cap(self, monkeypatch):
         monkeypatch.setattr(solvers, "_EXHAUSTIVE_CAP_N", 3)
@@ -984,12 +957,7 @@ class TestWideItems:
             out = solve_shifted_exhaustive(items, shift)
             assert out.found == want
             assert out.found or out.status is SolveStatus.NOT_FOUND
-            classes = []
             for t in range(1, len(items) + 1):
-                for exhaustive in (False, True):
-                    out = solve_shifted_mitm(items, shift, t / len(items), seed=t, exhaustive=exhaustive)
-                    if out.found:
-                        assert want and verify(inst, out.witness)
-                    if exhaustive:
-                        classes.append(out.found)
-            assert any(classes) == want
+                out = solve_shifted_mitm(items, shift, t / len(items), seed=t)
+                if out.found:
+                    assert want and verify(inst, out.witness)
