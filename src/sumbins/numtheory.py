@@ -71,6 +71,8 @@ def is_probable_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n < 97 * 97:  # a composite this small has a prime factor <= 97
+        return True
 
     d = n - 1
     r = 0

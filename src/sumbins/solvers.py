@@ -661,7 +661,7 @@ def _shifted_rep_join(
     timed out).
     """
     tab, ks, k2s, scan1, scan2 = (np.array(c, dtype=np.int64) for c in zip(*draws))
-    walked, which = (tables[0], None) if len(draws) == 1 else (_stack_tables(tables), tab)
+    walked, which = (tables[draws[0][0]], None) if len(draws) == 1 else (_stack_tables(tables), tab)
 
     def keyed(bins: np.ndarray, scans: np.ndarray):
         # A key is the rank's sum mod 2^64, plus draw * _TAG for a stack.
@@ -727,14 +727,19 @@ def solve_shifted_rep(
     over the two bins, enumerating at most n^2 * 2^((1-b) n) entries per
     bin.
 
-    Draws run in doubling batches of 1, 2, 4, ... draws, grown only while a
-    batch's bins fit one walk chunk. A batch builds one table per distinct
-    prime and joins all its draws at once (:func:`_shifted_rep_join`). The
-    witness rule is that of one draw at a time: the first draw with an
-    exact pair, then its lowest bin-k rank, then its lowest bin-k2 rank.
-    ``trace["draw_count"]`` counts the draws up to the deciding one, and
-    only those get ``draws`` records (at most _TRACE_DRAWS, the rest are
-    counted in ``draws_dropped``).
+    The first batch is one draw, so a planted pair can end the search
+    there. Each later batch holds _BATCH_CHUNK // (2 * the largest scan of
+    the batch before) draws, so its bins fill about one walk chunk. A batch
+    builds one table per distinct prime and joins all its draws at once
+    (:func:`_shifted_rep_join`). A draw whose (p, k) an earlier draw of the
+    call already joined with at least its scans is the same search and
+    cannot hit: it is not walked again, only counted in
+    ``trace["repeats_skipped"]``. The witness rule is that of one draw at a
+    time: the first draw with an exact pair, then its lowest bin-k rank,
+    then its lowest bin-k2 rank. ``trace["draw_count"]`` counts the draws
+    (skipped ones too) up to the deciding one, and only those get ``draws``
+    records (at most _TRACE_DRAWS, the rest are counted in
+    ``draws_dropped``).
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -758,9 +763,11 @@ def solve_shifted_rep(
         "draws_dropped": 0,
         "batches": 0,
         "tables_built": 0,
+        "repeats_skipped": 0,
     }
 
     repeats = budget.resolved_repeat_cap(n)
+    joined: dict = {}  # (p, k) -> the largest bin-k2 scan joined for it
     r, size = 0, 1
     while r < repeats:
         if deadline.expired():
@@ -783,19 +790,24 @@ def solve_shifted_rep(
         # INCONCLUSIVE, so capping that scan is as sound as enum_cap; a draw
         # capped only for the draws before it waits for the next batch.
         room = max(0, cap - table_bytes * (3 if len(batch) > 1 else 1)) // _REP_ENTRY_BYTES
-        draws, records = [], []
+        draws, records, index = [], [], []
         for p, k in batch:
             table, k2 = tables[table_of[p]], (k - shift) % p
             bins = [table.bin_size(k), table.bin_size(k2)]
             scans = [min(bins[0], enum_cap), min(bins[1], enum_cap, room)]
             if draws and scans[1] < min(bins[1], enum_cap):
                 break
-            room -= scans[1]
-            draws.append((table_of[p], k, k2, *scans))
             records.append({"p": p, "k": k, "bins": bins, "enumerated": scans})
-        hit, timed_out = _shifted_rep_join(items, shift, tables, draws, deadline)
+            if joined.get((p, k), -1) >= scans[1]:
+                continue  # that bin pair was searched at least this far
+            joined[(p, k)] = scans[1]
+            room -= scans[1]
+            index.append(len(records))
+            draws.append((table_of[p], k, k2, *scans))
+        hit, timed_out = _shifted_rep_join(items, shift, tables, draws, deadline) if draws else (None, False)
         trace["batches"] += 1
-        decided = len(draws) if hit is None else hit[0] + 1
+        decided = len(records) if hit is None else index[hit[0]]
+        trace["repeats_skipped"] += decided - (len(draws) if hit is None else hit[0] + 1)
         r += decided
         _record_draws(trace, records[:decided])
         if hit is not None:
@@ -804,8 +816,8 @@ def solve_shifted_rep(
         if timed_out:
             trace["timed_out"] = True
             break
-        fits = 2 * max(sum(d[3] for d in draws), sum(d[4] for d in draws)) <= _BATCH_CHUNK
-        size = 2 * len(draws) if fits else len(draws)
+        if draws:
+            size = max(1, _BATCH_CHUNK // max(1, 2 * max(max(d[3:]) for d in draws)))
     trace["draw_count"] = r
     return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
 
@@ -874,9 +886,12 @@ def solve_shifted(
     afford it; perfect-partition pairs (total size n) are only reachable by
     phase 2, since phase 1 classes stop at n-1.
 
-    Every ``trace["phases"]`` entry carries the phase's ``elapsed_ms``. An
-    INCONCLUSIVE result names its ``trace["reason"]``: "timed_out", or
-    "exhaustive_skipped" when n is above the exhaustive pass's cap.
+    A phase-1 class whose solver refuses with :class:`ResourceLimitError`
+    (its states or tables would pass ``memory_cap_bytes``) is recorded with
+    status "skipped" and the sweep goes on. Every ``trace["phases"]`` entry
+    carries the phase's ``elapsed_ms``. An INCONCLUSIVE result names its
+    ``trace["reason"]``: "timed_out", or "exhaustive_skipped" when n is
+    above the exhaustive pass's cap.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -909,10 +924,15 @@ def solve_shifted(
             return give_up("timed_out")
         ratio = t / n
         child_seed = derive_seed(seed, "dispatch", t)
-        if lo <= ratio < hi:
-            sub = solve_shifted_rep(items, shift, ratio, child_seed, phase_budget())
-        else:
-            sub = solve_shifted_mitm(items, shift, ratio, child_seed, phase_budget())
+        rep = lo <= ratio < hi
+        clock = _Deadline(None)
+        try:
+            sub = (solve_shifted_rep if rep else solve_shifted_mitm)(items, shift, ratio, child_seed, phase_budget())
+        except ResourceLimitError:
+            # Phase 1 only gambles (a miss is never NOT_FOUND), so skipping a class is sound.
+            entry = {"t": t, "algorithm": "shifted-rep" if rep else "shifted-mitm", "status": "skipped"}
+            trace["phases"].append({**entry, "elapsed_ms": clock.elapsed_ms()})
+            continue
         record(t, sub)
         if sub.found:
             _check_witness(_verify_pair(items, sub.witness, shift))

@@ -21,6 +21,16 @@ class TestIsProbablePrime:
         for n in range(-3, 2000):
             assert is_probable_prime(n) == sympy.isprime(n), n
 
+    def test_every_n_below_20000_against_sieve(self):
+        # crosses 97^2 = 9409, below which trial division alone decides
+        limit = 20_000
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\x00\x00"
+        for p in range(2, int(limit**0.5) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+        assert [n for n in range(limit) if is_probable_prime(n)] == [n for n in range(limit) if sieve[n]]
+
     @pytest.mark.parametrize("n", TRAPS)
     def test_pseudoprime_traps(self, n):
         assert not is_probable_prime(n)

@@ -514,7 +514,7 @@ class TestShiftedRepBatches:
         shift = data.draw(st.sampled_from([0, planted % total, data.draw(st.integers(0, total - 1))]))
         t = data.draw(st.integers(1, max(1, n - 1)))
         seed = data.draw(st.integers(0, 1000))
-        # 1, 2, 3 and 8 draws take 1, 2, 2 and 4 batches; None is 4n draws
+        # the first batch is one draw, each later one as many as fill a walk chunk; None is 4n draws
         budget = SolverBudget(repeat_cap=data.draw(st.sampled_from([1, 2, 3, 8, None])))
         if n == 1:  # no prime range below 2^0
             with pytest.raises(ValueError):
@@ -586,10 +586,53 @@ class TestShiftedRepBatches:
         assert trace["draw_count"] == 64
         assert len(trace["draws"]) == solvers._TRACE_DRAWS
         assert trace["draws_dropped"] == 64 - solvers._TRACE_DRAWS
-        assert 1 < trace["batches"] < 64  # 1 + 2 + 4 + 8 + 16 + 32 + 1 draws
+        assert 1 < trace["batches"] < 64  # 1 + 63 draws
         assert trace["tables_built"] <= 64 and len({d["p"] for d in trace["draws"]}) <= trace["tables_built"]
         sub = solve_subset_sum_rep((2, 4, 8), 5, seed=1)
         assert sub.trace["draws_dropped"] == 0
+
+    def test_repeated_bin_pairs_are_walked_once(self):
+        # n=12, t=9: the primes in [8, 16) are 11 and 13, so 48 draws share
+        # 24 bin pairs; a repeat is not walked again but still counted.
+        rng = random.Random(12)
+        cases = [(tuple(1 << i for i in range(12)), 0, 0)]
+        for seed in range(1, 6):
+            items = tuple(rng.randrange(1, 1 << 40) for _ in range(12))
+            cases.append((items, rng.choice([0, abs(items[0] + items[1] - items[2])]), seed))
+        for items, shift, seed in cases:
+            status, masks, draw_count, records = _ref_shifted_rep(items, shift, 9 / 12, seed, SolverBudget())
+            out = solve_shifted_rep(items, shift, 9 / 12, seed)
+            assert (out.status, _masks(out), out.trace["draw_count"]) == (status, masks, draw_count)
+            assert out.trace["draws"] == records[: solvers._TRACE_DRAWS]
+            if seed == 0:  # the powers of two: 48 draws, no pair
+                assert draw_count == 48 and out.trace["repeats_skipped"] > 0
+
+    def test_lone_draw_walks_its_own_table(self):
+        # A batch with one walked draw on its second table (the draws of the
+        # first were repeats) must walk that table, not tables[0].
+        rng = random.Random(31)
+        items = tuple(rng.randrange(1 << 19, 1 << 20) for _ in range(3)) + tuple(
+            rng.randrange(1, 1 << 18) for _ in range(7)
+        )
+        shift = sum(items[:3]) - sum(items[3:5])
+        tables = [build_table(items, 5), build_table(items, 31)]
+        k = sum(items[:3]) % 31
+        draw = (1, k, (k - shift) % 31, tables[1].bin_size(k), tables[1].bin_size((k - shift) % 31))
+        want = _ref_rep_join(tables[1], shift, *draw[1:])
+        assert want is not None
+        hit, timed_out = solvers._shifted_rep_join(items, shift, tables, [draw], solvers._Deadline(None))
+        assert not timed_out and hit[0] == 0
+        assert _masks(SolveOutcome(SolveStatus.FOUND, hit[1], 0, 0.0, {})) == want
+
+    def test_small_bins_take_at_most_three_batches(self):
+        # Powers of two have distinct sums: at n=15, p in [128, 256), every
+        # bin holds under 256 ranks, and the class has no pair at shift 0.
+        items = tuple(1 << i for i in range(15))
+        for seed in range(4):
+            out = solve_shifted_rep(items, 0, 0.5, seed)
+            assert out.status is SolveStatus.INCONCLUSIVE and out.trace["draw_count"] == 60
+            assert all(max(d["bins"]) < 256 for d in out.trace["draws"])
+            assert out.trace["batches"] <= 3
 
     @pytest.mark.parametrize("shift", [0, 123456789])
     def test_time_cap_at_n20(self, shift):
@@ -723,6 +766,20 @@ class TestShiftedDispatcher:
         monkeypatch.setattr(solvers, "solve_shifted_mitm", found)
         with pytest.raises(RuntimeError):
             solve_shifted((1, 2, 4, 8), 0, seed=0)
+
+    def test_classes_past_the_memory_cap_are_skipped(self):
+        # At n=48 the mitm classes t=47..38 each need more than the default
+        # 8 GiB of pair states: they are skipped, and the first rep class
+        # (t=37) runs until the time cap ends the solve.
+        rng = random.Random(48)
+        items = [rng.randrange(1, 1 << 144) for _ in range(48)]
+        t0 = time.perf_counter()
+        out = solve_shifted(items, 0, seed=1, budget=SolverBudget(time_cap_ms=300.0))
+        assert time.perf_counter() - t0 < 1.0
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["reason"] == "timed_out"
+        skipped = [p["t"] for p in out.trace["phases"] if p["status"] == "skipped"]
+        assert skipped == list(range(47, 37, -1))
+        assert out.trace["phases"][len(skipped)]["algorithm"] == "shifted-rep"
 
     def test_skips_exhaustive_above_cap(self, monkeypatch):
         monkeypatch.setattr(solvers, "_EXHAUSTIVE_CAP_N", 3)
