@@ -564,6 +564,8 @@ def solve_shifted_mitm(
     ratio: float,
     seed: int = 0,
     budget: SolverBudget | None = None,
+    *,
+    _start: int = 0,
 ) -> SolveOutcome:
     """Search for disjoint (S1, S2) with sum(S1) - sum(S2) = shift and
     |S1| + |S2| = t = round(ratio * n), across random balanced splits.
@@ -581,6 +583,9 @@ def solve_shifted_mitm(
     earliest split, then lowest right state, then lowest left state, where a
     side's states are ordered by their union in lexicographic order, then by
     the subset of the union in S1 (its bit j for union member j).
+
+    ``_start`` resumes at that split (the earlier permutations are drawn
+    and dropped); ``trace["splits"]`` counts only this call's splits.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -605,13 +610,15 @@ def solve_shifted_mitm(
     words = np.array([a & _WORD_MASK for a in items], dtype=np.uint64)
     shift_w = np.uint64(shift & _WORD_MASK)
     batch_cap = max(1, _PAIR_CHUNK // (per1 + per2))
-    batch = 1
-    while trace["splits"] < repeats:
+    for _ in range(_start):
+        rng.sample(range(n), n)
+    batch = _start + 1  # resumed after split 0, the batches go 2, 4, ... as before
+    while _start + trace["splits"] < repeats:
         if deadline.expired():
             trace["timed_out"] = True
             break
         done = trace["splits"]
-        size = min(batch, batch_cap, repeats - done)
+        size = min(batch, batch_cap, repeats - _start - done)
         perms = [rng.sample(range(n), n) for _ in range(size)]
         lefts = [sorted(p[:h1]) for p in perms]
         rights = [sorted(p[h1:]) for p in perms]
@@ -718,6 +725,8 @@ def solve_shifted_rep(
     ratio: float,
     seed: int = 0,
     budget: SolverBudget | None = None,
+    *,
+    _start: int = 0,
 ) -> SolveOutcome:
     """Bin-pair search tuned for solutions of total size about ratio * n.
 
@@ -730,16 +739,20 @@ def solve_shifted_rep(
     The first batch is one draw, so a planted pair can end the search
     there. Each later batch holds _BATCH_CHUNK // (2 * the largest scan of
     the batch before) draws, so its bins fill about one walk chunk. A batch
-    builds one table per distinct prime and joins all its draws at once
-    (:func:`_shifted_rep_join`). A draw whose (p, k) an earlier draw of the
-    call already joined with at least its scans is the same search and
-    cannot hit: it is not walked again, only counted in
+    is joined at once (:func:`_shifted_rep_join`), with tables only for the
+    primes of draws to walk or to size. A draw whose (p, k) an earlier draw
+    of the call already joined with at least its scans is the same search
+    and cannot hit: it is not walked again, only counted in
     ``trace["repeats_skipped"]``. The witness rule is that of one draw at a
     time: the first draw with an exact pair, then its lowest bin-k rank,
     then its lowest bin-k2 rank. ``trace["draw_count"]`` counts the draws
     (skipped ones too) up to the deciding one, and only those get ``draws``
     records (at most _TRACE_DRAWS, the rest are counted in
     ``draws_dropped``).
+
+    ``_start`` resumes at that draw. No later draw scans a bin pair further
+    than a batch's lone first draw did, so the earlier draws' pairs count as
+    joined; ``draw_count`` and the records cover this call's draws.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -747,12 +760,7 @@ def solve_shifted_rep(
     n = len(items)
     _require_word_rows(n)
     t = max(1, min(n - 1, round(ratio * n)))
-    if t > n // 2:
-        bn_bits = n - t
-        heavy_ceil = 1 << t
-    else:
-        bn_bits = (n + 1) // 2
-        heavy_ceil = _ceil_half_pow(n)
+    bn_bits, heavy_ceil = (n - t, 1 << t) if t > n // 2 else ((n + 1) // 2, _ceil_half_pow(n))
     enum_cap = n * n * heavy_ceil
     cap = budget.memory_cap_bytes
     trace: dict = {
@@ -767,43 +775,60 @@ def solve_shifted_rep(
     }
 
     repeats = budget.resolved_repeat_cap(n)
-    joined: dict = {}  # (p, k) -> the largest bin-k2 scan joined for it
-    r, size = 0, 1
+
+    def draw(i: int) -> tuple[int, int]:
+        p = random_prime(1 << bn_bits, 1 << (bn_bits + 1), derive_seed(seed, "shifted-rep-prime", t, i))
+        return p, random_residue(p, derive_seed(seed, "shifted-rep-residue", t, i))
+
+    replayed = [draw(i) for i in range(_start)]
+    # (p, k) -> [its two bin sizes or None, the largest bin-k2 scan joined]
+    seen: dict = {pk: [None, math.inf] for pk in replayed}
+    # resumed, the first batch is sized for bins of the mean 2^n / p, p the last replayed prime
+    r, size = _start, max(1, (_BATCH_CHUNK * replayed[-1][0]) >> (n + 1)) if _start else 1
     while r < repeats:
         if deadline.expired():
             trace["timed_out"] = True
             break
         # Several draws stack their tables too (the rows again and a step
         # per entry): the batch stops short where that would pass the cap.
-        batch, table_of, table_bytes = [], {}, 0
+        batch, primes, table_bytes = [], set(), 0
         for i in range(r, min(repeats, r + size)):
-            p = random_prime(1 << bn_bits, 1 << (bn_bits + 1), derive_seed(seed, "shifted-rep-prime", t, i))
-            need = table_bytes + (0 if p in table_of else estimate_table_bytes(n, p))
+            p, k = draw(i)
+            need = table_bytes + (0 if p in primes else estimate_table_bytes(n, p))
             if batch and 3 * need > cap:
                 break
-            table_of.setdefault(p, len(table_of))
+            primes.add(p)
             table_bytes = need
-            batch.append((p, random_residue(p, derive_seed(seed, "shifted-rep-residue", t, i))))
-        tables = [build_table(items, p, cap) for p in table_of]
-        trace["tables_built"] += len(tables)
+            batch.append((p, k))
+        tables, table_of = [], {}
+
+        def table(p: int) -> int:
+            if p not in table_of:
+                table_of[p] = len(tables)
+                tables.append(build_table(items, p, cap))
+            return table_of[p]
+
         # The join holds _REP_ENTRY_BYTES per bin-k2 entry. A miss is only
         # INCONCLUSIVE, so capping that scan is as sound as enum_cap; a draw
         # capped only for the draws before it waits for the next batch.
         room = max(0, cap - table_bytes * (3 if len(batch) > 1 else 1)) // _REP_ENTRY_BYTES
         draws, records, index = [], [], []
         for p, k in batch:
-            table, k2 = tables[table_of[p]], (k - shift) % p
-            bins = [table.bin_size(k), table.bin_size(k2)]
+            k2, known = (k - shift) % p, seen.setdefault((p, k), [None, -1])
+            if known[0] is None:
+                known[0] = [tables[table(p)].bin_size(x) for x in (k, k2)]
+            bins = known[0]
             scans = [min(bins[0], enum_cap), min(bins[1], enum_cap, room)]
             if draws and scans[1] < min(bins[1], enum_cap):
                 break
             records.append({"p": p, "k": k, "bins": bins, "enumerated": scans})
-            if joined.get((p, k), -1) >= scans[1]:
+            if known[1] >= scans[1]:
                 continue  # that bin pair was searched at least this far
-            joined[(p, k)] = scans[1]
+            known[1] = scans[1]
             room -= scans[1]
             index.append(len(records))
-            draws.append((table_of[p], k, k2, *scans))
+            draws.append((table(p), k, k2, *scans))
+        trace["tables_built"] += len(tables)
         hit, timed_out = _shifted_rep_join(items, shift, tables, draws, deadline) if draws else (None, False)
         trace["batches"] += 1
         decided = len(records) if hit is None else index[hit[0]]
@@ -811,14 +836,14 @@ def solve_shifted_rep(
         r += decided
         _record_draws(trace, records[:decided])
         if hit is not None:
-            trace["draw_count"] = r
+            trace["draw_count"] = r - _start
             return _outcome(SolveStatus.FOUND, hit[1], seed, deadline, trace)
         if timed_out:
             trace["timed_out"] = True
             break
         if draws:
             size = max(1, _BATCH_CHUNK // max(1, 2 * max(max(d[3:]) for d in draws)))
-    trace["draw_count"] = r
+    trace["draw_count"] = r - _start
     return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
 
 
@@ -878,20 +903,26 @@ def solve_shifted(
 ) -> SolveOutcome:
     """Two-phase shifted-sums driver.
 
-    Phase 1 sweeps solution-size classes t = n-1 .. 1 (largest first) and
+    Phase 1 visits solution-size classes t = n-1 .. 1 (largest first) and
     picks the residue-binning solver where its cost exponent beats
     meet-in-the-middle (between the classical crossover ratios), and the
-    single-class mitm otherwise. Phase 2 falls back to the exhaustive pair
-    search so a miss becomes a definitive NOT_FOUND for n small enough to
-    afford it; perfect-partition pairs (total size n) are only reachable by
-    phase 2, since phase 1 classes stop at n-1.
+    single-class mitm otherwise, in two passes: the probe gives each class
+    only its first draw or split, where planted pairs are mostly hit, and
+    the sweep resumes each class at its second and runs it to the repeat
+    cap. The passes make the draws and splits of one full run per class,
+    none twice; the witness is the first hit in probe order, then in sweep
+    order. Phase 2 falls back to the exhaustive pair search so a miss
+    becomes a definitive NOT_FOUND for n small enough to afford it;
+    perfect-partition pairs (total size n) are only reachable by phase 2,
+    since phase 1 classes stop at n-1.
 
     A phase-1 class whose solver refuses with :class:`ResourceLimitError`
     (its states or tables would pass ``memory_cap_bytes``) is recorded with
-    status "skipped" and the sweep goes on. Every ``trace["phases"]`` entry
-    carries the phase's ``elapsed_ms``. An INCONCLUSIVE result names its
-    ``trace["reason"]``: "timed_out", or "exhaustive_skipped" when n is
-    above the exhaustive pass's cap.
+    status "skipped" and not tried again. Every ``trace["phases"]`` entry
+    carries its ``pass`` ("probe", "sweep" or "exhaustive") and the phase's
+    ``elapsed_ms``; a FOUND names ``found_at_class`` and ``found_in_pass``.
+    An INCONCLUSIVE result names its ``trace["reason"]``: "timed_out", or
+    "exhaustive_skipped" when n is above the exhaustive pass's cap.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -900,13 +931,13 @@ def solve_shifted(
     cx = costmodel.crossovers()
     lo, hi = cx["classical_l1"], cx["classical_l2"]
 
-    def phase_budget() -> SolverBudget:
+    def phase_budget(**knobs) -> SolverBudget:
         # Each phase inherits whatever of the overall cap is left, so a
         # single size class cannot blow through the caller's deadline.
         remaining = None
         if budget.time_cap_ms is not None:
             remaining = max(1.0, budget.time_cap_ms - deadline.elapsed_ms())
-        return replace(budget, time_cap_ms=remaining)
+        return replace(budget, time_cap_ms=remaining, **knobs)
 
     trace: dict = {"algorithm": "shifted-dispatch", "phases": []}
 
@@ -915,35 +946,41 @@ def solve_shifted(
         trace["reason"] = reason
         return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
 
-    def record(t, sub: SolveOutcome) -> None:
-        entry = {"t": t, "algorithm": sub.trace.get("algorithm"), "status": sub.status.value}
-        trace["phases"].append({**entry, "elapsed_ms": sub.elapsed_ms})
+    def record(*entry) -> None:  # t, pass, algorithm, status, elapsed_ms
+        trace["phases"].append(dict(zip(("t", "pass", "algorithm", "status", "elapsed_ms"), entry)))
 
-    for t in range(n - 1, 0, -1):
-        if deadline.expired():
-            return give_up("timed_out")
-        ratio = t / n
-        child_seed = derive_seed(seed, "dispatch", t)
-        rep = lo <= ratio < hi
-        clock = _Deadline(None)
-        try:
-            sub = (solve_shifted_rep if rep else solve_shifted_mitm)(items, shift, ratio, child_seed, phase_budget())
-        except ResourceLimitError:
-            # Phase 1 only gambles (a miss is never NOT_FOUND), so skipping a class is sound.
-            entry = {"t": t, "algorithm": "shifted-rep" if rep else "shifted-mitm", "status": "skipped"}
-            trace["phases"].append({**entry, "elapsed_ms": clock.elapsed_ms()})
-            continue
-        record(t, sub)
-        if sub.found:
-            _check_witness(_verify_pair(items, sub.witness, shift))
-            trace["found_at_class"] = t
-            return _outcome(SolveStatus.FOUND, sub.witness, seed, deadline, trace)
+    skipped = set()
+    # (pass, budget knobs, resume keywords) of the probe and the sweep
+    passes = [("probe", {"repeat_cap": 1}, {}), ("sweep", {}, {"_start": 1})]
+    for name, knobs, resume in passes[: 1 + (budget.resolved_repeat_cap(n) > 1)]:
+        for t in range(n - 1, 0, -1):
+            if t in skipped:
+                continue
+            if deadline.expired():
+                return give_up("timed_out")
+            ratio = t / n
+            child_seed = derive_seed(seed, "dispatch", t)
+            rep = lo <= ratio < hi
+            clock = _Deadline(None)
+            try:
+                solve = solve_shifted_rep if rep else solve_shifted_mitm
+                sub = solve(items, shift, ratio, child_seed, phase_budget(**knobs), **resume)
+            except ResourceLimitError:
+                # Phase 1 only gambles (a miss is never NOT_FOUND), so skipping a class is sound.
+                skipped.add(t)
+                record(t, name, "shifted-rep" if rep else "shifted-mitm", "skipped", clock.elapsed_ms())
+                continue
+            record(t, name, sub.trace.get("algorithm"), sub.status.value, sub.elapsed_ms)
+            if sub.found:
+                _check_witness(_verify_pair(items, sub.witness, shift))
+                trace["found_at_class"], trace["found_in_pass"] = t, name
+                return _outcome(SolveStatus.FOUND, sub.witness, seed, deadline, trace)
     if n > _EXHAUSTIVE_CAP_N:
         return give_up("exhaustive_skipped")
     if deadline.expired():
         return give_up("timed_out")
     final = solve_shifted_exhaustive(items, shift, phase_budget())
-    record("all", final)
+    record("all", "exhaustive", final.trace["algorithm"], final.status.value, final.elapsed_ms)
     if final.status is SolveStatus.INCONCLUSIVE:
         return give_up("timed_out")
     return _outcome(final.status, final.witness, seed, deadline, trace)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import sumbins.dpbins as dpbins
 import sumbins.solvers as solvers
-from sumbins.core import Pair, ProblemInstance, Subset, subset_sum, verify
+from sumbins.core import Pair, ProblemInstance, Subset, reduce_two_subset_to_shifted, subset_sum, verify
 from sumbins.dpbins import ResourceLimitError, build_table, estimate_table_bytes
 from sumbins.numtheory import random_prime, random_residue
 from sumbins.oracles import brute_solve
@@ -192,6 +192,26 @@ class TestShiftedMitm:
         with pytest.raises(ResourceLimitError):
             solve_shifted_mitm(items, 0, 0.5, budget=small)
         assert solve_shifted_mitm(items, 0, 0.5, budget=large).found
+
+    def test_resume_continues_the_same_splits(self):
+        # _start=1 redraws split 0's permutation and drops it: a pair that a
+        # full run finds at split s, the resumed run finds at its split s - 1.
+        rng = random.Random(9)
+        later = 0
+        for seed in range(30):
+            n = rng.randrange(6, 13)
+            items = tuple(rng.randrange(1, 1 << (2 * n)) for _ in range(n))
+            chosen = rng.sample(range(n), 2 * (n // 3))
+            shift = abs(sum(items[i] for i in chosen[: n // 3]) - sum(items[i] for i in chosen[n // 3 :]))
+            ratio = len(chosen) / n
+            full = solve_shifted_mitm(items, shift, ratio, seed)
+            resumed = solve_shifted_mitm(items, shift, ratio, seed, _start=1)
+            if full.found and full.trace["splits"] == 1:
+                continue
+            assert resumed.status is full.status and _masks(resumed) == _masks(full)
+            assert resumed.trace["splits"] == full.trace["splits"] - 1
+            later += full.found
+        assert later >= 3
 
     def test_time_cap(self):
         # no pair at all; t = 14 of 28 has 2 * C(14,7) * 2^7 states per split
@@ -607,6 +627,45 @@ class TestShiftedRepBatches:
             if seed == 0:  # the powers of two: 48 draws, no pair
                 assert draw_count == 48 and out.trace["repeats_skipped"] > 0
 
+    def test_batch_of_repeats_builds_no_table(self):
+        # Class t=9 of an unsolvable n=12 dispatcher solve: its primes are 11
+        # and 13, and its third batch holds only repeats. Tables are built
+        # only for primes with a draw to walk or to size (5 before, over the
+        # same 3 batches), and the draws, records and counts stay the same.
+        rng = random.Random(12)
+        items = tuple(rng.randrange(1, 1 << 36) for _ in range(12))
+        seed = derive_seed(0, "dispatch", 9)
+        status, _, draw_count, records = _ref_shifted_rep(items, 0, 9 / 12, seed, SolverBudget())
+        out = solve_shifted_rep(items, 0, 9 / 12, seed)
+        assert out.status is status is SolveStatus.INCONCLUSIVE
+        assert out.trace["draw_count"] == draw_count == 48
+        assert out.trace["draws"] == records[: solvers._TRACE_DRAWS]
+        assert out.trace["repeats_skipped"] == 29
+        assert out.trace["batches"] == 3 and out.trace["tables_built"] <= 3
+        assert {r["p"] for r in records} == {11, 13}
+
+    def test_resume_continues_the_same_draws(self, monkeypatch):
+        # _start=1 is the rest of a full run: the same draws from draw 1 on,
+        # the same witness, and draw 0's bin pair counts as already joined.
+        monkeypatch.setattr(solvers, "_TRACE_DRAWS", 1000)
+        rng = random.Random(14)
+        later = 0
+        for seed in range(24):
+            n = rng.randrange(8, 14)
+            items = tuple(rng.randrange(1, 1 << (2 * n)) for _ in range(n))
+            shift = rng.choice([0, abs(sum(items[: n // 4]) - sum(items[n // 4 : n // 2]))])
+            ratio = rng.choice([0.3, 0.5, 0.7])
+            full = solve_shifted_rep(items, shift, ratio, seed)
+            if full.found and full.trace["draw_count"] == 1:
+                continue
+            resumed = solve_shifted_rep(items, shift, ratio, seed, _start=1)
+            assert resumed.status is full.status and _masks(resumed) == _masks(full)
+            assert resumed.trace["draw_count"] == full.trace["draw_count"] - 1
+            assert resumed.trace["draws"] == full.trace["draws"][1:]
+            assert resumed.trace["repeats_skipped"] == full.trace["repeats_skipped"]
+            later += full.found
+        assert later >= 3
+
     def test_lone_draw_walks_its_own_table(self):
         # A batch with one walked draw on its second table (the draws of the
         # first were repeats) must walk that table, not tables[0].
@@ -803,6 +862,158 @@ class TestShiftedDispatcher:
         monkeypatch.setattr(solvers, "_EXHAUSTIVE_CAP_N", 3)
         big = solve_shifted((1, 2, 4, 8), 0, seed=0, budget=SolverBudget(repeat_cap=1))
         assert big.trace["reason"] == "exhaustive_skipped" and big.trace["exhaustive_skipped"] is True
+
+    @staticmethod
+    def _counting(calls, fn):
+        # the way bench/tracing.py wraps a layer: any arguments, passed on
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            items, _, ratio = args[:3]
+            calls.append((round(ratio * len(items)), kwargs.get("_start", 0), out))
+            return out
+
+        return wrapper
+
+    def test_each_class_is_probed_then_swept_through_module_names(self, monkeypatch):
+        calls = []
+        for name in ("solve_shifted_rep", "solve_shifted_mitm"):
+            monkeypatch.setattr(solvers, name, self._counting(calls, getattr(solvers, name)))
+        out = solve_shifted(tuple(1 << i for i in range(10)), 0, seed=0)  # no pair
+        assert out.status is SolveStatus.NOT_FOUND
+        classes = range(9, 0, -1)
+        assert [c[:2] for c in calls] == [(t, 0) for t in classes] + [(t, 1) for t in classes]
+
+    def test_probe_and_sweep_make_one_full_run_per_class(self, monkeypatch):
+        # On an unsolvable instance each class's probe and sweep together make
+        # the draws (or splits) of one full run of its solver, none twice.
+        monkeypatch.setattr(solvers, "_TRACE_DRAWS", 1000)
+        calls = []
+        for name in ("solve_shifted_rep", "solve_shifted_mitm"):
+            monkeypatch.setattr(solvers, name, self._counting(calls, getattr(solvers, name)))
+        rng = random.Random(10)
+        items = tuple(rng.randrange(1, 1 << 30) for _ in range(10))
+        assert not brute_solve(ProblemInstance("equal_sums", items)).solvable
+        assert solve_shifted(items, 0, seed=5).status is SolveStatus.NOT_FOUND
+        probes, sweeps = calls[:9], calls[9:]
+        for (t, _, probe), (t2, _, sweep) in zip(probes, sweeps):
+            assert t == t2
+            algorithm = probe.trace["algorithm"]
+            fn = solve_shifted_rep if algorithm == "shifted-rep" else solve_shifted_mitm
+            full = fn(items, 0, t / 10, derive_seed(5, "dispatch", t))  # unwrapped
+            if algorithm == "shifted-rep":
+                assert probe.trace["draw_count"] == 1
+                assert probe.trace["draw_count"] + sweep.trace["draw_count"] == full.trace["draw_count"] == 40
+                assert probe.trace["draws"] + sweep.trace["draws"] == full.trace["draws"]
+                assert sweep.trace["repeats_skipped"] == full.trace["repeats_skipped"]
+            else:
+                assert probe.trace["splits"] == 1
+                assert probe.trace["splits"] + sweep.trace["splits"] == full.trace["splits"] == 40
+
+    def test_skipped_class_is_not_swept(self, monkeypatch):
+        real = solvers.solve_shifted_mitm
+
+        def refuse_t8(items, shift, ratio, seed, budget, **kwargs):
+            if round(ratio * len(items)) == 8:
+                raise ResourceLimitError("stub")
+            return real(items, shift, ratio, seed, budget, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_shifted_mitm", refuse_t8)
+        out = solve_shifted(tuple(1 << i for i in range(10)), 0, seed=0)
+        assert out.status is SolveStatus.NOT_FOUND
+        eights = [(p["pass"], p["status"]) for p in out.trace["phases"] if p["t"] == 8]
+        assert eights == [("probe", "skipped")]
+        assert len(out.trace["phases"]) == 9 + 8 + 1  # probe, sweep, exhaustive
+
+    def test_phase_entry_keys(self, monkeypatch):
+        keys = {"t", "pass", "algorithm", "status", "elapsed_ms"}
+        found = solve_shifted((1, 2, 3), 0, seed=0)
+        assert found.found and set(found.trace) == {"algorithm", "phases", "found_at_class", "found_in_pass"}
+        assert all(set(p) == keys for p in found.trace["phases"])
+        last = found.trace["phases"][-1]
+        assert (last["t"], last["pass"]) == (found.trace["found_at_class"], found.trace["found_in_pass"])
+
+        none = solve_shifted((1, 2, 4, 8, 16), 0, seed=0)
+        assert none.status is SolveStatus.NOT_FOUND and set(none.trace) == {"algorithm", "phases"}
+        assert all(set(p) == keys for p in none.trace["phases"])
+        passes = [(p["pass"], p["t"]) for p in none.trace["phases"]]
+        assert passes == [("probe", t) for t in (4, 3, 2, 1)] + [("sweep", t) for t in (4, 3, 2, 1)] + [
+            ("exhaustive", "all")
+        ]
+
+        # every class call takes 30 ms, so a 100 ms cap ends the solve in the probe
+        real = solvers.solve_shifted_mitm
+
+        def slow(*args, **kwargs):
+            time.sleep(0.03)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_shifted_mitm", slow)
+        monkeypatch.setattr(solvers, "solve_shifted_rep", slow)
+        capped = solve_shifted((1, 2, 4, 8, 16, 32), 0, seed=0, budget=SolverBudget(time_cap_ms=100.0))
+        assert capped.status is SolveStatus.INCONCLUSIVE
+        assert set(capped.trace) == {"algorithm", "phases", "timed_out", "reason"}
+        assert capped.trace["reason"] == "timed_out" and 0 < len(capped.trace["phases"]) < 5
+        assert all(set(p) == keys and p["pass"] == "probe" for p in capped.trace["phases"])
+
+
+class TestClassSolversOnGateFamilies:
+    """shifted-rep and the single-class mitm, called directly on the instance
+    families of gates 2 and 7, which reach them only through the dispatcher."""
+
+    RATIOS = (0.25, 0.5, 0.75, 0.9)
+
+    def _found(self, items, shift, inst, lift, seed) -> int:
+        solvable = brute_solve(inst).solvable
+        found = 0
+        for ratio in self.RATIOS:
+            for solve in (solve_shifted_rep, solve_shifted_mitm):
+                out = solve(items, shift, ratio, seed, SolverBudget(repeat_cap=2))
+                assert out.status in (SolveStatus.FOUND, SolveStatus.INCONCLUSIVE)
+                if out.found:
+                    assert solvable and verify(inst, lift(out.witness)), (items, shift, ratio)
+                    found += 1
+        return found
+
+    def test_gate2_equal_and_shifted_families(self):
+        # n <= 14, items <= 2^(2n), half of them with a planted pair
+        rng = random.Random(0xACC2)
+        found = 0
+        for trial in range(150):
+            n = rng.randint(2, 14)
+            items = [rng.randint(1, 1 << (2 * n)) for _ in range(n)]
+            plant = rng.random() < 0.5
+            if trial % 2 == 0:
+                if plant:
+                    items[-1] = items[rng.randrange(n - 1)]
+                shift, inst = 0, ProblemInstance("equal_sums", items)
+            else:
+                shift = rng.randrange(sum(items))
+                if plant:
+                    a = rng.getrandbits(n)
+                    b = rng.getrandbits(n) & ~a
+                    planted = abs(sum(x * ((a >> i & 1) - (b >> i & 1)) for i, x in enumerate(items)))
+                    shift = planted if planted < sum(items) else shift
+                inst = ProblemInstance("shifted_sums", items, shift=shift)
+            found += self._found(items, shift, inst, lambda pair: pair, trial)
+        assert found >= 200
+
+    def test_gate7_two_subset_family(self):
+        # n <= 12, items <= 2^(2n), half the targets planted, through the reduction
+        rng = random.Random(0xACC7)
+        found = 0
+        for trial in range(150):
+            n = rng.randint(2, 12)
+            items = [rng.randint(1, 1 << (2 * n)) for _ in range(n)]
+            total = sum(items)
+            target = sum(a * rng.randint(0, 2) for a in items) if rng.random() < 0.5 else 0
+            if not 0 < target < 2 * total:
+                target = rng.randint(1, 2 * total - 1)
+            red = reduce_two_subset_to_shifted(items, target)
+            if red.all_ones:
+                continue
+            inst = ProblemInstance("two_subset_sum", items, target=target)
+            found += self._found(items, red.shifted.shift, inst, red.lift, trial)
+        assert found >= 150
 
 
 class TestEqualSums:
