@@ -308,7 +308,7 @@ def _bin_sums_batch(
     return sums
 
 
-_WALK_CHUNK = 1 << 15  # ranks per batched walk call; bounds scratch memory
+_WALK_CHUNK = 1 << 15  # ranks per batched walk call (and needles per join chunk); bounds scratch memory
 
 
 def _walk_bins(

@@ -3,13 +3,14 @@
 Two algorithm families:
 
 * meet-in-the-middle ("mitm"): split the indices in half, enumerate both
-  halves and join them (sorted numpy arrays of sums mod 2^64 for a plain
-  target, a dictionary of residues for a modular one). Deterministic;
-  complete for the plain and modular target problems. For shifted sums each
-  half's disjoint pair states (S1, S2) become numpy arrays of sum
-  differences mod 2^64, joined the same way. The single-class search builds
-  one size class per random split, so a miss is only evidence, not a
-  proof: the result is Inconclusive.
+  halves and join them. Each half's disjoint pair states (S1, S2) become a
+  numpy array of sum differences mod 2^64, and one sorted join
+  (``_join_pair_states``) serves every such search: a subset is a pair
+  state with S2 empty, so the plain target's half sums go through it too. A
+  modular target joins a dictionary of residues instead. Deterministic;
+  complete for the plain and modular target problems. The single-class
+  shifted search builds one size class per random split, so a miss is
+  only evidence, not a proof: the result is Inconclusive.
 
 * residue binning ("rep"): pick a random prime p, build the count table,
   and walk the one bin (or pair of bins) that must contain a solution. For
@@ -20,7 +21,7 @@ Two algorithm families:
 ``solve_shifted`` combines both: a sweep over solution-size ratios picks
 mitm or rep per ratio by their cost exponents, and a final folklore
 exhaustive pass (all 3^(n/2) pair states of each half, all sizes at once)
-settles NotFound for small n.
+settles NotFound while its pair states fit ``memory_cap_bytes``.
 
 Numpy sums wrap mod 2^64 whatever the item width, so a match there is only
 a candidate until exact integer arithmetic confirms it. All witnesses are
@@ -49,6 +50,8 @@ from .core import (
 from .dpbins import (
     DEFAULT_MEMORY_CAP_BYTES,
     ResourceLimitError,
+    _WALK_CHUNK,
+    _WORD_MASK,
     _require_word_rows,
     _stack_tables,
     _unrank_mask,
@@ -75,10 +78,7 @@ __all__ = [
     "solve_instance",
 ]
 
-_EXHAUSTIVE_CAP_N = 24  # 3^(n/2) pair states per half
 _TRACE_DRAWS = 24  # keep at most this many per-draw records in a trace
-_BATCH_CHUNK = 1 << 15  # bin ranks unranked per vector call
-_WORD_MASK = (1 << 64) - 1
 
 
 class SolveStatus(Enum):
@@ -195,12 +195,13 @@ def solve_subset_sum_mitm(
 ) -> SolveOutcome:
     """Deterministic complete search in O(2^(n/2)) time and space.
 
-    The half sums are hashed mod 2^64 and joined over sorted numpy arrays;
-    probing with needles that are themselves sorted keeps the binary
-    searches cache friendly. A wrapped match is only a candidate: second-half
-    masks are confirmed exactly in ascending order, and the witness pairs
-    the first one with an exact partner with the lowest first-half mask
-    holding the needed value.
+    A subset is a pair state with S2 empty, so the half sums mod 2^64 go
+    through the pair-state join (:func:`_join_pair_states`) with the target
+    as its shift: first-half masks are the left states, second-half masks
+    the right ones. A wrapped match is only a candidate until exact integers
+    confirm it, and the witness pairs the lowest second-half mask with an
+    exact partner with the lowest first-half mask holding the needed value.
+    Target 0 is the empty subset, the one pair the join skips.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -215,43 +216,21 @@ def solve_subset_sum_mitm(
         raise ResourceLimitError(
             f"mitm halves for n={n} need about {need_bytes} bytes, cap is {budget.memory_cap_bytes}"
         )
-    sums1 = _half_sums_vec(items, range(h1))
-    order1 = np.argsort(sums1)
-    sv1 = sums1[order1]
-    if deadline.expired():
+    if target == 0:
+        trace["scanned"] = 1
+        return _outcome(SolveStatus.FOUND, Subset.of(()), None, deadline, trace)
+    keys1 = _half_sums_vec(items, range(h1))
+    needs2 = np.uint64(target & _WORD_MASK) - _half_sums_vec(items, range(h1, n))
+    hit, timed_out = _join_pair_states(
+        items, target, keys1, needs2, lambda i: (0, i, 0), lambda j: (0, j << h1, 0), deadline
+    )
+    if hit is not None:
+        trace["scanned"] = hit[0] + 1
+        return _outcome(SolveStatus.FOUND, hit[1].s1, None, deadline, trace)
+    if timed_out:
         trace["timed_out"] = True
         return _outcome(SolveStatus.INCONCLUSIVE, None, None, deadline, trace)
-    need2 = np.uint64(target & _WORD_MASK) - _half_sums_vec(items, range(h1, n))
-    needles = np.sort(need2)
-    pos = np.searchsorted(sv1, needles)
-    ok = pos < sv1.size
-    ok[ok] = sv1[pos[ok]] == needles[ok]
-    # Needed values that have a wrapped partner, then the second-half masks
-    # asking for one of them, in natural order.
-    matched = np.unique(needles[ok])
-    pos2 = np.searchsorted(matched, need2)
-    hit2 = pos2 < matched.size
-    hit2[hit2] = matched[pos2[hit2]] == need2[hit2]
-    partners: dict[int, dict[int, int]] = {}  # wrapped need -> exact sum -> lowest mask1
-    for count, mask2 in enumerate(np.flatnonzero(hit2).tolist()):
-        if count % 4096 == 0 and deadline.expired():
-            trace["scanned"] = mask2
-            trace["timed_out"] = True
-            return _outcome(SolveStatus.INCONCLUSIVE, None, None, deadline, trace)
-        w = need2[mask2]
-        if w not in partners:
-            group = order1[np.searchsorted(sv1, w) : np.searchsorted(sv1, w, "right")]
-            exact: dict[int, int] = {}
-            for mask1 in sorted(group.tolist()):
-                exact.setdefault(_mask_value(items, mask1), mask1)
-            partners[w] = exact
-        mask1 = partners[w].get(target - _mask_value(items, mask2 << h1))
-        if mask1 is not None:
-            trace["scanned"] = mask2 + 1
-            witness = Subset.from_mask(mask1 | (mask2 << h1))
-            _check_witness(sum(items[i - 1] for i in witness.indices) == target)
-            return _outcome(SolveStatus.FOUND, witness, None, deadline, trace)
-    trace["scanned"] = int(need2.size)
+    trace["scanned"] = int(needs2.size)
     return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
 
 
@@ -502,6 +481,8 @@ def _join_pair_states(
 ) -> tuple[tuple[int, Pair] | None, bool]:
     """First exact shifted pair across two sides of pair states.
 
+    Every meet-in-the-middle search runs on this join. A subset is a pair
+    state whose S2 is empty, and ``shift`` is then the subset's target.
     ``keys1[i]`` is left state i's key mod 2^64 and ``needs2[j]`` the key
     right state j needs from its partner; both hold sum differences with a
     tag (the split, or 0) mixed in. ``decode`` gives a state's exact
@@ -517,8 +498,8 @@ def _join_pair_states(
         return None, True
     order = None  # left states in key order, needed only once a match turns up
     groups: dict[int, dict[tuple[int, int], list[tuple[int, int]]]] = {}
-    for start in range(0, needs2.size, _BATCH_CHUNK):
-        want = needs2[start : start + _BATCH_CHUNK]
+    for start in range(0, needs2.size, _WALK_CHUNK):
+        want = needs2[start : start + _WALK_CHUNK]
         # Probing with sorted needles keeps the binary searches cache friendly.
         needles = np.sort(want)
         pos = np.searchsorted(sv, needles)
@@ -688,8 +669,8 @@ def _shifted_rep_join(
     sv = key2[order]
     base1, base2, same = np.cumsum(scan1) - scan1, np.cumsum(scan2) - scan2, k2s == ks
     if same.all() and (scan1 == scan2).all():
-        chunks = range(0, key2.size, _BATCH_CHUNK)
-        stream = ((a, draw2[a : a + _BATCH_CHUNK], key2[a : a + _BATCH_CHUNK]) for a in chunks)
+        chunks = range(0, key2.size, _WALK_CHUNK)
+        stream = ((a, draw2[a : a + _WALK_CHUNK], key2[a : a + _WALK_CHUNK]) for a in chunks)
     else:
         stream = keyed(ks, scan1)
     for a, seg, keys in stream:
@@ -737,7 +718,7 @@ def solve_shifted_rep(
     bin.
 
     The first batch is one draw, so a planted pair can end the search
-    there. Each later batch holds _BATCH_CHUNK // (2 * the largest scan of
+    there. Each later batch holds _WALK_CHUNK // (2 * the largest scan of
     the batch before) draws, so its bins fill about one walk chunk. A batch
     is joined at once (:func:`_shifted_rep_join`), with tables only for the
     primes of draws to walk or to size. A draw whose (p, k) an earlier draw
@@ -784,7 +765,7 @@ def solve_shifted_rep(
     # (p, k) -> [its two bin sizes or None, the largest bin-k2 scan joined]
     seen: dict = {pk: [None, math.inf] for pk in replayed}
     # resumed, the first batch is sized for bins of the mean 2^n / p, p the last replayed prime
-    r, size = _start, max(1, (_BATCH_CHUNK * replayed[-1][0]) >> (n + 1)) if _start else 1
+    r, size = _start, max(1, (_WALK_CHUNK * replayed[-1][0]) >> (n + 1)) if _start else 1
     while r < repeats:
         if deadline.expired():
             trace["timed_out"] = True
@@ -842,7 +823,7 @@ def solve_shifted_rep(
             trace["timed_out"] = True
             break
         if draws:
-            size = max(1, _BATCH_CHUNK // max(1, 2 * max(max(d[3:]) for d in draws)))
+            size = max(1, _WALK_CHUNK // max(1, 2 * max(max(d[3:]) for d in draws)))
     trace["draw_count"] = r - _start
     return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
 
@@ -868,16 +849,13 @@ def solve_shifted_exhaustive(
 
     A ``time_cap_ms`` that expires before the join ends gives INCONCLUSIVE
     with ``trace["timed_out"]``; state arrays above ``memory_cap_bytes``
-    raise :class:`ResourceLimitError`.
+    raise :class:`ResourceLimitError` before anything is built, so the
+    default cap allows n <= 33.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
     items = tuple(items)
     n = len(items)
-    if n > _EXHAUSTIVE_CAP_N:
-        raise ResourceLimitError(
-            f"exhaustive pair search is capped at n <= {_EXHAUSTIVE_CAP_N}"
-        )
     trace: dict = {"algorithm": "shifted-exhaustive", "pair_states": 2 * 3 ** (n - n // 2)}
     left, right = list(range(n // 2)), list(range(n // 2, n))
     _require_pair_bytes(3 ** len(left) + 3 ** len(right), budget.memory_cap_bytes)
@@ -922,7 +900,8 @@ def solve_shifted(
     carries its ``pass`` ("probe", "sweep" or "exhaustive") and the phase's
     ``elapsed_ms``; a FOUND names ``found_at_class`` and ``found_in_pass``.
     An INCONCLUSIVE result names its ``trace["reason"]``: "timed_out", or
-    "exhaustive_skipped" when n is above the exhaustive pass's cap.
+    "exhaustive_skipped" when the exhaustive pass's pair states would pass
+    ``memory_cap_bytes``.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -975,11 +954,12 @@ def solve_shifted(
                 _check_witness(_verify_pair(items, sub.witness, shift))
                 trace["found_at_class"], trace["found_in_pass"] = t, name
                 return _outcome(SolveStatus.FOUND, sub.witness, seed, deadline, trace)
-    if n > _EXHAUSTIVE_CAP_N:
-        return give_up("exhaustive_skipped")
     if deadline.expired():
         return give_up("timed_out")
-    final = solve_shifted_exhaustive(items, shift, phase_budget())
+    try:
+        final = solve_shifted_exhaustive(items, shift, phase_budget())
+    except ResourceLimitError:
+        return give_up("exhaustive_skipped")
     record("all", "exhaustive", final.trace["algorithm"], final.status.value, final.elapsed_ms)
     if final.status is SolveStatus.INCONCLUSIVE:
         return give_up("timed_out")

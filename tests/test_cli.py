@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sumbins
 from sumbins import __version__, cli
 from sumbins.core import (
     Pair,
@@ -51,11 +53,15 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same sumbins as this process, installed or not
+    src = os.path.dirname(os.path.dirname(sumbins.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "sumbins", "curve", "--kind", "rep_classical",
          "--step", "0.25"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "l,gamma"
@@ -186,11 +192,12 @@ def test_solve_exit_not_found(tmp_path, capsys):
 
 
 def test_solve_exit_inconclusive(tmp_path, capsys):
-    # distinct powers of two admit no equal-sum pair; n = 26 is over the
-    # exhaustive sweep cap, so the randomized phases can only give up.
-    # The time cap merely shortens the search: found is impossible and
-    # not-found unreachable, so the verdict is stable.
-    inst = ProblemInstance("equal_sums", [1 << i for i in range(26)])
+    # distinct powers of two admit no equal-sum pair; at n = 34 the
+    # exhaustive pass's pair states pass the default memory cap, so the
+    # randomized phases can only give up. The time cap merely shortens the
+    # search: found is impossible and not-found unreachable, so the verdict
+    # is stable.
+    inst = ProblemInstance("equal_sums", [1 << i for i in range(34)])
     path = write_instance(tmp_path / "inc.json", inst)
     code, out = run(capsys, "solve", path, "--budget-repeats", "2",
                     "--budget-samples", "64", "--time-cap-ms", "300",

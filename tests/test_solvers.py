@@ -82,6 +82,48 @@ class TestSubsetSumMitm:
             solve_subset_sum_mitm(items, 50, SolverBudget(memory_cap_bytes=8 << 10))
         assert solve_subset_sum_mitm(items, 50, SolverBudget(memory_cap_bytes=1 << 20)).found
 
+    def test_time_cap_never_not_found(self):
+        # even items, odd target: unsolvable, so only the expired cap ends it early
+        rng = random.Random(24)
+        items = [2 * rng.randrange(1, 1 << 47) for _ in range(24)]
+        target = 2 * rng.randrange(1 << 50) + 1
+        out = solve_subset_sum_mitm(items, target, SolverBudget(time_cap_ms=0))
+        assert out.status is SolveStatus.INCONCLUSIVE
+        assert out.trace["timed_out"] is True
+        assert solve_subset_sum_mitm(items, target).status is SolveStatus.NOT_FOUND
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_witness_rule(self, data):
+        n = data.draw(st.integers(1, 12))
+        bits = data.draw(st.sampled_from([8, 62, 64, 200, "word multiples"]))
+        if bits == "word multiples":  # every half sum is 0 mod 2^64
+            items = tuple(data.draw(st.integers(1, 16)) << 64 for _ in range(n))
+        else:
+            items = tuple(data.draw(st.integers(1, (1 << bits) - 1)) for _ in range(n))
+        chosen = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        planted = sum(a for a, c in zip(items, chosen) if c)
+        target = data.draw(st.sampled_from([0, planted, data.draw(st.integers(0, sum(items)))]))
+
+        out = solve_subset_sum_mitm(items, target)
+        want, scanned = _ref_subset_mitm(items, target)
+        assert out.status is (SolveStatus.FOUND if want is not None else SolveStatus.NOT_FOUND)
+        assert (None if out.witness is None else sum(1 << (i - 1) for i in out.witness.indices)) == want
+        assert out.trace["scanned"] == scanned
+
+
+def _ref_subset_mitm(items, target):
+    """(witness mask or None, second-half masks scanned) of the mitm rule:
+    the first second-half mask in ascending order with an exact partner,
+    then the lowest first-half mask."""
+    h1 = len(items) - len(items) // 2
+    value = [sum(a for i, a in enumerate(items) if mask >> i & 1) for mask in range(1 << len(items))]
+    for mask2 in range(1 << (len(items) - h1)):
+        for mask1 in range(1 << h1):
+            if value[mask1] + value[mask2 << h1] == target:
+                return mask1 | mask2 << h1, mask2 + 1
+    return None, 1 << (len(items) - h1)
+
 
 class TestSubsetSumRep:
     def test_full_set_target(self):
@@ -755,8 +797,14 @@ class TestShiftedExhaustive:
         assert {out.witness.s1, out.witness.s2} == {S(3), S(1, 2)}
 
     def test_cap(self):
+        # 2 * 3^17 states at 48 B each pass the default 8 GiB: refused before
+        # anything is built
         with pytest.raises(ResourceLimitError):
-            solve_shifted_exhaustive(tuple(range(1, 26)), 0)
+            solve_shifted_exhaustive(tuple(range(1, 35)), 0)
+
+    def test_powers_of_two_at_n25_not_found(self):
+        out = solve_shifted_exhaustive(tuple(1 << i for i in range(25)), 0)
+        assert out.status is SolveStatus.NOT_FOUND
 
     def test_memory_cap(self):
         items = tuple(range(1, 11))  # 2 * 3^5 pair states
@@ -840,9 +888,10 @@ class TestShiftedDispatcher:
         assert skipped == list(range(47, 37, -1))
         assert out.trace["phases"][len(skipped)]["algorithm"] == "shifted-rep"
 
-    def test_skips_exhaustive_above_cap(self, monkeypatch):
-        monkeypatch.setattr(solvers, "_EXHAUSTIVE_CAP_N", 3)
-        out = solve_shifted((1, 2, 4, 8), 0, seed=0, budget=SolverBudget(repeat_cap=1))
+    def test_skips_exhaustive_above_cap(self):
+        # 500 B holds phase 1's classes but not the exhaustive pass's 2 * 3^2 states
+        budget = SolverBudget(repeat_cap=1, memory_cap_bytes=500)
+        out = solve_shifted((1, 2, 4, 8), 0, seed=0, budget=budget)
         assert out.status is SolveStatus.INCONCLUSIVE
         assert out.trace.get("exhaustive_skipped")
 
@@ -851,7 +900,7 @@ class TestShiftedDispatcher:
         assert out.trace["algorithm"] == "shifted-dispatch"
         assert out.trace["phases"]
 
-    def test_phase_times_and_reasons(self, monkeypatch):
+    def test_phase_times_and_reasons(self):
         out = solve_shifted((1, 2, 4, 8, 16), 0, seed=0, budget=SolverBudget(repeat_cap=1))
         assert [p["t"] for p in out.trace["phases"]] == [4, 3, 2, 1, "all"]
         assert all(p["elapsed_ms"] >= 0.0 for p in out.trace["phases"])
@@ -859,8 +908,7 @@ class TestShiftedDispatcher:
         late = solve_shifted((1, 2, 4, 8, 16), 0, seed=0, budget=SolverBudget(time_cap_ms=0.0))
         assert late.status is SolveStatus.INCONCLUSIVE
         assert late.trace["reason"] == "timed_out" and late.trace["timed_out"] is True
-        monkeypatch.setattr(solvers, "_EXHAUSTIVE_CAP_N", 3)
-        big = solve_shifted((1, 2, 4, 8), 0, seed=0, budget=SolverBudget(repeat_cap=1))
+        big = solve_shifted((1, 2, 4, 8), 0, seed=0, budget=SolverBudget(repeat_cap=1, memory_cap_bytes=500))
         assert big.trace["reason"] == "exhaustive_skipped" and big.trace["exhaustive_skipped"] is True
 
     @staticmethod
