@@ -19,13 +19,15 @@ fixed total order on subsets: S1 < S2 iff the largest index where they differ
 belongs to S2, equivalently chi(S1) < chi(S2) for chi(S) = sum(2^i, i in S).
 The walk resolves one index per step from n down to 1, so a query costs
 O(n) table lookups and O(n)-word arithmetic: O(n^2) bit operations total.
-Enumeration of a bin simply unranks index 1, 2, 3, ... so it needs no
-per-bin cursor state and any slice of a bin can be streamed independently.
+Enumeration needs no per-bin cursor state, so any slice of a bin can be
+streamed independently; the solvers' batched walk (:func:`_walk_bins`)
+resolves a chunk's top and low items from a split of the items and walks
+only the levels between them rank by rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -63,6 +65,7 @@ class CountTable:
     # i < n, else int64; a list[int] for every row when n > 62.
     rows: list
     mods: tuple[int, ...]  # items reduced mod p, aligned with items
+    low: dict = field(default_factory=dict, repr=False, compare=False)  # see _low_part
 
     @property
     def n(self) -> int:
@@ -204,6 +207,9 @@ class _TableStack(NamedTuple):
     # steps[i, g]: the stacked position a walk at position g moves to when it
     # takes item i+1, residue j - a_{i+1} mod p of the same table
     steps: np.ndarray
+    p: np.ndarray  # each table's modulus
+    mods: np.ndarray  # mods[t]: the items mod p[t]
+    low: dict  # as CountTable.low, over stacked positions
 
 
 def _stack_tables(tables: Sequence[CountTable]) -> _TableStack:
@@ -211,35 +217,72 @@ def _stack_tables(tables: Sequence[CountTable]) -> _TableStack:
     p = np.array([t.p for t in tables], dtype=np.int64)
     offset = np.cumsum(p) - p
     of = np.repeat(np.arange(len(tables)), p)
-    mods = np.array([t.mods for t in tables], dtype=np.int64).T[:, of]
-    steps = (np.arange(p.sum()) - offset[of] - mods) % p[of] + offset[of]
+    mods = np.array([t.mods for t in tables], dtype=np.int64)
+    steps = (np.arange(p.sum()) - offset[of] - mods.T[:, of]) % p[of] + offset[of]
     rows = [np.concatenate(level) for level in zip(*(t.rows for t in tables))]
-    return _TableStack(tables[0].items, rows, offset, steps)
+    return _TableStack(tables[0].items, rows, offset, steps, p, mods, {})
+
+
+def _addends(table: CountTable | _TableStack, values: Sequence[int] | None, modulus: int) -> list:
+    """What a walk adds per item taken: ``values`` given a modulus, else the items mod 2^64."""
+    return [np.int64(v) for v in values] if modulus else [np.uint64(a & _WORD_MASK) for a in table.items]
+
+
+def _doubled(sums: np.ndarray, y, q: int) -> np.ndarray:
+    """Subset sums of one more item y: ``sums``, then sums + y (mod q, or mod 2^64 for q = 0)."""
+    more = sums + y
+    if q:
+        more -= q * (more >= q)
+    return np.concatenate((sums, more))
+
+
+def _low_part(table: CountTable | _TableStack, L: int, values: Sequence[int] | None, modulus: int) -> tuple:
+    """(starts, sums) of the subsets of the first L items sorted by (residue,
+    mask) in one sort: those with sum = j (mod p) are sums[starts[j] + r],
+    r = 1 .. rows[L][j]. Kept on the table for the last key asked."""
+    key = (L, modulus, None if values is None else tuple(values))
+    if key not in table.low:
+        addends, p = _addends(table, values, modulus), np.reshape(table.p, (-1, 1))
+        mods = np.atleast_2d(table.mods)
+        res, sums = np.zeros_like(p), np.zeros(1, dtype=addends[0].dtype)  # residues: a row per table
+        for i in range(L):
+            res = np.concatenate((res, (res + mods[:, i : i + 1]) % p), axis=1)
+            sums = _doubled(sums, addends[i], modulus)
+        res = np.sort((res + np.cumsum(p, axis=0) - p << L | np.arange(1 << L)).ravel())  # stacked positions
+        # the split keeps tables << L below 2^31, so int32 rows suit the starts
+        starts = np.cumsum(table.rows[L], dtype=table.rows[L].dtype)
+        starts -= table.rows[L] + 1
+        table.low.clear()
+        table.low[key] = (starts, sums[res & ((1 << L) - 1)])
+    return table.low[key]
+
+
+def _scratch(size: int) -> tuple:
+    """Work arrays of walks of up to ``size`` ranks: an index ramp, four words and a narrow one."""
+    return np.arange(size), *(np.empty(size, dtype=np.int64) for _ in range(4)), np.empty(size, dtype=np.int32)
 
 
 def _bin_sums_batch(
-    table: CountTable | _TableStack,
-    k,
-    start,
-    count: int,
-    values: Sequence[int] | None = None,
-    modulus: int = 0,
-    which=None,
+    table: CountTable | _TableStack, k, start, count: int, values: Sequence[int] | None = None, modulus: int = 0,
+    which=None, sums: np.ndarray | None = None, split: tuple = (0, 0, None, None, None, None),
 ) -> np.ndarray:
     """Subset sums of ranks start .. start+count-1 of bin k.
 
     ``k`` and ``start`` may also be int64 arrays of ``count`` bins and
     1-based ranks, one pair per entry, so many bins go through in one call.
-    Given ``which``, an array of ``count`` table indices, ``table`` is a
-    :class:`_TableStack` and entry e walks bin k[e] of table which[e]: it
+    ``table`` may be a :class:`_TableStack`: given ``which``, an array of
+    ``count`` table indices, entry e walks bin k[e] of table which[e]; it
     starts at that table's row offset and moves by the stack's ``steps``,
-    which stand for its p and item residues. Without ``which`` it is one
-    table.
+    which stand for its p and item residues. Without ``which``, k holds
+    stacked positions.
 
     The walk is that of :func:`_unrank_mask`, run level by level over the
     whole rank vector; callers that need the subsets themselves re-unrank
     the few ranks they care about. Valid only on machine-word rows, which
-    callers check with :func:`_require_word_rows`.
+    callers check with :func:`_require_word_rows`. ``split``, (m, L, starts,
+    low sums, scratch, addends) from :func:`_walk_bins`, walks levels n - m
+    .. L + 1 only, onto ``sums`` (the top items'), and gathers the low
+    items' sums.
 
     By default the table's items are summed mod 2^64, so exact-valued
     callers confirm candidates exactly (item sums below 2^64 are exact as
@@ -247,95 +290,142 @@ def _bin_sums_batch(
     summed instead, exactly mod q in int64: add, then subtract q once if the
     sum reached it, so nothing exceeds 2q < 2^63.
     """
-    if np.ndim(start):
-        idx = np.array(start, dtype=np.int64)
-    else:
-        idx = np.arange(start, start + count, dtype=np.int64)
-    if np.ndim(k):
-        j = np.array(k, dtype=np.int64)
-    else:
-        j = np.full(count, k, dtype=np.int64)
-    if modulus:
-        sums = np.zeros(count, dtype=np.int64)
-        addends = [np.int64(v) for v in values]
-    else:
-        sums = np.zeros(count, dtype=np.uint64)
-        addends = [np.uint64(a & _WORD_MASK) for a in table.items]
+    m, L, starts, low, work, addends = split
+    iota, idx, j, take, scratch, narrow = (w[:count] for w in work or _scratch(count))
+    np.copyto(idx, start) if np.ndim(start) else np.add(iota, start, out=idx)
+    np.copyto(j, k)
+    addends = addends or _addends(table, values, modulus)
+    sums = np.zeros(count, dtype=addends[0].dtype) if sums is None else sums
     # Branch-free steps: ``take`` holds 0/1 words, and a sign shift (x >> 63
     # is -1 exactly when x < 0) turns a comparison into an addend mask.
     # Masked ufuncs (``where=``) are several times slower on random masks.
-    take = np.empty(count, dtype=np.int64)
-    scratch = np.empty(count, dtype=np.int64)
-    # ``take`` only writes its row's dtype: int32 rows go through a narrow
-    # scratch that is widened once per level.
-    narrow = np.empty(count, dtype=np.int32)
     contrib = scratch.view(sums.dtype)
     take_s = take.view(sums.dtype)
-    rows = table.rows
-    if which is None:
-        mods = table.mods
-        p = table.p
-    else:
+    stacked = isinstance(table, _TableStack)
+    if which is not None:
         np.add(j, table.offset[which], out=j)
-    for i in range(len(table.items), 0, -1):
-        row = rows[i - 1]
+
+    def gather(row: np.ndarray) -> None:
+        # row[j] into ``scratch`` (int32 rows via ``narrow``: ``take`` writes its
+        # row's dtype); "clip" (no index is out of range) is not buffered.
         if row.dtype == np.int32:
-            row.take(j, out=narrow)
+            row.take(j, out=narrow, mode="clip")
             np.copyto(scratch, narrow)
         else:
-            row.take(j, out=scratch)
-        np.greater(idx, scratch, out=take, casting="unsafe")
-        np.multiply(scratch, take, out=scratch)
-        np.subtract(idx, scratch, out=idx)
-        if which is None:
-            np.multiply(take, mods[i - 1], out=scratch)
-            np.subtract(j, scratch, out=j)
-            np.right_shift(j, 63, out=scratch)
-            np.bitwise_and(scratch, p, out=scratch)
-            np.add(j, scratch, out=j)
-        else:
-            table.steps[i - 1].take(j, out=scratch)
-            np.subtract(scratch, j, out=scratch)
-            np.multiply(scratch, take, out=scratch)
-            np.add(j, scratch, out=j)
-        np.multiply(take_s, addends[i - 1], out=contrib)
-        np.add(sums, contrib, out=sums)
+            row.take(j, out=scratch, mode="clip")
+
+    def add(part: np.ndarray) -> None:
+        np.add(sums, part, out=sums)
         if modulus:
             np.subtract(modulus - 1, sums, out=scratch)
             np.right_shift(scratch, 63, out=scratch)
             np.bitwise_and(scratch, modulus, out=scratch)
             np.subtract(sums, scratch, out=sums)
+
+    for i in range(len(table.items) - m, L, -1):
+        gather(table.rows[i - 1])
+        np.greater(idx, scratch, out=take, casting="unsafe")
+        np.multiply(scratch, take, out=scratch)
+        np.subtract(idx, scratch, out=idx)
+        if stacked:
+            table.steps[i - 1].take(j, out=scratch, mode="clip")
+            np.subtract(scratch, j, out=scratch)
+            np.multiply(scratch, take, out=scratch)
+            np.add(j, scratch, out=j)
+        else:
+            np.multiply(take, table.mods[i - 1], out=scratch)
+            np.subtract(j, scratch, out=j)
+            np.right_shift(j, 63, out=scratch)
+            np.bitwise_and(scratch, table.p, out=scratch)
+            np.add(j, scratch, out=j)
+        np.multiply(take_s, addends[i - 1], out=contrib)
+        add(contrib)
+    if L:
+        gather(starts)
+        np.add(scratch, idx, out=scratch)
+        add(low.take(scratch, out=take_s, mode="clip"))
     return sums
 
 
 _WALK_CHUNK = 1 << 15  # ranks per batched walk call (and needles per join chunk); bounds scratch memory
 
 
+def _split_levels(n: int, bins: int, ranks: int, tables: int, positions: int) -> tuple[int, int]:
+    """(m, L) for ``ranks`` ranks over ``bins`` bins of ``tables`` tables with
+    ``positions`` residues. A top group (bin, top part), low subset or
+    residue start costs about a rank's walked level: doublings stay within
+    the ranks and (for memory) half a chunk, starts within the L levels
+    saved, all within n * _WALK_CHUNK. Walks under a sixteenth of a chunk
+    pay less than the split."""
+    if ranks < _WALK_CHUNK // 16:
+        return 0, 0
+    room = min(ranks, _WALK_CHUNK // 2)
+    m = min(n, max(0, (room // bins).bit_length() - 1))
+    L = min(n - m, max(0, (room // tables).bit_length() - 1))
+    return m, L if positions <= min(L * ranks, (n - 2) * _WALK_CHUNK) else 0
+
+
 def _walk_bins(
     table: CountTable | _TableStack, bins: np.ndarray, ranks: np.ndarray, lo: int, hi: int,
     which: np.ndarray | None = None, values: Sequence[int] | None = None, modulus: int = 0,
+    split: tuple[int, int] | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Sums of positions lo .. hi-1 of ranks 1..ranks[b] of bin bins[b], for
     b = 0, 1, ... laid end to end: yields (first position, b of each entry,
-    sums) a chunk of _WALK_CHUNK at a time. ``values`` and ``modulus`` are
-    those of :func:`_bin_sums_batch`; given ``which``, ``table`` is a
-    :class:`_TableStack` and bin b is one of table which[b]."""
-    ends = np.cumsum(ranks)
+    sums) a chunk of _WALK_CHUNK at a time, from one :func:`_bin_sums_batch`
+    call each. ``values`` and ``modulus`` are those of :func:`_bin_sums_batch`;
+    given ``which``, ``table`` is a :class:`_TableStack` and bin b is one of
+    table which[b].
+
+    The items are split (Horowitz-Sahni): in chi order, bin k is, for each
+    subset T of the top m items in turn, the subsets of the rest with
+    residue k - res(T). A doubling enumeration of the T gives each (bin, T)
+    group its residue, sum and size; ranks walk levels n - m .. L + 1 only,
+    and the low L items are one gather from :func:`_low_part`. ``split``
+    forces (m, L), else :func:`_split_levels` picks it; m = L = 0 walks
+    every level. Every (m, L) yields the same chunks, on shared scratch.
+    """
+    if hi <= lo:
+        return
+    n, ends, stacked = len(table.items), np.cumsum(ranks), isinstance(table, _TableStack)
+    e0, e1 = (int(e) for e in ends.searchsorted((lo, hi - 1), "right"))  # bins holding lo and hi - 1
+    m, L = split or _split_levels(n, e1 + 1 - e0, hi - lo, np.size(table.p), len(table.rows[0]))
+    # groups (bin, T) of bins e0..e1 in walk order: position after T, T's sum, end
+    addends = _addends(table, values, modulus)
+    pos, top = np.array(bins[e0 : e1 + 1], dtype=np.int64)[:, None], np.zeros(1, dtype=addends[0].dtype)
+    if which is not None:
+        pos += table.offset[which[e0 : e1 + 1], None]
+    for i in range(n - m, n):
+        step = table.steps[i][pos] if stacked else (pos - table.mods[i]) % table.p
+        pos, top = np.concatenate((pos, step), axis=1), _doubled(top, addends[i], modulus)
+    gext = ends[e0 : e1 + 1]  # group ends: the bins', or their top parts' cut at the bin's ranks
+    if m:
+        gext = np.minimum(np.cumsum(table.rows[n - m][pos], axis=1), ranks[e0 : e1 + 1, None])
+        gext += (ends - ranks)[e0 : e1 + 1, None]
+    # group f holds positions gext[f] .. gext[f + 1] - 1
+    gext = np.concatenate(([ends[e0] - ranks[e0]], gext.ravel()))
+    gends, gpos, tmask, work = gext[1:], pos.ravel(), (1 << m) - 1, _scratch(min(_WALK_CHUNK, hi - lo))
+    split = (m, L, *(_low_part(table, L, values, modulus) if L else (None, None)), work, addends)
     for a in range(lo, hi, _WALK_CHUNK):
         b = min(hi, a + _WALK_CHUNK)
-        e = int(ends.searchsorted(a, "right"))  # the bin that holds position a
-        if ends[e] >= b:
-            # Inside one bin: the scalar form and a zero-stride bin index
+        g = int(gends.searchsorted(a, "right"))  # the group that holds position a
+        if gends[g] >= b:
+            # Inside one group: the scalar form and a zero-stride bin index
             # leave out per-entry arrays, each a round of page faults.
-            seg = np.broadcast_to(e, (b - a,))
-            k, start = int(bins[e]), a - int(ends[e] - ranks[e]) + 1
-            tab = None if which is None else int(which[e])
+            seg = np.broadcast_to(e0 + (g >> m), (b - a,))
+            k, start, sums = int(gpos[g]), a - int(gext[g]) + 1, np.full(b - a, top[g & tmask])
         else:
-            counts = np.diff(np.clip(ends, a, b), prepend=a)
-            seg = np.repeat(np.arange(ends.size), counts)
-            k, start = np.repeat(bins, counts), np.repeat(ranks - ends + 1, counts) + np.arange(a, b)
-            tab = None if which is None else np.repeat(which, counts)
-        yield a, seg, _bin_sums_batch(table, k, start, b - a, values, modulus, tab)
+            # k, start and T in the scratch, and seg in place, for the same reason
+            h = int(gends.searchsorted(b - 1, "right"))
+            counts = np.minimum(gends[g : h + 1], b) - np.maximum(gext[g : h + 1], a)
+            seg = np.repeat(np.arange(g, h + 1), counts)
+            start, k = gext.take(seg, out=work[1][: b - a]), gpos.take(seg, out=work[2][: b - a])
+            start -= a + 1
+            np.subtract(work[0][: b - a], start, out=start)
+            sums = top.take(np.bitwise_and(seg, tmask, out=work[3][: b - a]))
+            np.right_shift(seg, m, out=seg)
+            seg += e0
+        yield a, seg, _bin_sums_batch(table, k, start, b - a, values, modulus, None, sums, split)
 
 
 def unrank(table: CountTable, k: int, index: int) -> Subset:

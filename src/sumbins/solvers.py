@@ -284,28 +284,33 @@ def _sample_random_subsets(
     """Try ``count`` uniform random subsets; return (hit mask or None, tried).
 
     Masks are drawn a chunk at a time as 64-bit words, and the chunk's
-    subset sums accumulate per bit mod 2^64; each wrapped hit is confirmed
-    exactly, in draw order.
+    subset sums mod 2^64 come from one gather per byte of the mask: byte b
+    indexes a table of the 256 subset sums of items 8b+1 .. 8b+8. Each
+    wrapped hit is confirmed exactly, in draw order.
     """
     n = len(items)
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
     tgt = np.uint64(target & _WORD_MASK)
-    addends = [np.uint64(a & _WORD_MASK) for a in items]
-    one = np.uint64(1)
+    bits = np.arange(256, dtype=np.uint64)[:, None] >> np.arange(8, dtype=np.uint64) & np.uint64(1)
+    bytes_ = [bits[:, : len(part)] @ np.array(part, dtype=np.uint64)
+              for part in ([a & _WORD_MASK for a in items[lo : lo + 8]] for lo in range(0, n, 8))]
+    size = min(count, 1 << 16)
+    acc_w, byte_w, part_w = (np.empty(size, dtype=t) for t in (np.uint64, np.intp, np.uint64))
     tried = 0
     while tried < count:
-        chunk = min(count - tried, 1 << 16)
+        chunk = min(count - tried, size)
         words = [
             gen.integers(0, 1 << min(64, n - lo), size=chunk, dtype=np.uint64)
             for lo in range(0, n, 64)
         ]
-        acc = np.zeros(chunk, dtype=np.uint64)
-        buf = np.empty(chunk, dtype=np.uint64)
-        for i in range(n):
-            np.right_shift(words[i >> 6], np.uint64(i & 63), out=buf)
-            np.bitwise_and(buf, one, out=buf)
-            np.multiply(buf, addends[i], out=buf)
-            np.add(acc, buf, out=acc)
+        acc, byte, part = acc_w[:chunk], byte_w[:chunk], part_w[:chunk]
+        acc.fill(0)
+        for b, sums in enumerate(bytes_):
+            # int64 views shift in the sign bit, which the byte mask drops
+            np.right_shift(words[b >> 3].view(np.int64), 8 * (b & 7), out=byte)
+            np.bitwise_and(byte, 255, out=byte)
+            sums.take(byte, out=part, mode="clip")  # "raise" would buffer ``out``
+            np.add(acc, part, out=acc)
         for off in np.flatnonzero(acc == tgt).tolist():
             mask = sum(int(word[off]) << (64 * w) for w, word in enumerate(words))
             if _mask_value(items, mask) == target:

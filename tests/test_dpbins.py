@@ -1,6 +1,7 @@
 """Count table construction, the subset order, and indexed bin access."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,115 @@ class TestBinWalk:
         assert firsts == list(range(lo, hi, chunk))
         assert segs == want_seg[lo:hi]
         assert sums == want[lo:hi]
+
+
+class TestSplitWalk:
+    """The split walk (top items by doubling, low items by one gather)
+    against per-rank scalar unranks and the chunks of the plain walk."""
+
+    @staticmethod
+    def _walk(tables, stacked, which, bins, ranks, lo, hi, values, modulus, chunk, split):
+        table = dpbins._stack_tables(tables) if stacked else tables[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dpbins, "_WALK_CHUNK", chunk)
+            walk = dpbins._walk_bins(
+                table, np.array(bins), np.array(ranks), lo, hi,
+                np.array(which) if stacked else None, values, modulus, split,
+            )
+            firsts, segs, sums = [], [], []
+            for first, seg, part in walk:
+                firsts.append(first)
+                segs += seg.tolist()
+                sums += part.tolist()
+        return firsts, segs, sums
+
+    @staticmethod
+    def _scalar(tables, which, bins, ranks, lo, hi, values, modulus):
+        """(bin index, sum) of positions lo .. hi-1 by scalar unranks."""
+        segs, sums, end = [], [], 0
+        for b, (m, k, r) in enumerate(zip(which, bins, ranks)):
+            for rank in range(max(1, lo - end + 1), min(r, hi - end) + 1):
+                mask, value = dpbins._unrank_mask(tables[m], k, rank)
+                if modulus:
+                    value = sum(v for i, v in enumerate(values) if mask >> i & 1)
+                segs.append(b)
+                sums.append(value % (modulus or 1 << 64))
+            end += r
+        return segs, sums
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_forced_split_matches_scalar_unrank(self, data):
+        # n up to 40 puts int32 and int64 rows on both sides of the split
+        n = data.draw(st.integers(1, 40))
+        bits = data.draw(st.sampled_from([8, 40, 70]))
+        items = data.draw(st.lists(st.integers(1, (1 << bits) - 1), min_size=n, max_size=n))
+        ps = data.draw(st.lists(st.integers(1, 300), min_size=1, max_size=4))
+        stacked = len(ps) > 1 and data.draw(st.booleans())
+        tables = [build_table(items, p) for p in (ps if stacked else ps[:1])]
+        which = data.draw(st.lists(st.integers(0, len(tables) - 1), min_size=1, max_size=6))
+        bins = [data.draw(st.integers(0, tables[m].p - 1)) for m in which]
+        # a bin may be empty, or walked only partly
+        ranks = [data.draw(st.integers(0, tables[m].bin_size(k))) for m, k in zip(which, bins)]
+        lo = data.draw(st.integers(0, sum(ranks)))
+        hi = data.draw(st.integers(lo, min(sum(ranks), lo + 300)))
+        modulus = data.draw(st.sampled_from([0, 5, (1 << 61) + 1]))
+        values = [a % modulus for a in items] if modulus else None
+        chunk = data.draw(st.sampled_from([1, 7, 64, 1 << 15]))
+        m = data.draw(st.integers(0, min(n, 10)))
+        L = data.draw(st.integers(0, min(n - m, 10)))
+
+        firsts, segs, sums = self._walk(tables, stacked, which, bins, ranks, lo, hi, values, modulus, chunk, (m, L))
+        assert firsts == list(range(lo, hi, chunk))
+        assert (segs, sums) == self._scalar(tables, which, bins, ranks, lo, hi, values, modulus)
+
+    def test_every_split_of_small_tables(self):
+        # every (m, L) with m + L <= n, so m = n, L = n and L = n - 1 too
+        rng = random.Random(41)
+        for n in range(1, 10):
+            items = [rng.randrange(1, 1 << 70) for _ in range(n)]
+            tables = [build_table(items, p) for p in (rng.randrange(1, 12), rng.randrange(1, 12))]
+            for stacked, modulus in ((False, 0), (True, 0), (True, (1 << 61) + 1), (False, 7)):
+                which = [rng.randrange(2) if stacked else 0 for _ in range(5)]
+                bins = [rng.randrange(tables[m].p) for m in which]
+                ranks = [rng.randrange(tables[m].bin_size(k) + 1) for m, k in zip(which, bins)]
+                lo, hi = rng.randrange(sum(ranks) + 1), sum(ranks)
+                values = [a % modulus for a in items] if modulus else None
+                want = self._scalar(tables, which, bins, ranks, lo, hi, values, modulus)
+                for m in range(n + 1):
+                    for L in range(n + 1 - m):
+                        got = self._walk(tables, stacked, which, bins, ranks, lo, hi, values, modulus, 5, (m, L))
+                        assert got == (list(range(lo, hi, 5)), *want), (n, stacked, modulus, m, L)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 62), st.integers(1, 1 << 20), st.integers(1, 1 << 62),
+        st.integers(1, 300), st.integers(1, 1 << 34),
+    )
+    def test_setup_stays_within_one_chunk(self, n, bins, ranks, tables, positions):
+        m, L = dpbins._split_levels(n, bins, ranks, tables, positions)
+        assert m + L <= n
+        # what the split adds before the first chunk: top groups beyond the
+        # bins themselves, low subsets and their residue starts
+        setup = (bins << m if m else 0) + ((tables << L) + positions if L else 0)
+        assert setup <= n * dpbins._WALK_CHUNK
+
+    def test_huge_bin_setup_memory(self):
+        # n=48 at p=4096: every bin holds about 2^36 subsets, so a split
+        # sized by the ranks alone would need gigabytes before one chunk
+        rng = random.Random(48)
+        items = [rng.randrange(1, 1 << 60) for _ in range(48)]
+        table = build_table(items, 4096)
+        size = table.bin_size(7)
+        tracemalloc.start()
+        try:
+            first, seg, sums = next(dpbins._walk_bins(table, np.array([7]), np.array([size]), 0, size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == 0 and sums.size == dpbins._WALK_CHUNK
+        assert sums.tolist() == [dpbins._unrank_mask(table, 7, r)[1] % (1 << 64) for r in range(1, sums.size + 1)]
+        assert peak <= 8 * 48 * dpbins._WALK_CHUNK
 
 
 class TestEnumerateBin:

@@ -171,6 +171,43 @@ class TestSubsetSumRep:
         out = solve_instance(inst, algo="rep", budget=SolverBudget(time_cap_ms=200.0))
         assert out.status is SolveStatus.INCONCLUSIVE
 
+    @staticmethod
+    def _bitwise_sampler(items, target, rng, count):
+        """Reference sampler: the same mask words, their sums bit by bit."""
+        n = len(items)
+        gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
+        tried = 0
+        while tried < count:
+            chunk = min(count - tried, 1 << 16)
+            words = [gen.integers(0, 1 << min(64, n - lo), size=chunk, dtype=np.uint64) for lo in range(0, n, 64)]
+            acc = np.zeros(chunk, dtype=np.uint64)
+            for i, a in enumerate(items):
+                acc += (words[i >> 6] >> np.uint64(i & 63) & np.uint64(1)) * np.uint64(a % (1 << 64))
+            for off in np.flatnonzero(acc == np.uint64(target % (1 << 64))).tolist():
+                mask = sum(int(word[off]) << (64 * w) for w, word in enumerate(words))
+                if sum(a for i, a in enumerate(items) if mask >> i & 1) == target:
+                    return mask, tried + off + 1
+            tried += chunk
+        return None, tried
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 70])
+    def test_byte_table_sampler_matches_bitwise(self, n):
+        # a partial last byte, and masks of one, two and more words
+        rng = random.Random(n)
+        items = [rng.randrange(1, 1 << 70) for _ in range(n)]
+        count = 70_000  # a full chunk, then a short one
+        # the sum of draw 66,537, in the short chunk (an earlier draw may
+        # reach it first), and a sum no draw reaches
+        gen = np.random.Generator(np.random.PCG64(random.Random(5).getrandbits(64)))
+        for size in (1 << 16, count - (1 << 16)):
+            words = [gen.integers(0, 1 << min(64, n - lo), size=size, dtype=np.uint64) for lo in range(0, n, 64)]
+        mask = sum(int(word[1000]) << (64 * w) for w, word in enumerate(words))
+        never = solvers._Deadline(None)
+        for target in (sum(a for i, a in enumerate(items) if mask >> i & 1), sum(items) + 1):
+            want = self._bitwise_sampler(items, target, random.Random(5), count)
+            assert solvers._sample_random_subsets(items, target, random.Random(5), count, never) == want
+        assert want == (None, count)
+
     def test_trace_records_prime_draws(self):
         # unsolvable, so sampling misses and at least one prime is drawn
         out = solve_subset_sum_rep((2, 4, 8), 5, seed=1)
