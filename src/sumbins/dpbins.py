@@ -9,10 +9,10 @@ i items with sum = j (mod p):
     rows[i][j]  = rows[i-1][j] + rows[i-1][(j - a_i) mod p]
 
 so ``rows[n][k]`` is the size of bin k and each row i sums to 2^i. Counts are
-exact. Whenever n <= 62, where no entry can exceed 2^62, rows are machine
-words sized to their bound: row i holds at most 2^i, so rows 0..30 below row
-n are int32 and the rest, row n (the bin sizes) included, int64. For n > 62
-rows are lists of Python integers.
+exact. Rows are numpy arrays: whenever n <= 62, where no entry can exceed
+2^62, machine words sized to their bound (row i holds at most 2^i, so rows
+0..30 below row n are int32 and the rest, row n included, int64), and for
+n > 62 ``object`` arrays of Python integers.
 
 On top of the table, :func:`unrank` gives random access into a bin under a
 fixed total order on subsets: S1 < S2 iff the largest index where they differ
@@ -61,8 +61,8 @@ class CountTable:
 
     items: tuple[int, ...]
     p: int
-    # rows[i] is indexable by residue: an int32 ndarray for i <= 30 and
-    # i < n, else int64; a list[int] for every row when n > 62.
+    # rows[i] is an ndarray indexed by residue: int32 for i <= 30 and i < n,
+    # else int64; object (Python ints) for every row when n > 62.
     rows: list
     mods: tuple[int, ...]  # items reduced mod p, aligned with items
     low: dict = field(default_factory=dict, repr=False, compare=False)  # see _low_part
@@ -119,32 +119,19 @@ def build_table(
         )
     mods = tuple(a % p for a in items)
 
-    if n <= _INT64_SAFE_N:
-        # Row i holds counts up to 2^i, so rows 0..30 fit int32. Fewer bytes
-        # mean fewer first-touch page faults, which are most of a fresh
-        # build. Row n (the bin sizes) stays int64 for every reader.
-        rows: list = []
-        row = np.zeros(p, dtype=np.int32)
-        row[0] = 1
-        for i in range(n + 1):
-            rows.append(row)
-            if i < n:
-                sh = mods[i]
-                nxt = np.empty(p, dtype=np.int32 if i + 1 <= 30 and i + 1 < n else np.int64)
-                nxt[:sh] = row[p - sh :]
-                nxt[sh:] = row[: p - sh]
-                nxt += row
-                row = nxt
-        return CountTable(items, p, rows, mods)
-
-    row_big = [0] * p
-    row_big[0] = 1
-    rows = [list(row_big)]
-    for i in range(n):
-        sh = mods[i]
-        rotated = row_big[-sh:] + row_big[:-sh] if sh else row_big
-        row_big = [x + y for x, y in zip(row_big, rotated)]
-        rows.append(list(row_big))
+    # Row i holds counts up to 2^i, so rows 0..30 fit int32. Fewer bytes
+    # mean fewer first-touch page faults, which are most of a fresh build.
+    # Row n (the bin sizes) stays int64 for every reader. Past n = 62 rows
+    # hold Python ints.
+    big = n > _INT64_SAFE_N
+    rows = [np.zeros(p, dtype=object if big else np.int32)]
+    rows[0][0] = 1
+    for i, sh in enumerate(mods, 1):
+        row, nxt = rows[-1], np.empty(p, dtype=object if big else np.int32 if i <= 30 and i < n else np.int64)
+        nxt[:sh] = row[p - sh :]
+        nxt[sh:] = row[: p - sh]
+        nxt += row
+        rows.append(nxt)
     return CountTable(items, p, rows, mods)
 
 
@@ -172,12 +159,11 @@ def _unrank_mask(table: CountTable, k: int, index: int) -> tuple[int, int]:
     p = table.p
     # Counts are read as Python ints: a NumPy int32 scalar would turn
     # ``index`` into an int32 that overflows past 2^31.
-    words = isinstance(rows[0], np.ndarray)
     mask = 0
     value = 0
     j = k
     for i in range(table.n, 0, -1):
-        without = rows[i - 1].item(j) if words else rows[i - 1][j]
+        without = rows[i - 1].item(j)
         if index > without:
             index -= without
             mask |= 1 << (i - 1)
@@ -264,17 +250,15 @@ def _scratch(size: int) -> tuple:
 
 def _bin_sums_batch(
     table: CountTable | _TableStack, k, start, count: int, values: Sequence[int] | None = None, modulus: int = 0,
-    which=None, sums: np.ndarray | None = None, split: tuple = (0, 0, None, None, None, None),
+    sums: np.ndarray | None = None, split: tuple = (0, 0, None, None, None, None),
 ) -> np.ndarray:
     """Subset sums of ranks start .. start+count-1 of bin k.
 
     ``k`` and ``start`` may also be int64 arrays of ``count`` bins and
     1-based ranks, one pair per entry, so many bins go through in one call.
-    ``table`` may be a :class:`_TableStack`: given ``which``, an array of
-    ``count`` table indices, entry e walks bin k[e] of table which[e]; it
-    starts at that table's row offset and moves by the stack's ``steps``,
-    which stand for its p and item residues. Without ``which``, k holds
-    stacked positions.
+    ``table`` may be a :class:`_TableStack`: k then holds stacked positions
+    (bin k of table m is k + offset[m]), and a walk moves by the stack's
+    ``steps``, which stand for each table's p and item residues.
 
     The walk is that of :func:`_unrank_mask`, run level by level over the
     whole rank vector; callers that need the subsets themselves re-unrank
@@ -302,8 +286,6 @@ def _bin_sums_batch(
     contrib = scratch.view(sums.dtype)
     take_s = take.view(sums.dtype)
     stacked = isinstance(table, _TableStack)
-    if which is not None:
-        np.add(j, table.offset[which], out=j)
 
     def gather(row: np.ndarray) -> None:
         # row[j] into ``scratch`` (int32 rows via ``narrow``: ``take`` writes its
@@ -425,7 +407,7 @@ def _walk_bins(
             sums = top.take(np.bitwise_and(seg, tmask, out=work[3][: b - a]))
             np.right_shift(seg, m, out=seg)
             seg += e0
-        yield a, seg, _bin_sums_batch(table, k, start, b - a, values, modulus, None, sums, split)
+        yield a, seg, _bin_sums_batch(table, k, start, b - a, values, modulus, sums, split)
 
 
 def unrank(table: CountTable, k: int, index: int) -> Subset:

@@ -121,7 +121,7 @@ def find_heavy_bin(items: Sequence[int], p: int, table: CountTable | None = None
     n = len(items)
     if table is None:
         table = build_table(items, p)
-    heavy = np.nonzero(np.asarray(table.rows[n]) > (1 << n) // p)[0]
+    heavy = np.nonzero(table.rows[n] > (1 << n) // p)[0]
     return int(heavy[0]) if heavy.size else p - 1
 
 
@@ -370,7 +370,7 @@ def solve_pigeonhole_modular(
     d = QuotientDecomposition.compute(n, q)
     if d.q1 <= 8 * n + 4:
         table = build_table(residues, q, memory_cap_bytes)
-        k = int(np.nonzero(np.asarray(table.rows[n]) >= 2)[0][0])
+        k = int(np.nonzero(table.rows[n] >= 2)[0][0])
         m1, _ = _unrank_mask(table, k, 1)
         m2, _ = _unrank_mask(table, k, 2)
         return Pair(Subset.from_mask(m1), Subset.from_mask(m2))

@@ -550,8 +550,6 @@ def solve_shifted_mitm(
     ratio: float,
     seed: int = 0,
     budget: SolverBudget | None = None,
-    *,
-    _start: int = 0,
 ) -> SolveOutcome:
     """Search for disjoint (S1, S2) with sum(S1) - sum(S2) = shift and
     |S1| + |S2| = t = round(ratio * n), across random balanced splits.
@@ -563,15 +561,12 @@ def solve_shifted_mitm(
 
     Each side's pair states are built as numpy arrays of sum differences mod
     2^64, only those of the wanted size: C(h, t1) * 2^t1 states for t1 of h
-    items. Splits are drawn as before but joined in doubling batches (1, 2,
-    4, ...), and a wrapped match counts only once exact integers confirm it.
-    The witness is the first exact one in the order of a sequential search:
-    earliest split, then lowest right state, then lowest left state, where a
-    side's states are ordered by their union in lexicographic order, then by
-    the subset of the union in S1 (its bit j for union member j).
-
-    ``_start`` resumes at that split (the earlier permutations are drawn
-    and dropped); ``trace["splits"]`` counts only this call's splits.
+    items. Splits are joined in doubling batches (1, 2, 4, ...), and a
+    wrapped match counts only once exact integers confirm it. The witness is
+    the first exact one in the order of a sequential search: earliest split,
+    then lowest right state, then lowest left state, where a side's states
+    are ordered by their union in lexicographic order, then by the subset of
+    the union in S1 (its bit j for union member j).
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -596,15 +591,13 @@ def solve_shifted_mitm(
     words = np.array([a & _WORD_MASK for a in items], dtype=np.uint64)
     shift_w = np.uint64(shift & _WORD_MASK)
     batch_cap = max(1, _PAIR_CHUNK // (per1 + per2))
-    for _ in range(_start):
-        rng.sample(range(n), n)
-    batch = _start + 1  # resumed after split 0, the batches go 2, 4, ... as before
-    while _start + trace["splits"] < repeats:
+    batch = 1
+    while trace["splits"] < repeats:
         if deadline.expired():
             trace["timed_out"] = True
             break
         done = trace["splits"]
-        size = min(batch, batch_cap, repeats - _start - done)
+        size = min(batch, batch_cap, repeats - done)
         perms = [rng.sample(range(n), n) for _ in range(size)]
         lefts = [sorted(p[:h1]) for p in perms]
         rights = [sorted(p[h1:]) for p in perms]
@@ -650,8 +643,9 @@ def _shifted_rep_join(
     is rejected, a bin-k rank that meets only itself (k2 == k) is dropped
     unvisited, and the rest are confirmed with exact arithmetic in (draw,
     bin-k rank, bin-k2 rank) order, so the pair returned is the first exact
-    one of the first draw that has one. Returns ((draw, pair) or None,
-    timed out).
+    one of the first draw that has one. A wrapped group's bin-k2 ranks are
+    unranked once per draw, into a table of their exact values. Returns
+    ((draw, pair) or None, timed out).
     """
     tab, ks, k2s, scan1, scan2 = (np.array(c, dtype=np.int64) for c in zip(*draws))
     walked, which = (tables[draws[0][0]], None) if len(draws) == 1 else (_stack_tables(tables), tab)
@@ -673,6 +667,7 @@ def _shifted_rep_join(
     order = np.argsort(key2)
     sv = key2[order]
     base1, base2, same = np.cumsum(scan1) - scan1, np.cumsum(scan2) - scan2, k2s == ks
+    groups: dict[tuple[int, int], dict[int, list[int]]] = {}
     if same.all() and (scan1 == scan2).all():
         chunks = range(0, key2.size, _WALK_CHUNK)
         stream = ((a, draw2[a : a + _WALK_CHUNK], key2[a : a + _WALK_CHUNK]) for a in chunks)
@@ -691,14 +686,22 @@ def _shifted_rep_join(
         me = np.where(same[d] & (rank < scan2[d]), base2[d] + rank, -1)
         keep = (hi - lo > 1) | (order[lo] != me)
         for dd, r, l, h, m in zip(*(x[keep].tolist() for x in (d, rank, lo, hi, me))):
-            group = sorted(g for g in order[l:h].tolist() if draw2[g] == dd and g != m)
-            if not group:
+            # One exact table per (draw, wrapped group): exact value -> the
+            # group's bin-k2 masks in rank order.
+            table, exact = tables[tab[dd]], groups.get((dd, l))
+            if exact is None:
+                group = sorted(g for g in order[l:h].tolist() if draw2[g] == dd)
+                if group == [m]:
+                    continue
+                exact = groups[dd, l] = {}
+                for g in group:
+                    other, other_value = _unrank_mask(table, int(k2s[dd]), g - int(base2[dd]) + 1)
+                    exact.setdefault(other_value, []).append(other)
+            if not exact:
                 continue
-            table = tables[tab[dd]]
             mask, value = _unrank_mask(table, int(ks[dd]), r + 1)
-            for g in group:
-                other, other_value = _unrank_mask(table, int(k2s[dd]), g - int(base2[dd]) + 1)
-                if other != mask and value - other_value == shift:
+            for other in exact.get(value - shift, ()):
+                if other != mask:
                     return (dd, Pair(Subset.from_mask(mask), Subset.from_mask(other))), False
         if deadline.expired():
             return None, True
@@ -711,8 +714,6 @@ def solve_shifted_rep(
     ratio: float,
     seed: int = 0,
     budget: SolverBudget | None = None,
-    *,
-    _start: int = 0,
 ) -> SolveOutcome:
     """Bin-pair search tuned for solutions of total size about ratio * n.
 
@@ -722,23 +723,19 @@ def solve_shifted_rep(
     over the two bins, enumerating at most n^2 * 2^((1-b) n) entries per
     bin.
 
-    The first batch is one draw, so a planted pair can end the search
-    there. Each later batch holds _WALK_CHUNK // (2 * the largest scan of
-    the batch before) draws, so its bins fill about one walk chunk. A batch
-    is joined at once (:func:`_shifted_rep_join`), with tables only for the
-    primes of draws to walk or to size. A draw whose (p, k) an earlier draw
-    of the call already joined with at least its scans is the same search
-    and cannot hit: it is not walked again, only counted in
-    ``trace["repeats_skipped"]``. The witness rule is that of one draw at a
+    Each batch holds as many draws as fill about one walk chunk with their
+    two bins: the first as if each bin held 2^n / 2^(b n) ranks (the mean at
+    the least prime), each later one as if it held the largest scan of the
+    batch before. A batch is joined at once (:func:`_shifted_rep_join`),
+    with tables only for the primes of draws to walk or to size. A draw
+    whose (p, k) an earlier draw of the call already joined with at least
+    its scans is the same search and cannot hit: it is not walked again,
+    only counted in ``trace["repeats_skipped"]``. The witness rule is that of one draw at a
     time: the first draw with an exact pair, then its lowest bin-k rank,
     then its lowest bin-k2 rank. ``trace["draw_count"]`` counts the draws
     (skipped ones too) up to the deciding one, and only those get ``draws``
     records (at most _TRACE_DRAWS, the rest are counted in
     ``draws_dropped``).
-
-    ``_start`` resumes at that draw. No later draw scans a bin pair further
-    than a batch's lone first draw did, so the earlier draws' pairs count as
-    joined; ``draw_count`` and the records cover this call's draws.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -766,11 +763,9 @@ def solve_shifted_rep(
         p = random_prime(1 << bn_bits, 1 << (bn_bits + 1), derive_seed(seed, "shifted-rep-prime", t, i))
         return p, random_residue(p, derive_seed(seed, "shifted-rep-residue", t, i))
 
-    replayed = [draw(i) for i in range(_start)]
     # (p, k) -> [its two bin sizes or None, the largest bin-k2 scan joined]
-    seen: dict = {pk: [None, math.inf] for pk in replayed}
-    # resumed, the first batch is sized for bins of the mean 2^n / p, p the last replayed prime
-    r, size = _start, max(1, (_WALK_CHUNK * replayed[-1][0]) >> (n + 1)) if _start else 1
+    seen: dict = {}
+    r, size = 0, max(1, (_WALK_CHUNK << bn_bits) >> (n + 1))
     while r < repeats:
         if deadline.expired():
             trace["timed_out"] = True
@@ -822,14 +817,14 @@ def solve_shifted_rep(
         r += decided
         _record_draws(trace, records[:decided])
         if hit is not None:
-            trace["draw_count"] = r - _start
+            trace["draw_count"] = r
             return _outcome(SolveStatus.FOUND, hit[1], seed, deadline, trace)
         if timed_out:
             trace["timed_out"] = True
             break
         if draws:
             size = max(1, _WALK_CHUNK // max(1, 2 * max(max(d[3:]) for d in draws)))
-    trace["draw_count"] = r - _start
+    trace["draw_count"] = r
     return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
 
 
@@ -891,13 +886,12 @@ def solve_shifted(
     meet-in-the-middle (between the classical crossover ratios), and the
     single-class mitm otherwise, in two passes: the probe gives each class
     only its first draw or split, where planted pairs are mostly hit, and
-    the sweep resumes each class at its second and runs it to the repeat
-    cap. The passes make the draws and splits of one full run per class,
-    none twice; the witness is the first hit in probe order, then in sweep
-    order. Phase 2 falls back to the exhaustive pair search so a miss
-    becomes a definitive NOT_FOUND for n small enough to afford it;
-    perfect-partition pairs (total size n) are only reachable by phase 2,
-    since phase 1 classes stop at n-1.
+    the sweep then runs each class in full to the repeat cap (its first
+    draw or split is the probe's, and misses again). The witness is the
+    first hit in probe order, then in sweep order. Phase 2 falls back to the
+    exhaustive pair search so a miss becomes a definitive NOT_FOUND for n
+    small enough to afford it; perfect-partition pairs (total size n) are
+    only reachable by phase 2, since phase 1 classes stop at n-1.
 
     A phase-1 class whose solver refuses with :class:`ResourceLimitError`
     (its states or tables would pass ``memory_cap_bytes``) is recorded with
@@ -934,9 +928,8 @@ def solve_shifted(
         trace["phases"].append(dict(zip(("t", "pass", "algorithm", "status", "elapsed_ms"), entry)))
 
     skipped = set()
-    # (pass, budget knobs, resume keywords) of the probe and the sweep
-    passes = [("probe", {"repeat_cap": 1}, {}), ("sweep", {}, {"_start": 1})]
-    for name, knobs, resume in passes[: 1 + (budget.resolved_repeat_cap(n) > 1)]:
+    passes = [("probe", {"repeat_cap": 1}), ("sweep", {})]  # (pass, budget knobs)
+    for name, knobs in passes[: 1 + (budget.resolved_repeat_cap(n) > 1)]:
         for t in range(n - 1, 0, -1):
             if t in skipped:
                 continue
@@ -948,7 +941,7 @@ def solve_shifted(
             clock = _Deadline(None)
             try:
                 solve = solve_shifted_rep if rep else solve_shifted_mitm
-                sub = solve(items, shift, ratio, child_seed, phase_budget(**knobs), **resume)
+                sub = solve(items, shift, ratio, child_seed, phase_budget(**knobs))
             except ResourceLimitError:
                 # Phase 1 only gambles (a miss is never NOT_FOUND), so skipping a class is sound.
                 skipped.add(t)

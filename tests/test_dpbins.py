@@ -134,6 +134,24 @@ class TestNarrowRows:
             sum(a for i, a in enumerate(items) if (r - 1) >> i & 1) for r in range(start, start + 6)
         ]
 
+    def test_object_rows_past_62(self):
+        # Past n = 62 rows hold Python ints: the last rank of every bin mod 3
+        # is above 2^62, and mod 1 the last rank, 2^64, is the full set.
+        rng = random.Random(64)
+        items = tuple(rng.randrange(1, 1 << 20) for _ in range(64))
+        t = build_table(items, 3)
+        assert all(row.dtype == object for row in t.rows)
+        for k in range(3):
+            last = t.bin_size(k)
+            assert last > 1 << 62
+            s, before = unrank(t, k, last), unrank(t, k, last - 1)
+            assert sum(items[i - 1] for i in s) % 3 == k
+            assert compare_chi(before, s) == -1
+        whole = build_table(items, 1)
+        assert whole.bin_size(0) == 1 << 64
+        assert unrank(whole, 0, 1 << 64).indices == tuple(range(1, 65))
+        assert unrank(whole, 0, (1 << 63) + 1).indices == (64,)
+
 
 class TestCompareChi:
     def test_empty_is_minimum(self):
@@ -275,7 +293,8 @@ class TestStackedWalk:
         if not entries:
             return
         which, ks, ranks = (np.array(c) for c in zip(*entries))
-        got = dpbins._bin_sums_batch(dpbins._stack_tables(tables), ks, ranks, len(entries), which=which)
+        stack = dpbins._stack_tables(tables)
+        got = dpbins._bin_sums_batch(stack, ks + stack.offset[which], ranks, len(entries))
         one = [dpbins._bin_sums_batch(tables[m], k, r, 1)[0] for m, k, r in entries]
         want = [dpbins._unrank_mask(tables[m], k, r)[1] % (1 << 64) for m, k, r in entries]
         assert got.tolist() == one == want

@@ -85,3 +85,17 @@ def test_no_unreferenced_private_helpers():
                 named.append(node.asname or node.name)
     unreferenced = [where for name, where in defined.items() if name not in named]
     assert unreferenced == []
+
+
+def test_no_private_parameters():
+    # an underscore-prefixed parameter is a private knob on a function that
+    # callers see; internal state belongs in a private helper instead
+    found = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                name = getattr(node, "name", "<lambda>")
+                found += [f"{path.name}:{node.lineno} {name}({p.arg})" for p in params if p.arg.startswith("_")]
+    assert found == []

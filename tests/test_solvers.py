@@ -272,26 +272,6 @@ class TestShiftedMitm:
             solve_shifted_mitm(items, 0, 0.5, budget=small)
         assert solve_shifted_mitm(items, 0, 0.5, budget=large).found
 
-    def test_resume_continues_the_same_splits(self):
-        # _start=1 redraws split 0's permutation and drops it: a pair that a
-        # full run finds at split s, the resumed run finds at its split s - 1.
-        rng = random.Random(9)
-        later = 0
-        for seed in range(30):
-            n = rng.randrange(6, 13)
-            items = tuple(rng.randrange(1, 1 << (2 * n)) for _ in range(n))
-            chosen = rng.sample(range(n), 2 * (n // 3))
-            shift = abs(sum(items[i] for i in chosen[: n // 3]) - sum(items[i] for i in chosen[n // 3 :]))
-            ratio = len(chosen) / n
-            full = solve_shifted_mitm(items, shift, ratio, seed)
-            resumed = solve_shifted_mitm(items, shift, ratio, seed, _start=1)
-            if full.found and full.trace["splits"] == 1:
-                continue
-            assert resumed.status is full.status and _masks(resumed) == _masks(full)
-            assert resumed.trace["splits"] == full.trace["splits"] - 1
-            later += full.found
-        assert later >= 3
-
     def test_time_cap(self):
         # no pair at all; t = 14 of 28 has 2 * C(14,7) * 2^7 states per split
         items = tuple(1 << i for i in range(28))
@@ -553,7 +533,8 @@ class TestShiftedRepGolden:
 
 def _ref_rep_join(table, shift, k, k2, scan1, scan2):
     """One draw's bin join as solve_shifted_rep ran it draw by draw: first
-    exact pair by bin-k rank, then bin-k2 rank."""
+    exact pair by bin-k rank, then bin-k2 rank. Each wrapped group's bin-k2
+    ranks are unranked once, into exact value -> masks in rank order."""
     if not scan2:
         return None
     sums2 = dpbins._bin_sums_batch(table, k2, 1, scan2)
@@ -561,15 +542,19 @@ def _ref_rep_join(table, shift, k, k2, scan1, scan2):
     sv = sums2[order]
     want = dpbins._bin_sums_batch(table, k, 1, scan1) - np.uint64(shift % (1 << 64))
     pos = np.searchsorted(sv, want)
+    groups = {}  # (start, end) in sv -> its exact values
     for rank in np.flatnonzero(pos < sv.size).tolist():
-        hi = np.searchsorted(sv, want[rank], "right")
-        group = sorted(g for g in order[pos[rank]:hi].tolist() if not (k2 == k and g == rank))
-        if not group:
-            continue
+        lo, hi = int(pos[rank]), int(np.searchsorted(sv, want[rank], "right"))
+        if hi == lo or (k2 == k and hi - lo == 1 and order[lo] == rank):
+            continue  # no partner but the rank itself
+        if (lo, hi) not in groups:
+            exact = groups[lo, hi] = {}
+            for g in sorted(order[lo:hi].tolist()):
+                other, other_value = solvers._unrank_mask(table, k2, g + 1)
+                exact.setdefault(other_value, []).append(other)
         mask, value = solvers._unrank_mask(table, k, rank + 1)
-        for g in group:
-            other, other_value = solvers._unrank_mask(table, k2, g + 1)
-            if other != mask and value - other_value == shift:
+        for other in groups[lo, hi].get(value - shift, ()):
+            if other != mask:
                 return mask, other
     return None
 
@@ -613,7 +598,7 @@ class TestShiftedRepBatches:
         shift = data.draw(st.sampled_from([0, planted % total, data.draw(st.integers(0, total - 1))]))
         t = data.draw(st.integers(1, max(1, n - 1)))
         seed = data.draw(st.integers(0, 1000))
-        # the first batch is one draw, each later one as many as fill a walk chunk; None is 4n draws
+        # a batch holds as many draws as fill a walk chunk; None is 4n draws
         budget = SolverBudget(repeat_cap=data.draw(st.sampled_from([1, 2, 3, 8, None])))
         if n == 1:  # no prime range below 2^0
             with pytest.raises(ValueError):
@@ -630,8 +615,8 @@ class TestShiftedRepBatches:
             assert verify(ProblemInstance("shifted_sums", items, shift=shift), out.witness)
 
     def test_deciding_draw_inside_a_batch(self):
-        # Draws 3, 5-7, 9-15, ... are not the first of their batch: the first
-        # exact pair must still come from the earliest draw that has one.
+        # A deciding draw past the first shares its batch with earlier draws:
+        # the first exact pair must still come from the earliest that has one.
         rng = random.Random(6)
         budget = SolverBudget()
         inside = 0
@@ -664,7 +649,7 @@ class TestShiftedRepBatches:
             assert solvers._shifted_rep_join(items, shift, [table], draws, solvers._Deadline(None)) == (None, False)
         assert unranked == []
         out = solve_shifted_rep(items, shift, 0.5, seed=1)
-        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["batches"] > 1
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["batches"] == 1  # all 24 draws stacked
 
     def test_shift_zero_self_matches_are_never_confirmed(self, monkeypatch):
         # Powers of two have distinct subset sums: at shift 0 each bin-k rank
@@ -679,13 +664,27 @@ class TestShiftedRepBatches:
         out = solve_shifted_rep(items, 0, 0.5, seed=2)
         assert out.status is SolveStatus.INCONCLUSIVE and unranked == []
 
+    def test_wrapped_group_is_unranked_once(self):
+        # Every subset sum of (2i + 2) * 2^64 is 0 mod 2^64, so at t=15 of 16
+        # (p = 2 or 3) every bin-k rank meets the whole of bin k2, tens of
+        # thousands of ranks. Confirming each rank against a table of the
+        # group's exact values, built once, keeps the solve well under 3 s.
+        items = tuple((2 * i + 2) << 64 for i in range(16))
+        shift = sum(items[8:15]) - sum(items[:8])
+        t0 = time.perf_counter()
+        out = solve_shifted_rep(items, shift, 15 / 16, seed=0)
+        assert time.perf_counter() - t0 < 3.0
+        status, masks, draw_count, _ = _ref_shifted_rep(items, shift, 15 / 16, 0, SolverBudget())
+        assert (out.status, _masks(out), out.trace["draw_count"]) == (status, masks, draw_count)
+        assert out.found and verify(ProblemInstance("shifted_sums", items, shift=shift), out.witness)
+
     def test_trace_counts_batches_tables_and_dropped_draws(self):
         out = solve_shifted_rep(tuple(1 << i for i in range(16)), 0, 0.5, seed=3)
         trace = out.trace
         assert trace["draw_count"] == 64
         assert len(trace["draws"]) == solvers._TRACE_DRAWS
         assert trace["draws_dropped"] == 64 - solvers._TRACE_DRAWS
-        assert 1 < trace["batches"] < 64  # 1 + 63 draws
+        assert trace["batches"] == 1  # bins of about 2^16 / 2^8 ranks: 64 draws fill one walk chunk
         assert trace["tables_built"] <= 64 and len({d["p"] for d in trace["draws"]}) <= trace["tables_built"]
         sub = solve_subset_sum_rep((2, 4, 8), 5, seed=1)
         assert sub.trace["draws_dropped"] == 0
@@ -707,43 +706,24 @@ class TestShiftedRepBatches:
                 assert draw_count == 48 and out.trace["repeats_skipped"] > 0
 
     def test_batch_of_repeats_builds_no_table(self):
-        # Class t=9 of an unsolvable n=12 dispatcher solve: its primes are 11
-        # and 13, and its third batch holds only repeats. Tables are built
-        # only for primes with a draw to walk or to size (5 before, over the
-        # same 3 batches), and the draws, records and counts stay the same.
+        # Classes t=9 and t=11 of an unsolvable n=12 dispatcher solve. Tables
+        # are built only for primes with a draw to walk or to size: at t=9
+        # (primes 11 and 13, batches of 32 and 16 draws) each batch builds
+        # both; at t=11 (primes 2 and 3, five pairs (p, k)) at least two of the
+        # five batches hold only repeats and build none. The draws, records
+        # and counts are those of the one-draw-at-a-time reference.
         rng = random.Random(12)
         items = tuple(rng.randrange(1, 1 << 36) for _ in range(12))
-        seed = derive_seed(0, "dispatch", 9)
-        status, _, draw_count, records = _ref_shifted_rep(items, 0, 9 / 12, seed, SolverBudget())
-        out = solve_shifted_rep(items, 0, 9 / 12, seed)
-        assert out.status is status is SolveStatus.INCONCLUSIVE
-        assert out.trace["draw_count"] == draw_count == 48
-        assert out.trace["draws"] == records[: solvers._TRACE_DRAWS]
-        assert out.trace["repeats_skipped"] == 29
-        assert out.trace["batches"] == 3 and out.trace["tables_built"] <= 3
-        assert {r["p"] for r in records} == {11, 13}
-
-    def test_resume_continues_the_same_draws(self, monkeypatch):
-        # _start=1 is the rest of a full run: the same draws from draw 1 on,
-        # the same witness, and draw 0's bin pair counts as already joined.
-        monkeypatch.setattr(solvers, "_TRACE_DRAWS", 1000)
-        rng = random.Random(14)
-        later = 0
-        for seed in range(24):
-            n = rng.randrange(8, 14)
-            items = tuple(rng.randrange(1, 1 << (2 * n)) for _ in range(n))
-            shift = rng.choice([0, abs(sum(items[: n // 4]) - sum(items[n // 4 : n // 2]))])
-            ratio = rng.choice([0.3, 0.5, 0.7])
-            full = solve_shifted_rep(items, shift, ratio, seed)
-            if full.found and full.trace["draw_count"] == 1:
-                continue
-            resumed = solve_shifted_rep(items, shift, ratio, seed, _start=1)
-            assert resumed.status is full.status and _masks(resumed) == _masks(full)
-            assert resumed.trace["draw_count"] == full.trace["draw_count"] - 1
-            assert resumed.trace["draws"] == full.trace["draws"][1:]
-            assert resumed.trace["repeats_skipped"] == full.trace["repeats_skipped"]
-            later += full.found
-        assert later >= 3
+        for t, skipped, batches, tables, primes in ((9, 29, 2, 4, {11, 13}), (11, 43, 5, 3, {2, 3})):
+            seed = derive_seed(0, "dispatch", t)
+            status, _, draw_count, records = _ref_shifted_rep(items, 0, t / 12, seed, SolverBudget())
+            out = solve_shifted_rep(items, 0, t / 12, seed)
+            assert out.status is status is SolveStatus.INCONCLUSIVE
+            assert out.trace["draw_count"] == draw_count == 48
+            assert out.trace["draws"] == records[: solvers._TRACE_DRAWS]
+            assert out.trace["repeats_skipped"] == skipped
+            assert (out.trace["batches"], out.trace["tables_built"]) == (batches, tables)
+            assert {r["p"] for r in records} == primes
 
     def test_lone_draw_walks_its_own_table(self):
         # A batch with one walked draw on its second table (the draws of the
@@ -954,7 +934,7 @@ class TestShiftedDispatcher:
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
             items, _, ratio = args[:3]
-            calls.append((round(ratio * len(items)), kwargs.get("_start", 0), out))
+            calls.append((round(ratio * len(items)), args[4].repeat_cap, out))
             return out
 
         return wrapper
@@ -966,11 +946,11 @@ class TestShiftedDispatcher:
         out = solve_shifted(tuple(1 << i for i in range(10)), 0, seed=0)  # no pair
         assert out.status is SolveStatus.NOT_FOUND
         classes = range(9, 0, -1)
-        assert [c[:2] for c in calls] == [(t, 0) for t in classes] + [(t, 1) for t in classes]
+        assert [c[:2] for c in calls] == [(t, 1) for t in classes] + [(t, None) for t in classes]
 
     def test_probe_and_sweep_make_one_full_run_per_class(self, monkeypatch):
-        # On an unsolvable instance each class's probe and sweep together make
-        # the draws (or splits) of one full run of its solver, none twice.
+        # On an unsolvable instance each class's probe makes the first draw
+        # (or split) of a full run of its solver, and its sweep is that run.
         monkeypatch.setattr(solvers, "_TRACE_DRAWS", 1000)
         calls = []
         for name in ("solve_shifted_rep", "solve_shifted_mitm"):
@@ -985,22 +965,24 @@ class TestShiftedDispatcher:
             algorithm = probe.trace["algorithm"]
             fn = solve_shifted_rep if algorithm == "shifted-rep" else solve_shifted_mitm
             full = fn(items, 0, t / 10, derive_seed(5, "dispatch", t))  # unwrapped
+            assert (sweep.status, _masks(sweep)) == (full.status, _masks(full))
             if algorithm == "shifted-rep":
                 assert probe.trace["draw_count"] == 1
-                assert probe.trace["draw_count"] + sweep.trace["draw_count"] == full.trace["draw_count"] == 40
-                assert probe.trace["draws"] + sweep.trace["draws"] == full.trace["draws"]
+                assert probe.trace["draws"] == full.trace["draws"][:1]
+                assert sweep.trace["draw_count"] == full.trace["draw_count"] == 40
+                assert sweep.trace["draws"] == full.trace["draws"]
                 assert sweep.trace["repeats_skipped"] == full.trace["repeats_skipped"]
             else:
                 assert probe.trace["splits"] == 1
-                assert probe.trace["splits"] + sweep.trace["splits"] == full.trace["splits"] == 40
+                assert sweep.trace["splits"] == full.trace["splits"] == 40
 
     def test_skipped_class_is_not_swept(self, monkeypatch):
         real = solvers.solve_shifted_mitm
 
-        def refuse_t8(items, shift, ratio, seed, budget, **kwargs):
+        def refuse_t8(items, shift, ratio, seed, budget):
             if round(ratio * len(items)) == 8:
                 raise ResourceLimitError("stub")
-            return real(items, shift, ratio, seed, budget, **kwargs)
+            return real(items, shift, ratio, seed, budget)
 
         monkeypatch.setattr(solvers, "solve_shifted_mitm", refuse_t8)
         out = solve_shifted(tuple(1 << i for i in range(10)), 0, seed=0)
