@@ -11,6 +11,7 @@ order is exactly the chi order used by the unranking code.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -332,22 +333,20 @@ def brute_solve(instance: ProblemInstance, with_ratios: bool = False) -> BruteFo
 
 
 def _coefficient_count(items: Sequence[int], target: int) -> int:
-    """Number of e in {0,1,2}^n with a.e = target, by honest 3^n scan."""
+    """Number of e in {0,1,2}^n with a.e = target: the exact values of every
+    e over each half (Python ints, so items of any width), one half counted
+    against the other."""
     n = len(items)
     _check_cap(n, _TERNARY_CAP_N, "coefficient count")
-    k = min(n, 12)
-    block = 3**k
-    vals = np.zeros(block, dtype=np.int64)
-    width = 1
-    for a in items[:k]:
-        vals[width : 2 * width] = vals[:width] + a
-        vals[2 * width : 3 * width] = vals[:width] + 2 * a
-        width *= 3
-    count = 0
-    for outer in product((0, 1, 2), repeat=n - k):
-        off = sum(st * a for st, a in zip(outer, items[k:]))
-        count += int(np.count_nonzero(vals == target - off))
-    return count
+
+    def values(part: Sequence[int]) -> list[int]:
+        vals = [0]
+        for a in part:
+            vals = [v + c * a for v in vals for c in (0, 1, 2)]
+        return vals
+
+    left = Counter(values(items[: n // 2]))
+    return sum(left[target - v] for v in values(items[n // 2 :]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,22 @@ Two algorithm families:
 
 * meet-in-the-middle ("mitm"): split the indices in half, enumerate both
   halves and join them. Each half's disjoint pair states (S1, S2) become a
-  numpy array of sum differences mod 2^64, and one sorted join
-  (``_join_pair_states``) serves every such search: a subset is a pair
-  state with S2 empty, so the plain target's half sums go through it too. A
-  modular target joins a dictionary of residues instead. Deterministic;
-  complete for the plain and modular target problems. The single-class
-  shifted search builds one size class per random split, so a miss is
-  only evidence, not a proof: the result is Inconclusive.
+  numpy array of sum differences mod 2^64; a subset is a pair state with S2
+  empty, so the plain target's half sums are pair states too. A modular
+  target joins a dictionary of residues instead. Deterministic; complete
+  for the plain and modular target problems. The single-class shifted
+  search builds one size class per random split, so a miss is only
+  evidence, not a proof: the result is Inconclusive.
 
 * residue binning ("rep"): pick a random prime p, build the count table,
   and walk the one bin (or pair of bins) that must contain a solution. For
   subset_sum the target pins the bin, so fully enumerating it proves
   NotFound; for shifted sums the bin pair only covers one residue class of
   solutions and a miss is Inconclusive.
+
+Every list match, the three mitm searches and the shifted bin pairs (bin
+k2 ranks as states (empty, S2), bin k ranks as (S1, empty)), runs on one
+sorted join of pair states, ``_join_pair_states``.
 
 ``solve_shifted`` combines both: a sweep over solution-size ratios picks
 mitm or rep per ratio by their cost exponents, and a final folklore
@@ -157,6 +160,15 @@ def _outcome(
     return SolveOutcome(status, witness, seed, deadline.elapsed_ms(), trace)
 
 
+def _inconclusive(reason: str, seed: int | None, deadline: _Deadline, trace: dict) -> SolveOutcome:
+    """INCONCLUSIVE that names its ``trace["reason"]`` and sets it as a flag:
+    "timed_out", "repeat_cap" when the draws or splits ran out, or the
+    dispatcher's "exhaustive_skipped"."""
+    trace[reason] = True
+    trace["reason"] = reason
+    return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+
+
 def _half_sums(items: Sequence[int], positions: Sequence[int]) -> list[int]:
     """Subset sums of the given positions, indexed by local mask (doubling)."""
     sums = [0]
@@ -222,14 +234,14 @@ def solve_subset_sum_mitm(
     keys1 = _half_sums_vec(items, range(h1))
     needs2 = np.uint64(target & _WORD_MASK) - _half_sums_vec(items, range(h1, n))
     hit, timed_out = _join_pair_states(
-        items, target, keys1, needs2, lambda i: (0, i, 0), lambda j: (0, j << h1, 0), deadline
+        items, target, keys1, _chunks(needs2), np.array([[keys1.size, needs2.size, 1]]),
+        lambda b, i: (i, 0), lambda b, j: (j << h1, 0), deadline,
     )
     if hit is not None:
-        trace["scanned"] = hit[0] + 1
-        return _outcome(SolveStatus.FOUND, hit[1].s1, None, deadline, trace)
+        trace["scanned"] = hit[1] + 1
+        return _outcome(SolveStatus.FOUND, hit[2].s1, None, deadline, trace)
     if timed_out:
-        trace["timed_out"] = True
-        return _outcome(SolveStatus.INCONCLUSIVE, None, None, deadline, trace)
+        return _inconclusive("timed_out", None, deadline, trace)
     trace["scanned"] = int(needs2.size)
     return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
 
@@ -263,8 +275,7 @@ def solve_modular_subset_sum_mitm(
             return _outcome(SolveStatus.FOUND, witness, None, deadline, trace)
         if mask2 % 4096 == 0 and deadline.expired():
             trace["scanned"] = mask2 + 1
-            trace["timed_out"] = True
-            return _outcome(SolveStatus.INCONCLUSIVE, None, None, deadline, trace)
+            return _inconclusive("timed_out", None, deadline, trace)
     trace["scanned"] = len(sums2)
     return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
 
@@ -360,7 +371,6 @@ def solve_subset_sum_rep(
     draws_done = 0
     for r in range(repeats):
         if deadline.expired():
-            trace["timed_out"] = True
             break
         _require_word_rows(n)
         p = random_prime(1 << half_bits, 1 << (half_bits + 1), derive_seed(seed, "subset-rep-prime", r))
@@ -387,16 +397,15 @@ def solve_subset_sum_rep(
             done += sums_c.size
             if done < scan and deadline.expired():
                 record["enumerated"] = done
-                trace["timed_out"] = True
                 trace["draw_count"] = draws_done
-                return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+                return _inconclusive("timed_out", seed, deadline, trace)
         if scan == size:
             # The whole bin holding every possible solution was checked.
             trace["draw_count"] = draws_done
             trace["definitive_draw"] = r
             return _outcome(SolveStatus.NOT_FOUND, None, seed, deadline, trace)
     trace["draw_count"] = draws_done
-    return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+    return _inconclusive("timed_out" if draws_done < repeats else "repeat_cap", seed, deadline, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -445,29 +454,27 @@ def _all_states(words: Sequence[int]) -> np.ndarray:
 
 
 def _class_decoder(sides: list[list[int]], combos: list[tuple[int, ...]], t: int):
-    """decode(i) -> (split, S1 mask, S2 mask) for the class states of
-    :func:`_class_states` stacked split after split."""
-    per_split = len(combos) << t
+    """decode(split, i) -> (S1 mask, S2 mask) for class state i of
+    :func:`_class_states` over ``sides[split]``."""
 
-    def decode(i: int) -> tuple[int, int, int]:
-        split, local = divmod(i, per_split)
+    def decode(split: int, i: int) -> tuple[int, int]:
         side = sides[split]
         m1 = m2 = 0
-        for j, p in enumerate(combos[local >> t]):
-            if local >> j & 1:
+        for j, p in enumerate(combos[i >> t]):
+            if i >> j & 1:
                 m1 |= 1 << side[p]
             else:
                 m2 |= 1 << side[p]
-        return split, m1, m2
+        return m1, m2
 
     return decode
 
 
 def _ternary_decoder(positions: Sequence[int]):
-    """decode(i) -> (0, S1 mask, S2 mask) for the states of
+    """decode(0, i) -> (S1 mask, S2 mask) for the states of
     :func:`_all_states` over the items at ``positions``."""
 
-    def decode(i: int) -> tuple[int, int, int]:
+    def decode(block: int, i: int) -> tuple[int, int]:
         m1 = m2 = 0
         for p in reversed(positions):
             i, digit = divmod(i, 3)
@@ -475,66 +482,94 @@ def _ternary_decoder(positions: Sequence[int]):
                 m1 |= 1 << p
             elif digit:
                 m2 |= 1 << p
-        return 0, m1, m2
+        return m1, m2
 
     return decode
 
 
 def _join_pair_states(
-    items: Sequence[int], shift: int, keys1: np.ndarray, needs2: np.ndarray, decode1, decode2,
+    items: Sequence[int], shift: int, keys1: np.ndarray, needles, blocks: np.ndarray, decode1, decode2,
     deadline: _Deadline,
-) -> tuple[tuple[int, Pair] | None, bool]:
+) -> tuple[tuple[int, int, Pair] | None, bool]:
     """First exact shifted pair across two sides of pair states.
 
-    Every meet-in-the-middle search runs on this join. A subset is a pair
-    state whose S2 is empty, and ``shift`` is then the subset's target.
-    ``keys1[i]`` is left state i's key mod 2^64 and ``needs2[j]`` the key
-    right state j needs from its partner; both hold sum differences with a
-    tag (the split, or 0) mixed in. ``decode`` gives a state's exact
-    (tag, S1 mask, S2 mask), where a right state gives the tag it needs. A
-    wrapped match is only a candidate: right states are confirmed in
-    ascending index, each against its left partners with the same tag and
-    the exact difference in ascending index, and the first partner whose
-    union pair is not (empty, empty) wins. Returns ((right index, pair) or
-    None, timed out).
+    Every list match in this module runs on this join: the three
+    meet-in-the-middle searches and shifted-rep's bin pairs. A subset is a
+    pair state whose S2 is empty, and ``shift`` is then the subset's target.
+    Each side is a run of blocks (splits, draws, or one block): row b of
+    ``blocks`` holds block b's number of left states, of right states and of
+    twins. ``keys1[i]`` is left state i's key mod 2^64, and ``needles``
+    yields, a chunk at a time, the key each right state needs from its
+    partner; the keys are sum differences with a tag (the block, or 0) mixed
+    in, so that the two states of an exact pair meet. ``decode1(b, i)`` and
+    ``decode2(b, j)`` give the exact (S1 mask, S2 mask) of state i or j of
+    block b.
+
+    A key match is only a candidate. One between different blocks is
+    dropped before anything is decoded. Right state r of block b, for r
+    below the block's twin count, has left state r of block b as its twin,
+    the state that makes the degenerate pair (S, S) with it; a match whose
+    wrapped group holds only its twin is dropped with array ops, with no
+    argsort and no decode. The rest are
+    confirmed with exact integers: right states in ascending index, each
+    against its left partners of the same block with the exact difference in
+    ascending index, and the first partner whose union pair is not (S, S)
+    wins. Returns ((block, right index, pair) or None, timed out).
     """
     sv = np.sort(keys1)
     if deadline.expired():
         return None, True
-    order = None  # left states in key order, needed only once a match turns up
-    groups: dict[int, dict[tuple[int, int], list[tuple[int, int]]]] = {}
-    for start in range(0, needs2.size, _WALK_CHUNK):
-        want = needs2[start : start + _WALK_CHUNK]
-        # Probing with sorted needles keeps the binary searches cache friendly.
-        needles = np.sort(want)
-        pos = np.searchsorted(sv, needles)
-        ok = pos < sv.size
-        ok[ok] = sv[pos[ok]] == needles[ok]
-        hits = np.flatnonzero(np.isin(want, needles[ok]))
-        starts = np.searchsorted(sv, want[hits])
-        ends = np.searchsorted(sv, want[hits], "right")
-        for off, lo, hi in zip(hits.tolist(), starts.tolist(), ends.tolist()):
-            # One exact table per wrapped group: (tag, exact difference) ->
-            # its left states in ascending index.
-            exact = groups.get(lo)
-            if exact is None:
-                if order is None:
-                    order = np.argsort(keys1)
-                exact = groups[lo] = {}
-                for i in sorted(order[lo:hi].tolist()):
-                    tag, g1, g2 = decode1(i)
-                    key = (tag, _mask_value(items, g1) - _mask_value(items, g2))
-                    exact.setdefault(key, []).append((g1, g2))
-            tag, m1, m2 = decode2(start + off)
-            for g1, g2 in exact.get((tag, shift - _mask_value(items, m1) + _mask_value(items, m2)), ()):
-                c1, c2 = g1 | m1, g2 | m2
-                if c1 != c2:
-                    pair = Pair(Subset.from_mask(c1), Subset.from_mask(c2))
-                    _check_witness(_verify_pair(items, pair, shift))
-                    return (start + off, pair), False
+    starts1, ends2 = np.cumsum(blocks[:, 0]) - blocks[:, 0], np.cumsum(blocks[:, 1])
+    order = None  # left states in key order, needed only once a match survives
+    groups: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
+    start = 0
+    for want in needles:
+        # Sorted needles keep the binary searches cache friendly; the group
+        # bounds are taken on them, then each hit finds its value's bounds.
+        srt = np.sort(want)
+        lo = np.searchsorted(sv, srt)
+        ok = lo < sv.size
+        ok[ok] = sv[lo[ok]] == srt[ok]
+        if ok.any():
+            vals, lo = srt[ok], lo[ok]
+            hi = np.searchsorted(sv, vals, "right")
+            at = np.minimum(np.searchsorted(vals, want), vals.size - 1)
+            hits = np.flatnonzero(vals[at] == want)
+            lo, hi, j = lo[at[hits]], hi[at[hits]], start + hits
+            b = np.searchsorted(ends2, j, "right")
+            r = j - ends2[b] + blocks[b, 1]  # index inside block b
+            lone = (hi - lo == 1) & (r < blocks[b, 2])
+            lone[lone] = keys1[starts1[b[lone]] + r[lone]] == want[hits[lone]]
+            for bb, jj, rr, l, h in zip(*(x[~lone].tolist() for x in (b, j, r, lo, hi))):
+                # One exact table per (block, wrapped group): exact difference
+                # -> the group's left states of the block in ascending index.
+                exact = groups.get((bb, l))
+                if exact is None:
+                    if order is None:
+                        order = np.argsort(keys1)
+                    first, size = int(starts1[bb]), int(blocks[bb, 0])
+                    exact = groups[bb, l] = {}
+                    for i in sorted(i - first for i in order[l:h].tolist() if 0 <= i - first < size):
+                        g1, g2 = decode1(bb, i)
+                        exact.setdefault(_mask_value(items, g1) - _mask_value(items, g2), []).append((g1, g2))
+                if not exact:
+                    continue
+                m1, m2 = decode2(bb, rr)
+                for g1, g2 in exact.get(shift - _mask_value(items, m1) + _mask_value(items, m2), ()):
+                    c1, c2 = g1 | m1, g2 | m2
+                    if c1 != c2:
+                        pair = Pair(Subset.from_mask(c1), Subset.from_mask(c2))
+                        _check_witness(_verify_pair(items, pair, shift))
+                        return (bb, jj, pair), False
+        start += want.size
         if deadline.expired():
             return None, True
     return None, False
+
+
+def _chunks(a: np.ndarray):
+    """``a`` a walk chunk at a time: a needle stream for :func:`_join_pair_states`."""
+    return (a[i : i + _WALK_CHUNK] for i in range(0, a.size, _WALK_CHUNK))
 
 
 def _verify_pair(items: Sequence[int], pair: Pair, s: int) -> bool:
@@ -594,8 +629,7 @@ def solve_shifted_mitm(
     batch = 1
     while trace["splits"] < repeats:
         if deadline.expired():
-            trace["timed_out"] = True
-            break
+            return _inconclusive("timed_out", seed, deadline, trace)
         done = trace["splits"]
         size = min(batch, batch_cap, repeats - done)
         perms = [rng.sample(range(n), n) for _ in range(size)]
@@ -608,16 +642,17 @@ def solve_shifted_mitm(
         needs2 += tags
         trace["splits"] = done + size
         decode1, decode2 = _class_decoder(lefts, combos1, t1), _class_decoder(rights, combos2, t2)
-        keys1, needs2 = keys1.ravel(), needs2.ravel()
-        hit, timed_out = _join_pair_states(items, shift, keys1, needs2, decode1, decode2, deadline)
+        blocks = np.tile([per1, per2, 0], (size, 1))
+        hit, timed_out = _join_pair_states(
+            items, shift, keys1.ravel(), _chunks(needs2.ravel()), blocks, decode1, decode2, deadline
+        )
         if hit is not None:
-            trace["splits"] = done + hit[0] // per2 + 1
-            return _outcome(SolveStatus.FOUND, hit[1], seed, deadline, trace)
+            trace["splits"] = done + hit[0] + 1
+            return _outcome(SolveStatus.FOUND, hit[2], seed, deadline, trace)
         if timed_out:
-            trace["timed_out"] = True
-            break
+            return _inconclusive("timed_out", seed, deadline, trace)
         batch *= 2
-    return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+    return _inconclusive("repeat_cap", seed, deadline, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -625,87 +660,59 @@ def solve_shifted_mitm(
 # ---------------------------------------------------------------------------
 
 
-# Bytes the shifted-rep join holds per bin-k2 entry: its walked key, their
-# concatenation, its draw id, the sort order and the sorted copy, eight each
-# (tracemalloc: 40 B per entry beside ~3 MB of walk-chunk temporaries).
+# Bytes the shifted-rep join may hold per bin-k2 entry: its walked key, their
+# concatenation, the join's sorted copy and, once a match survives, the sort
+# order, eight each (tracemalloc: 24 B per entry where no match survives,
+# beside ~3.5 MB of walk-chunk temporaries); 40 leaves a word to spare.
 _REP_ENTRY_BYTES = 40
 
 
 def _shifted_rep_join(
     items: Sequence[int], shift: int, tables: list, draws: list, deadline: _Deadline
 ) -> tuple[tuple[int, Pair] | None, bool]:
-    """One sorted join for a batch of :func:`solve_shifted_rep` draws.
+    """The pair-state join (:func:`_join_pair_states`) over a batch of
+    :func:`solve_shifted_rep` draws.
 
-    ``draws[d]`` is (table index, k, k2, scan1, scan2). Bin k2 of every draw
-    is walked in one pass, keyed by (draw, sum mod 2^64) and sorted; bin k
-    of every draw is then streamed against it (at k2 == k and equal scans,
-    from the same keys). A key match is only a candidate: one across draws
-    is rejected, a bin-k rank that meets only itself (k2 == k) is dropped
-    unvisited, and the rest are confirmed with exact arithmetic in (draw,
-    bin-k rank, bin-k2 rank) order, so the pair returned is the first exact
-    one of the first draw that has one. A wrapped group's bin-k2 ranks are
-    unranked once per draw, into a table of their exact values. Returns
-    ((draw, pair) or None, timed out).
+    ``draws[d]`` is (table index, k, k2, scan1, scan2), and draw d is block d
+    of both sides. Bin k2 of every draw is walked in one pass into the left
+    keys, each rank the pair state (empty, S2) keyed by (draw, sum mod 2^64);
+    bin k of every draw is streamed as the needles (at k2 == k and equal
+    scans, from the same keys), each rank the pair state (S1, empty). A match
+    across draws is dropped before any unrank, and at k2 == k bin-k rank r
+    has bin-k2 rank r, the same subset, as its twin, so a rank that meets
+    only itself is dropped unranked. The pair returned is the first exact
+    one of the first draw that has one, by bin-k rank, then bin-k2 rank.
+    Returns ((draw, pair) or None, timed out).
     """
     tab, ks, k2s, scan1, scan2 = (np.array(c, dtype=np.int64) for c in zip(*draws))
     walked, which = (tables[draws[0][0]], None) if len(draws) == 1 else (_stack_tables(tables), tab)
 
     def keyed(bins: np.ndarray, scans: np.ndarray):
         # A key is the rank's sum mod 2^64, plus draw * _TAG for a stack.
-        for a, seg, sums in _walk_bins(walked, bins, scans, 0, int(scans.sum()), which):
-            yield a, seg, sums if which is None else sums + seg.astype(np.uint64) * _TAG
+        for _, seg, sums in _walk_bins(walked, bins, scans, 0, int(scans.sum()), which):
+            yield sums if which is None else sums + seg.astype(np.uint64) * _TAG
 
     parts = []
-    for _, _, keys in keyed(k2s, scan2):
+    for keys in keyed(k2s, scan2):
         parts.append(keys)
         if deadline.expired():
             return None, True
     if not parts:
         return None, False
     key2 = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    draw2 = np.repeat(np.arange(len(draws)), scan2)
-    order = np.argsort(key2)
-    sv = key2[order]
-    base1, base2, same = np.cumsum(scan1) - scan1, np.cumsum(scan2) - scan2, k2s == ks
-    groups: dict[tuple[int, int], dict[int, list[int]]] = {}
+    shift_w, same = np.uint64(shift & _WORD_MASK), k2s == ks
     if same.all() and (scan1 == scan2).all():
-        chunks = range(0, key2.size, _WALK_CHUNK)
-        stream = ((a, draw2[a : a + _WALK_CHUNK], key2[a : a + _WALK_CHUNK]) for a in chunks)
+        needles = (keys - shift_w for keys in _chunks(key2))
     else:
-        stream = keyed(ks, scan1)
-    for a, seg, keys in stream:
-        want = keys - np.uint64(shift & _WORD_MASK)
-        pos = np.searchsorted(sv, want)
-        ok = pos < sv.size
-        ok[ok] = sv[pos[ok]] == want[ok]
-        hits = np.flatnonzero(ok)
-        lo, hi = pos[hits], np.searchsorted(sv, want[hits], "right")
-        d = seg[hits]
-        rank = a + hits - base1[d]
-        # At k2 == k, bin-k rank r is bin-k2 rank r: alone in its group it is no pair.
-        me = np.where(same[d] & (rank < scan2[d]), base2[d] + rank, -1)
-        keep = (hi - lo > 1) | (order[lo] != me)
-        for dd, r, l, h, m in zip(*(x[keep].tolist() for x in (d, rank, lo, hi, me))):
-            # One exact table per (draw, wrapped group): exact value -> the
-            # group's bin-k2 masks in rank order.
-            table, exact = tables[tab[dd]], groups.get((dd, l))
-            if exact is None:
-                group = sorted(g for g in order[l:h].tolist() if draw2[g] == dd)
-                if group == [m]:
-                    continue
-                exact = groups[dd, l] = {}
-                for g in group:
-                    other, other_value = _unrank_mask(table, int(k2s[dd]), g - int(base2[dd]) + 1)
-                    exact.setdefault(other_value, []).append(other)
-            if not exact:
-                continue
-            mask, value = _unrank_mask(table, int(ks[dd]), r + 1)
-            for other in exact.get(value - shift, ()):
-                if other != mask:
-                    return (dd, Pair(Subset.from_mask(mask), Subset.from_mask(other))), False
-        if deadline.expired():
-            return None, True
-    return None, False
+        needles = (keys - shift_w for keys in keyed(ks, scan1))
+    blocks = np.stack((scan2, scan1, np.where(same, np.minimum(scan1, scan2), 0)), axis=1)
+    hit, timed_out = _join_pair_states(
+        items, shift, key2, needles, blocks,
+        lambda d, r: (0, _unrank_mask(tables[tab[d]], int(k2s[d]), r + 1)[0]),
+        lambda d, r: (_unrank_mask(tables[tab[d]], int(ks[d]), r + 1)[0], 0),
+        deadline,
+    )
+    return (hit if hit is None else (hit[0], hit[2])), timed_out
 
 
 def solve_shifted_rep(
@@ -755,6 +762,7 @@ def solve_shifted_rep(
         "batches": 0,
         "tables_built": 0,
         "repeats_skipped": 0,
+        "draw_count": 0,
     }
 
     repeats = budget.resolved_repeat_cap(n)
@@ -768,8 +776,7 @@ def solve_shifted_rep(
     r, size = 0, max(1, (_WALK_CHUNK << bn_bits) >> (n + 1))
     while r < repeats:
         if deadline.expired():
-            trace["timed_out"] = True
-            break
+            return _inconclusive("timed_out", seed, deadline, trace)
         # Several draws stack their tables too (the rows again and a step
         # per entry): the batch stops short where that would pass the cap.
         batch, primes, table_bytes = [], set(), 0
@@ -815,17 +822,15 @@ def solve_shifted_rep(
         decided = len(records) if hit is None else index[hit[0]]
         trace["repeats_skipped"] += decided - (len(draws) if hit is None else hit[0] + 1)
         r += decided
+        trace["draw_count"] = r
         _record_draws(trace, records[:decided])
         if hit is not None:
-            trace["draw_count"] = r
             return _outcome(SolveStatus.FOUND, hit[1], seed, deadline, trace)
         if timed_out:
-            trace["timed_out"] = True
-            break
+            return _inconclusive("timed_out", seed, deadline, trace)
         if draws:
             size = max(1, _WALK_CHUNK // max(1, 2 * max(max(d[3:]) for d in draws)))
-    trace["draw_count"] = r
-    return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+    return _inconclusive("repeat_cap", seed, deadline, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -856,20 +861,18 @@ def solve_shifted_exhaustive(
     deadline = _Deadline(budget.time_cap_ms)
     items = tuple(items)
     n = len(items)
-    trace: dict = {"algorithm": "shifted-exhaustive", "pair_states": 2 * 3 ** (n - n // 2)}
     left, right = list(range(n // 2)), list(range(n // 2, n))
-    _require_pair_bytes(3 ** len(left) + 3 ** len(right), budget.memory_cap_bytes)
+    trace: dict = {"algorithm": "shifted-exhaustive", "pair_states": 3 ** len(left) + 3 ** len(right)}
+    _require_pair_bytes(trace["pair_states"], budget.memory_cap_bytes)
     keys1 = _all_states([items[p] & _WORD_MASK for p in left])
-    timed_out = deadline.expired()
-    if not timed_out:
-        needs2 = np.uint64(shift & _WORD_MASK) - _all_states([items[p] & _WORD_MASK for p in right])
-        decode1, decode2 = _ternary_decoder(left), _ternary_decoder(right)
-        hit, timed_out = _join_pair_states(items, shift, keys1, needs2, decode1, decode2, deadline)
-        if hit is not None:
-            return _outcome(SolveStatus.FOUND, hit[1], None, deadline, trace)
+    needs2 = np.uint64(shift & _WORD_MASK) - _all_states([items[p] & _WORD_MASK for p in right])
+    blocks = np.array([[keys1.size, needs2.size, 1]])
+    decode1, decode2 = _ternary_decoder(left), _ternary_decoder(right)
+    hit, timed_out = _join_pair_states(items, shift, keys1, _chunks(needs2), blocks, decode1, decode2, deadline)
+    if hit is not None:
+        return _outcome(SolveStatus.FOUND, hit[2], None, deadline, trace)
     if timed_out:
-        trace["timed_out"] = True
-        return _outcome(SolveStatus.INCONCLUSIVE, None, None, deadline, trace)
+        return _inconclusive("timed_out", None, deadline, trace)
     return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
 
 
@@ -919,11 +922,6 @@ def solve_shifted(
 
     trace: dict = {"algorithm": "shifted-dispatch", "phases": []}
 
-    def give_up(reason: str) -> SolveOutcome:
-        trace[reason] = True
-        trace["reason"] = reason
-        return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
-
     def record(*entry) -> None:  # t, pass, algorithm, status, elapsed_ms
         trace["phases"].append(dict(zip(("t", "pass", "algorithm", "status", "elapsed_ms"), entry)))
 
@@ -934,7 +932,7 @@ def solve_shifted(
             if t in skipped:
                 continue
             if deadline.expired():
-                return give_up("timed_out")
+                return _inconclusive("timed_out", seed, deadline, trace)
             ratio = t / n
             child_seed = derive_seed(seed, "dispatch", t)
             rep = lo <= ratio < hi
@@ -953,14 +951,14 @@ def solve_shifted(
                 trace["found_at_class"], trace["found_in_pass"] = t, name
                 return _outcome(SolveStatus.FOUND, sub.witness, seed, deadline, trace)
     if deadline.expired():
-        return give_up("timed_out")
+        return _inconclusive("timed_out", seed, deadline, trace)
     try:
         final = solve_shifted_exhaustive(items, shift, phase_budget())
     except ResourceLimitError:
-        return give_up("exhaustive_skipped")
+        return _inconclusive("exhaustive_skipped", seed, deadline, trace)
     record("all", "exhaustive", final.trace["algorithm"], final.status.value, final.elapsed_ms)
     if final.status is SolveStatus.INCONCLUSIVE:
-        return give_up("timed_out")
+        return _inconclusive("timed_out", seed, deadline, trace)
     return _outcome(final.status, final.witness, seed, deadline, trace)
 
 
@@ -1058,8 +1056,7 @@ def solve_instance(
             pair = pigeonhole.solve_pigeonhole_modular(items, instance.modulus, cap, deadline.expired)
         trace = {"algorithm": v.replace("_", "-")}
         if pair is None:
-            trace["timed_out"] = True
-            out = _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
+            out = _inconclusive("timed_out", seed, deadline, trace)
         else:
             out = _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
     else:

@@ -1,0 +1,70 @@
+"""Differential fuzz: every variant through solve_instance against the brute-force oracle."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sumbins.core import ProblemInstance, verify
+from sumbins.dpbins import ResourceLimitError
+from sumbins.oracles import brute_solve
+from sumbins.solvers import SolverBudget, SolveStatus, solve_instance
+
+VARIANTS = (
+    "subset_sum", "modular_subset_sum", "equal_sums", "shifted_sums", "two_subset_sum",
+    "pigeonhole_equal", "pigeonhole_modular",
+)
+# One draw or split per class, no random sampling, and a memory cap that
+# refuses most tables and pair-state arrays past n = 10. No time cap: the
+# same seed must give the same outcome.
+TINY = SolverBudget(sample_cap=0, repeat_cap=1, memory_cap_bytes=1 << 14)
+
+
+@st.composite
+def instances(draw) -> ProblemInstance:
+    variant = draw(st.sampled_from(VARIANTS))
+    n = draw(st.integers(2 if variant == "pigeonhole_equal" else 1, 16))
+    bits = draw(st.sampled_from([1, 62, 64, 200]))
+    # pigeonhole_equal promises a sum below 2^n - 1, so its items stay narrow
+    top = ((1 << n) - 2) // n if variant == "pigeonhole_equal" else (1 << bits) - 1
+    items = tuple(draw(st.integers(1, top)) for _ in range(n))
+    total = sum(items)
+    coeffs = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    planted = sum(a * (c == 1) - a * (c == 2) for a, c in zip(items, coeffs))
+    if variant in ("subset_sum", "modular_subset_sum"):
+        target = draw(st.sampled_from([0, sum(a for a, c in zip(items, coeffs) if c), draw(st.integers(0, total))]))
+        if variant == "subset_sum":
+            return ProblemInstance(variant, items, target=target)
+        modulus = draw(st.integers(1, (1 << bits) + 1))
+        return ProblemInstance(variant, items, target=target % modulus, modulus=modulus)
+    if variant == "shifted_sums":
+        shift = draw(st.sampled_from([0, abs(planted) % total, draw(st.integers(0, total - 1))]))
+        return ProblemInstance(variant, items, shift=shift)
+    if variant == "two_subset_sum":
+        lifted = sum(a * c for a, c in zip(items, coeffs))
+        target = draw(st.sampled_from([lifted, draw(st.integers(1, 2 * total - 1))]))
+        return ProblemInstance(variant, items, target=min(max(target, 1), 2 * total - 1))
+    if variant == "pigeonhole_modular":
+        return ProblemInstance(variant, items, modulus=draw(st.integers(1, (1 << n) - 1)))
+    return ProblemInstance(variant, items)
+
+
+def _solve(inst: ProblemInstance, seed: int, budget: SolverBudget | None):
+    """(status, witness) of one solve, or None where a cap refused it."""
+    try:
+        out = solve_instance(inst, seed, budget)
+    except ResourceLimitError:
+        return None
+    return out.status, out.witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.integers(0, 1 << 32), st.sampled_from([None, TINY]))
+def test_solve_instance_against_brute(inst, seed, budget):
+    got = _solve(inst, seed, budget)
+    assert _solve(inst, seed, budget) == got
+    if got is None:
+        return
+    status, witness = got
+    if status is SolveStatus.FOUND:
+        assert verify(inst, witness)
+    elif status is SolveStatus.NOT_FOUND:
+        assert not brute_solve(inst).solvable

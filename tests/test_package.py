@@ -99,3 +99,18 @@ def test_no_private_parameters():
                 name = getattr(node, "name", "<lambda>")
                 found += [f"{path.name}:{node.lineno} {name}({p.arg})" for p in params if p.arg.startswith("_")]
     assert found == []
+
+
+def test_one_sorted_join():
+    # every list match in solvers.py runs on _join_pair_states; a sort
+    # anywhere else in the module is a second join growing back
+    tree = ast.parse((SRC / "solvers.py").read_text())
+    join = next(node for node in tree.body if getattr(node, "name", None) == "_join_pair_states")
+    inside = {id(node) for node in ast.walk(join)}
+    found = [
+        f"solvers.py:{node.lineno} {node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and id(node) not in inside
+        and (node.attr == "argsort" or (node.attr == "sort" and getattr(node.value, "id", None) == "np"))
+    ]
+    assert found == []

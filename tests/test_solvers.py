@@ -1,5 +1,6 @@
 """Solver verdicts, witnesses, budgets, and the dispatcher contract."""
 
+import math
 import random
 import time
 from itertools import combinations
@@ -13,7 +14,7 @@ import sumbins.dpbins as dpbins
 import sumbins.solvers as solvers
 from sumbins.core import Pair, ProblemInstance, Subset, reduce_two_subset_to_shifted, subset_sum, verify
 from sumbins.dpbins import ResourceLimitError, build_table, estimate_table_bytes
-from sumbins.numtheory import random_prime, random_residue
+from sumbins.numtheory import is_probable_prime, random_prime, random_residue
 from sumbins.oracles import brute_solve
 from sumbins.rng import as_rng, derive_seed
 from sumbins.solvers import (
@@ -385,6 +386,43 @@ class TestPairStateEngine:
         for out in outcomes:
             if out.found:
                 assert verify(inst, out.witness)
+
+    def test_unsolvable_shift_zero_pass_sorts_and_decodes_nothing(self, monkeypatch):
+        # Every shift-0 pass meets the empty-with-empty pair: right state 0
+        # and its twin, left state 0. With distinct subset sums that match is
+        # the only one, and it is dropped with no argsort and no decode.
+        calls = []
+        argsort, decoder = np.argsort, solvers._ternary_decoder
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append("argsort") or argsort(*a, **k))
+        monkeypatch.setattr(solvers, "_ternary_decoder", lambda pos: lambda *a: calls.append(a) or decoder(pos)(*a))
+        out = solve_shifted_exhaustive(tuple(1 << i for i in range(12)), 0)
+        assert out.status is SolveStatus.NOT_FOUND and calls == []
+
+    def test_match_across_splits_is_no_pair(self, monkeypatch):
+        # Every class state of (2i + 2) * 2^64 items is 0 mod 2^64, so with
+        # shift = -_TAG mod 2^64 the right states of split 1 of a batch need
+        # the key of every left state of split 0 and of none of their own:
+        # the join rejects those matches before decoding any state.
+        items = tuple((2 * i + 2) << 64 for i in range(8))
+        shift = (1 << 64) - int(solvers._TAG)
+        decoded = []
+        monkeypatch.setattr(solvers, "_class_decoder", lambda *a: lambda *b: decoded.append(b))
+        out = solve_shifted_mitm(items, shift, 0.5, seed=0, budget=SolverBudget(repeat_cap=3))
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["splits"] == 3  # batches of 1 and 2 splits
+        assert decoded == []
+
+    def test_twin_in_a_larger_group_is_skipped_at_confirmation(self, monkeypatch):
+        # Left half (5, 5): the empty state 0 and ({1}, {2}), state 5, both
+        # differ by 0, so at shift 0 right state 0 (empty) meets a group that
+        # holds its twin and more. The twin is decoded and skipped, and the
+        # next left state of the group makes the pair.
+        decoded, decoder = [], solvers._ternary_decoder
+        monkeypatch.setattr(
+            solvers, "_ternary_decoder", lambda pos: lambda *a: decoded.append((pos, a)) or decoder(pos)(*a)
+        )
+        out = solve_shifted_exhaustive((5, 5, 1, 2), 0)
+        assert (out.witness.s1.indices, out.witness.s2.indices) == ((1,), (2,))
+        assert ([0, 1], (0, 0)) in decoded and ([2, 3], (0, 0)) in decoded
 
 
 class TestShiftedRep:
@@ -840,6 +878,12 @@ class TestShiftedExhaustive:
         assert out.trace["timed_out"] is True
         assert solve_shifted_exhaustive(items, 0).status is SolveStatus.NOT_FOUND
 
+    @pytest.mark.parametrize("n, states", [(3, 3 + 9), (4, 9 + 9)])
+    def test_trace_counts_the_states_built(self, n, states):
+        # 3^floor(n/2) left states and 3^ceil(n/2) right ones
+        out = solve_shifted_exhaustive(tuple(1 << i for i in range(n)), 0)
+        assert out.trace["pair_states"] == states
+
     def test_golden_pairs(self):
         got = []
         for items, shift, _, _, _, _ in SHIFTED_EXHAUSTIVE_GOLDEN:
@@ -1194,6 +1238,40 @@ class TestSolveInstance:
         assert out.found == want
         if want:
             assert verify(inst, out.witness)
+
+
+# n = 18 subset-rep draws primes in [2^9, 2^10); items and a target divisible
+# by all of them put every subset in the target's bin, past the scan cap.
+_ALL_PRIMES_18 = math.prod(p for p in range(1 << 9, 1 << 10) if is_probable_prime(p))
+_NO_TIME = SolverBudget(time_cap_ms=0.0)
+
+
+@pytest.mark.parametrize(
+    "solve, reason",
+    [
+        (lambda: solve_subset_sum_mitm((2, 4, 6), 5, _NO_TIME), "timed_out"),
+        (lambda: solve_modular_subset_sum_mitm((2, 4, 6, 8), 1, 100, _NO_TIME), "timed_out"),
+        (lambda: solve_subset_sum_rep((2, 4, 6, 8), 5, 0, _NO_TIME), "timed_out"),
+        (
+            lambda: solve_subset_sum_rep((_ALL_PRIMES_18,) * 18, 19 * _ALL_PRIMES_18, 0, SolverBudget(repeat_cap=1)),
+            "repeat_cap",
+        ),
+        (lambda: solve_shifted_mitm((1, 2, 4, 8), 0, 0.5, 0, _NO_TIME), "timed_out"),
+        (lambda: solve_shifted_mitm((1, 2, 4, 8), 0, 0.5, 0, SolverBudget(repeat_cap=2)), "repeat_cap"),
+        (lambda: solve_shifted_rep((1, 2, 4, 8), 0, 0.5, 0, _NO_TIME), "timed_out"),
+        (lambda: solve_shifted_rep((1, 2, 4, 8), 0, 0.5, 0), "repeat_cap"),
+        (lambda: solve_shifted_exhaustive(tuple(1 << i for i in range(12)), 0, _NO_TIME), "timed_out"),
+        (lambda: solve_instance(ProblemInstance("pigeonhole_equal", (1,) * 20), 0, _NO_TIME), "timed_out"),
+    ],
+    ids=[
+        "subset-mitm", "modular-mitm", "subset-rep", "subset-rep-draws", "shifted-mitm", "shifted-mitm-splits",
+        "shifted-rep", "shifted-rep-draws", "exhaustive", "pigeonhole",
+    ],
+)
+def test_inconclusive_names_its_reason(solve, reason):
+    out = solve()
+    assert out.status is SolveStatus.INCONCLUSIVE
+    assert out.trace["reason"] == reason and out.trace[reason] is True
 
 
 class TestWideItems:
