@@ -8,7 +8,7 @@ i - 1 subsets before it.
 Run:  python3 demos/indexed_bins.py
 """
 
-from sumbins.dpbins import BinRef, build_table, enumerate_bin, unrank
+from sumbins.dpbins import build_table, enumerate_bin, unrank
 
 
 def main() -> None:
@@ -37,12 +37,14 @@ def main() -> None:
         print(f"  #{index:4d}: indices {list(s.indices)}  sum {value}  ({value} % {p} = {value % p})")
     print()
 
-    # The same bin as a lazy sequence; both views agree element by element.
-    ref = BinRef(table, k)
-    first_five = [s for s, _ in zip(enumerate_bin(table, k), range(5))]
-    assert [ref.subset_at(i + 1) for i in range(5)] == first_five
-    assert len(ref) == size
-    print(f"first five via enumerate_bin match BinRef: {[list(s.indices) for s in first_five]}")
+    # Any window of the bin as a lazy stream; it agrees with unrank element
+    # by element, and streaming the whole bin yields exactly `size` subsets.
+    window = list(enumerate_bin(table, k, start=size // 2, count=5))
+    if window != [unrank(table, k, size // 2 + i) for i in range(5)]:
+        raise SystemExit("enumerate_bin and unrank disagree")
+    if sum(1 for _ in enumerate_bin(table, k)) != size:
+        raise SystemExit("enumerate_bin streamed the wrong number of subsets")
+    print(f"ranks {size // 2}..{size // 2 + 4} via enumerate_bin match unrank: {[list(s.indices) for s in window]}")
 
 
 if __name__ == "__main__":

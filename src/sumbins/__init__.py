@@ -25,7 +25,6 @@ from .core import (
     verify,
 )
 from .dpbins import (
-    BinRef,
     CountTable,
     ResourceLimitError,
     build_table,
@@ -71,7 +70,6 @@ __all__ = [
     "save_instance",
     "subset_sum",
     "verify",
-    "BinRef",
     "CountTable",
     "ResourceLimitError",
     "build_table",

@@ -31,11 +31,12 @@ from .core import (
     verify,
 )
 from .costmodel import CURVE_KINDS, write_curve_csv
-from .dpbins import ResourceLimitError, build_table, unrank
+from .dpbins import ResourceLimitError, build_table, enumerate_bin
 from .numtheory import PrimeSearchError
 from .pigeonhole import solve_pigeonhole_equal
 from .rng import derive_seed, spawn
 from .solvers import (
+    ALGOS,
     SolveStatus,
     SolverBudget,
     solve_instance,
@@ -90,17 +91,22 @@ def _witness_jsonable(witness):
 
 
 def _witness_compact(witness) -> str:
-    if witness is None:
-        return ""
-    if isinstance(witness, Subset):
-        return " ".join(str(i) for i in witness.indices)
-    if isinstance(witness, Pair):
-        return (
-            " ".join(str(i) for i in witness.s1.indices)
-            + "|"
-            + " ".join(str(i) for i in witness.s2.indices)
-        )
-    return " ".join(str(e) for e in witness)
+    """The lists of :func:`_witness_jsonable` space-separated, joined by "|"."""
+    fields = _witness_jsonable(witness) or {}
+    return "|".join(" ".join(map(str, v)) for key, v in fields.items() if key != "kind")
+
+
+def _render(args, payload: dict, human: list[str], rows=()) -> None:
+    """Write one result in ``args.format``: ``payload`` as JSON, or the CSV
+    ``rows`` under the "# sumbins ..." comment, or the ``human`` lines and
+    then the seed and version lines."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2)
+    elif args.format == "csv":
+        text = "\n".join((f"# sumbins {__version__} seed={args.seed}", *rows))
+    else:
+        text = "\n".join((*human, f"seed: {args.seed}", f"version: {__version__}"))
+    _write_out(text + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -265,26 +271,13 @@ def _cmd_solve(args) -> int:
     }
     if args.trace:
         payload["trace"] = outcome.trace
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        text = (
-            f"# sumbins {__version__} seed={args.seed}\n"
-            "status,algorithm,elapsed_ms,witness\n"
-            f"{payload['status']},{payload['algorithm']},"
-            f"{payload['elapsed_ms']},{_witness_compact(outcome.witness)}\n"
-        )
-    else:
-        lines = [
-            f"status: {payload['status']}",
-            f"algorithm: {payload['algorithm']}",
-            f"witness: {_witness_compact(outcome.witness) or '-'}",
-            f"elapsed_ms: {payload['elapsed_ms']}",
-            f"seed: {args.seed}",
-            f"version: {__version__}",
-        ]
-        text = "\n".join(lines) + "\n"
-    _write_out(text, args.out)
+    status, algorithm, ms = payload["status"], payload["algorithm"], payload["elapsed_ms"]
+    witness = _witness_compact(outcome.witness)
+    _render(
+        args, payload,
+        [f"status: {status}", f"algorithm: {algorithm}", f"witness: {witness or '-'}", f"elapsed_ms: {ms}"],
+        ["status,algorithm,elapsed_ms,witness", f"{status},{algorithm},{ms},{witness}"],
+    )
     return _STATUS_EXIT[outcome.status]
 
 
@@ -452,38 +445,19 @@ def _cmd_stats(args) -> int:
         if not isinstance(params, dict):
             raise ValueError("--params must be a JSON object")
         report = _run_single_check(args.check, params, args.trials, args.seed)
-        if args.format == "human":
-            text = (
-                f"{_report_line(report)}\n"
-                f"seed: {args.seed}\nversion: {__version__}\n"
-            )
-        else:
-            payload = {
-                "seed": args.seed,
-                "version": __version__,
-                "report": report.to_dict(),
-            }
-            text = json.dumps(payload, indent=2) + "\n"
-        _write_out(text, args.out)
+        payload = {"seed": args.seed, "version": __version__, "report": report.to_dict()}
+        _render(args, payload, [_report_line(report)])
         return _EXIT_FOUND if report.passed else _EXIT_RUNTIME
     reports = run_default_suite(args.seed, args.trials)
     all_passed = all(r.passed for r in reports)
-    if args.format == "human":
-        lines = [_report_line(r) for r in reports]
-        lines.append(f"all_passed: {all_passed}")
-        lines.append(f"seed: {args.seed}")
-        lines.append(f"version: {__version__}")
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "seed": args.seed,
-            "version": __version__,
-            "trials": args.trials,
-            "all_passed": all_passed,
-            "reports": [r.to_dict() for r in reports],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    _write_out(text, args.out)
+    payload = {
+        "seed": args.seed,
+        "version": __version__,
+        "trials": args.trials,
+        "all_passed": all_passed,
+        "reports": [r.to_dict() for r in reports],
+    }
+    _render(args, payload, [*map(_report_line, reports), f"all_passed: {all_passed}"])
     return _EXIT_FOUND if all_passed else _EXIT_RUNTIME
 
 
@@ -495,38 +469,23 @@ def _cmd_unrank(args) -> int:
     else:
         items = list(load_instance(args.instance).items)
     table = build_table(items, args.p)
-    if not 0 <= args.k < args.p:
-        raise ValueError(f"k must be in [0, {args.p})")
+    subsets = [list(s.indices) for s in enumerate_bin(table, args.k, args.index, args.count)]
     size = table.bin_size(args.k)
-    if not 1 <= args.index <= size:
+    if args.index > size:
         raise ValueError(f"index must be in [1, {size}] for this bin")
-    stop = min(size, args.index + args.count - 1)
-    subsets = [unrank(table, args.k, i) for i in range(args.index, stop + 1)]
-    if args.format == "json":
-        payload = {
-            "p": args.p,
-            "k": args.k,
-            "bin_size": size,
-            "start_index": args.index,
-            "subsets": [list(s.indices) for s in subsets],
-            "seed": args.seed,
-            "version": __version__,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        rows = [f"# sumbins {__version__} seed={args.seed}", "index,indices"]
-        for off, s in enumerate(subsets):
-            rows.append(f"{args.index + off},{' '.join(str(i) for i in s.indices)}")
-        text = "\n".join(rows) + "\n"
-    else:
-        lines = [f"bin {args.k} (mod {args.p}) holds {size} subsets"]
-        for off, s in enumerate(subsets):
-            inner = ", ".join(str(i) for i in s.indices)
-            lines.append(f"{args.index + off}: {{{inner}}}")
-        lines.append(f"seed: {args.seed}")
-        lines.append(f"version: {__version__}")
-        text = "\n".join(lines) + "\n"
-    _write_out(text, args.out)
+    payload = {
+        "p": args.p,
+        "k": args.k,
+        "bin_size": size,
+        "start_index": args.index,
+        "subsets": subsets,
+        "seed": args.seed,
+        "version": __version__,
+    }
+    ranked = list(enumerate(subsets, args.index))
+    human = [f"{i}: {{{', '.join(map(str, s))}}}" for i, s in ranked]
+    rows = [f"{i},{' '.join(map(str, s))}" for i, s in ranked]
+    _render(args, payload, [f"bin {args.k} (mod {args.p}) holds {size} subsets", *human], ["index,indices", *rows])
     return _EXIT_FOUND
 
 
@@ -543,13 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sumbins {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt=True):
+    def add_common(p, *formats):
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default=None, help="write output to this file")
-        if fmt:
-            p.add_argument(
-                "--format", choices=("human", "json", "csv"), default="human"
-            )
+        if formats:
+            p.add_argument("--format", choices=formats, default="human")
 
     p = sub.add_parser("gen", help="generate a random or planted instance")
     p.add_argument("--variant", required=True, choices=(
@@ -559,21 +516,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=None, help="item size in bits (default 2n)")
     p.add_argument("--plant-ratio", type=float, default=None,
                    help="plant a solution of this size ratio; writes <out>.witness.json")
-    add_common(p, fmt=False)
+    add_common(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("instance", help="instance JSON path")
-    p.add_argument(
-        "--algo", choices=("auto", "mitm", "rep", "exhaustive", "brute"), default="auto"
-    )
+    p.add_argument("--algo", choices=ALGOS, default="auto")
     p.add_argument("--ratio", type=float, default=None,
                    help="solution-size ratio for the single-class shifted solvers")
     p.add_argument("--budget-samples", type=int, default=None)
     p.add_argument("--budget-repeats", type=int, default=None)
     p.add_argument("--time-cap-ms", type=float, default=None)
     p.add_argument("--trace", action="store_true", help="include the solver trace")
-    add_common(p)
+    add_common(p, "human", "json", "csv")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bench", help="timing sweep over n")
@@ -582,13 +537,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="24:36:2", help="e.g. 24:36:2 or 24,28,32")
     p.add_argument("--algos", default="mitm,rep")
     p.add_argument("--reps", type=int, default=5)
-    add_common(p, fmt=False)
+    add_common(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("curve", help="cost-model curve CSV")
     p.add_argument("--kind", required=True, choices=sorted(CURVE_KINDS))
     p.add_argument("--step", type=float, default=0.001)
-    add_common(p, fmt=False)
+    add_common(p)
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("stats", help="run the statistics lab")
@@ -599,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None,
                    help='JSON object of check parameters, '
                         'e.g. \'{"n_left": 100, "n_right": 1000, "pairs": 10, "draws": 30}\'')
-    add_common(p)
+    add_common(p, "human", "json")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("unrank", help="indexed access into a residue bin")
@@ -609,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--index", type=int, required=True, help="1-based rank within the bin")
     p.add_argument("--count", type=int, default=1)
-    add_common(p)
+    add_common(p, "human", "json", "csv")
     p.set_defaults(func=_cmd_unrank)
 
     return parser

@@ -19,8 +19,8 @@ fixed total order on subsets: S1 < S2 iff the largest index where they differ
 belongs to S2, equivalently chi(S1) < chi(S2) for chi(S) = sum(2^i, i in S).
 The walk resolves one index per step from n down to 1, so a query costs
 O(n) table lookups and O(n)-word arithmetic: O(n^2) bit operations total.
-Enumeration needs no per-bin cursor state, so any slice of a bin can be
-streamed independently; the solvers' batched walk (:func:`_walk_bins`)
+Enumeration needs no per-bin cursor state: :func:`enumerate_bin` streams
+any window of a bin alone, and the solvers' batched walk (:func:`_walk_bins`)
 resolves a chunk's top and low items from a split of the items and walks
 only the levels between them rank by rank.
 """
@@ -38,7 +38,6 @@ __all__ = [
     "DEFAULT_MEMORY_CAP_BYTES",
     "ResourceLimitError",
     "CountTable",
-    "BinRef",
     "build_table",
     "compare_chi",
     "unrank",
@@ -349,34 +348,31 @@ def _split_levels(n: int, bins: int, ranks: int, tables: int, positions: int) ->
 
 def _walk_bins(
     table: CountTable | _TableStack, bins: np.ndarray, ranks: np.ndarray, lo: int, hi: int,
-    which: np.ndarray | None = None, values: Sequence[int] | None = None, modulus: int = 0,
-    split: tuple[int, int] | None = None,
+    values: Sequence[int] | None = None, modulus: int = 0,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Sums of positions lo .. hi-1 of ranks 1..ranks[b] of bin bins[b], for
     b = 0, 1, ... laid end to end: yields (first position, b of each entry,
     sums) a chunk of _WALK_CHUNK at a time, from one :func:`_bin_sums_batch`
     call each. ``values`` and ``modulus`` are those of :func:`_bin_sums_batch`;
-    given ``which``, ``table`` is a :class:`_TableStack` and bin b is one of
-    table which[b].
+    for a :class:`_TableStack`, ``bins`` holds stacked positions (bin k of
+    table m is k + offset[m]).
 
     The items are split (Horowitz-Sahni): in chi order, bin k is, for each
     subset T of the top m items in turn, the subsets of the rest with
     residue k - res(T). A doubling enumeration of the T gives each (bin, T)
     group its residue, sum and size; ranks walk levels n - m .. L + 1 only,
-    and the low L items are one gather from :func:`_low_part`. ``split``
-    forces (m, L), else :func:`_split_levels` picks it; m = L = 0 walks
-    every level. Every (m, L) yields the same chunks, on shared scratch.
+    and the low L items are one gather from :func:`_low_part`.
+    :func:`_split_levels` picks (m, L); m = L = 0 walks every level. Every
+    (m, L) yields the same chunks, on shared scratch.
     """
     if hi <= lo:
         return
     n, ends, stacked = len(table.items), np.cumsum(ranks), isinstance(table, _TableStack)
     e0, e1 = (int(e) for e in ends.searchsorted((lo, hi - 1), "right"))  # bins holding lo and hi - 1
-    m, L = split or _split_levels(n, e1 + 1 - e0, hi - lo, np.size(table.p), len(table.rows[0]))
+    m, L = _split_levels(n, e1 + 1 - e0, hi - lo, np.size(table.p), len(table.rows[0]))
     # groups (bin, T) of bins e0..e1 in walk order: position after T, T's sum, end
     addends = _addends(table, values, modulus)
     pos, top = np.array(bins[e0 : e1 + 1], dtype=np.int64)[:, None], np.zeros(1, dtype=addends[0].dtype)
-    if which is not None:
-        pos += table.offset[which[e0 : e1 + 1], None]
     for i in range(n - m, n):
         step = table.steps[i][pos] if stacked else (pos - table.mods[i]) % table.p
         pos, top = np.concatenate((pos, step), axis=1), _doubled(top, addends[i], modulus)
@@ -412,13 +408,9 @@ def _walk_bins(
 
 def unrank(table: CountTable, k: int, index: int) -> Subset:
     """The index-th subset (1-based) of bin k in the chi order; O(n^2)."""
-    if not 0 <= k < table.p:
-        raise ValueError(f"residue k must be in [0, {table.p}), got {k}")
-    size = table.bin_size(k)
-    if not 1 <= index <= size:
-        raise IndexError(f"index must be in [1, {size}] for this bin, got {index}")
-    mask, _ = _unrank_mask(table, k, index)
-    return Subset.from_mask(mask)
+    for subset in enumerate_bin(table, k, index, 1):
+        return subset
+    raise IndexError(f"index must be in [1, {table.bin_size(k)}] for this bin, got {index}")
 
 
 def enumerate_bin(
@@ -427,41 +419,18 @@ def enumerate_bin(
     start: int = 1,
     count: int | None = None,
 ) -> Iterator[Subset]:
-    """Stream bin k in chi order, re-running the unrank walk per index.
+    """Stream ranks start .. start+count-1 of bin k (to the bin's end) in chi
+    order, re-running the unrank walk per index.
 
-    Stateless by design: the cost is O(n^2) per yielded subset, and any
-    window [start, start+count) can be produced without touching the rest
-    of the bin.
+    k and ``start`` are checked at the call: a residue outside [0, p) is a
+    ValueError, a start below 1 an IndexError. The stream is stateless: each
+    subset costs O(n^2), and any window can be produced without touching the
+    rest of the bin.
     """
+    if not 0 <= k < table.p:
+        raise ValueError(f"residue k must be in [0, {table.p}), got {k}")
     if start < 1:
         raise IndexError(f"start must be at least 1, got {start}")
     size = table.bin_size(k)
     stop = size if count is None else min(size, start + count - 1)
-    for index in range(start, stop + 1):
-        mask, _ = _unrank_mask(table, k, index)
-        yield Subset.from_mask(mask)
-
-
-@dataclass
-class BinRef:
-    """A handle on one bin of a table."""
-
-    table: CountTable
-    k: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.k < self.table.p:
-            raise ValueError(f"residue k must be in [0, {self.table.p})")
-
-    @property
-    def size(self) -> int:
-        return self.table.bin_size(self.k)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def subset_at(self, index: int) -> Subset:
-        return unrank(self.table, self.k, index)
-
-    def __iter__(self) -> Iterator[Subset]:
-        return enumerate_bin(self.table, self.k)
+    return (Subset.from_mask(_unrank_mask(table, k, i)[0]) for i in range(start, stop + 1))

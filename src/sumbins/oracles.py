@@ -100,6 +100,8 @@ def collision_values(items: Sequence[int], s: int = 0) -> set[int]:
     _check_cap(len(items), _ENUM_CAP_N, "collision value")
     sums = _mask_sums(items)
     if isinstance(sums, np.ndarray):
+        if abs(s) >> 62:  # int64 sums lie in [0, 2^62): none differ by s
+            return set()
         vals, counts = np.unique(sums, return_counts=True)
         if s == 0:
             return {int(v) for v, c in zip(vals, counts) if c >= 2}
@@ -153,6 +155,8 @@ def _pair_witness(sums, s: int) -> Pair | None:
 
 def _ordered_pair_count(sums, s: int) -> int:
     if isinstance(sums, np.ndarray):
+        if abs(s) >> 62:  # int64 sums lie in [0, 2^62): none differ by s
+            return 0
         vals, counts = np.unique(sums, return_counts=True)
         if s == 0:
             return int(np.sum(counts * (counts - 1)))

@@ -19,12 +19,12 @@ counts subsets per approximate class: a subset whose true class is jj has
 table index within n of jj, because dropping the low halves and wrapping
 mod q misplaces the quotient sum by less than n. A dichotomic search then
 maintains an interval of classes where subsets outnumber residues; interval
-counts come from the table's inner bins plus direct enumeration of at most
-4n boundary bins. Boundary bins too large to enumerate already certify an
-overfull single class (returned as a marked index). Either way the search
-ends on a class window of width <= 4n whose covering table bins hold more
-subsets than residues, and bucketing those subsets by true residue mod q
-exhibits the collision.
+counts (``_ModularContext.count_b``) come from the table's inner bins plus
+a walk of at most 4n boundary bins; a boundary bin too large to walk
+certifies an overfull class, returned in place of the count. Either way
+the search ends on a class window of width <= 4n whose covering table bins
+hold more subsets than residues, and bucketing those subsets by true
+residue mod q exhibits the collision.
 
 Every enumeration here is one batched walk of the quotient table
 (``dpbins._walk_bins``): the ranks of all the bins involved go through
@@ -58,7 +58,6 @@ from .dpbins import (
 
 __all__ = [
     "QuotientDecomposition",
-    "BClassCount",
     "find_heavy_bin",
     "solve_pigeonhole_equal",
     "solve_pigeonhole_modular",
@@ -91,7 +90,7 @@ def _repeat_masks(
     done = 0
     while done < total:
         stop = min(total, 2 * done + _FIRST_SCAN)  # chunks of _FIRST_SCAN, twice that, ...
-        for _, _, sums in _walk_bins(table, bins, sizes, done, stop, None, values, modulus):
+        for _, _, sums in _walk_bins(table, bins, sizes, done, stop, values, modulus):
             if expired is not None and expired():
                 raise _Expired
             parts.append(sums)
@@ -200,14 +199,6 @@ class QuotientDecomposition:
         return total
 
 
-@dataclass
-class BClassCount:
-    """Result of a class-interval count: exact, or an overfull class index."""
-
-    count: int | None
-    marked: int | None
-
-
 class _ModularContext:
     """Shared state for the dichotomic search over quotient classes."""
 
@@ -245,9 +236,10 @@ class _ModularContext:
             return self.prefix[y + 1] - self.prefix[x]
         return self.prefix[q1] - self.prefix[x] + self.prefix[y + 1]
 
-    def count_b(self, i: int, j: int) -> BClassCount:
-        """Exact number of subsets with quotient class in [i, j] (circular),
-        or a marked class that provably exceeds its residue supply.
+    def count_b(self, i: int, j: int) -> tuple[int | None, int | None]:
+        """(count, None) with the exact number of subsets whose quotient class
+        is in [i, j] (circular), or (None, marked) with a class that provably
+        exceeds its residue supply.
 
         Preconditions: interval width w satisfies 2n <= w and w + 2n <= q1,
         so the boundary windows around i and j do not collide.
@@ -266,14 +258,14 @@ class _ModularContext:
         sizes = self.sizes[bins]
         over = np.nonzero(sizes > self.boundary_bin_cap)[0]
         if over.size:
-            return BClassCount(None, self._mark_overfull_class(int(bins[over[0]])))
+            return None, self._mark_overfull_class(int(bins[over[0]]))
         span = (j - i) % q1
-        walk = _walk_bins(self.table, bins, sizes, 0, int(sizes.sum()), None, self.residues, self.q)
+        walk = _walk_bins(self.table, bins, sizes, 0, int(sizes.sum()), self.residues, self.q)
         for _, _, res in walk:
             if self.expired is not None and self.expired():
                 raise _Expired
             count += int(np.count_nonzero((d.fold(res) - i) % q1 <= span))
-        return BClassCount(count, None)
+        return count, None
 
     def _mark_overfull_class(self, c: int) -> int:
         """Classify a capped slice of an oversized C-bin by true class.
@@ -284,7 +276,7 @@ class _ModularContext:
         """
         d = self.decomp
         cap = self.boundary_bin_cap
-        walk = _walk_bins(self.table, np.array([c]), np.array([cap]), 0, cap, None, self.residues, self.q)
+        walk = _walk_bins(self.table, np.array([c]), np.array([cap]), 0, cap, self.residues, self.q)
         parts = []
         for _, _, res in walk:
             if self.expired is not None and self.expired():
@@ -316,26 +308,6 @@ class _ModularContext:
         total = min(int(self.sizes[bins].sum()), cap)
         hit = _repeat_masks(self.table, bins, total, self.residues, self.q, self.expired)
         return Pair(Subset.from_mask(hit[0]), Subset.from_mask(hit[1]))
-
-
-def count_b_interval(
-    items: Sequence[int],
-    q: int,
-    i: int,
-    j: int,
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-) -> BClassCount:
-    """Count subsets whose quotient class falls in the circular interval
-    [i, j], or mark a class that certifiably exceeds its residue count.
-
-    Test hook into the machinery of :func:`solve_pigeonhole_modular`; the
-    interval width w must satisfy 2n <= w <= q1 - 2n.
-    """
-    residues = [a % q for a in items]
-    if any(r == 0 for r in residues):
-        raise ValueError("count_b_interval expects items nonzero mod q")
-    ctx = _ModularContext(residues, q, memory_cap_bytes)
-    return ctx.count_b(i, j)
 
 
 def solve_pigeonhole_modular(
@@ -387,17 +359,16 @@ def solve_pigeonhole_modular(
             w = (j - i) % q1 + 1
             wl = w // 2
             mid = (i + wl - 1) % q1
-            left = ctx.count_b(i, mid)
-            if left.marked is not None:
-                jj = left.marked
+            left, jj = ctx.count_b(i, mid)
+            if jj is not None:
                 return ctx.extract(jj - n + 1, jj + n, ctx.boundary_bin_cap)
             beta_left = d.beta_interval(i, mid)
-            if left.count > beta_left:
+            if left > beta_left:
                 j = mid
-                b = left.count
+                b = left
                 beta = beta_left
             else:
-                b = b - left.count
+                b = b - left
                 beta = beta - beta_left
                 i = (mid + 1) % q1
             if b <= beta:

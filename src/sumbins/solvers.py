@@ -83,6 +83,8 @@ __all__ = [
 
 _TRACE_DRAWS = 24  # keep at most this many per-draw records in a trace
 
+ALGOS = ("auto", "mitm", "rep", "exhaustive", "brute")  # what solve_instance's ``algo`` takes
+
 
 class SolveStatus(Enum):
     FOUND = "found"
@@ -685,12 +687,15 @@ def _shifted_rep_join(
     Returns ((draw, pair) or None, timed out).
     """
     tab, ks, k2s, scan1, scan2 = (np.array(c, dtype=np.int64) for c in zip(*draws))
-    walked, which = (tables[draws[0][0]], None) if len(draws) == 1 else (_stack_tables(tables), tab)
+    stacked = len(draws) > 1
+    walked = _stack_tables(tables) if stacked else tables[draws[0][0]]
 
     def keyed(bins: np.ndarray, scans: np.ndarray):
-        # A key is the rank's sum mod 2^64, plus draw * _TAG for a stack.
-        for _, seg, sums in _walk_bins(walked, bins, scans, 0, int(scans.sum()), which):
-            yield sums if which is None else sums + seg.astype(np.uint64) * _TAG
+        # A key is the rank's sum mod 2^64, plus draw * _TAG for a stack,
+        # whose walk takes each draw's bin at its stacked position.
+        bins = bins + walked.offset[tab] if stacked else bins
+        for _, seg, sums in _walk_bins(walked, bins, scans, 0, int(scans.sum())):
+            yield sums + seg.astype(np.uint64) * _TAG if stacked else sums
 
     parts = []
     for keys in keyed(k2s, scan2):
@@ -1014,9 +1019,12 @@ def solve_instance(
     """Route an instance to a solver and re-verify any witness.
 
     ``algo`` narrows the choice: "mitm", "rep", "exhaustive", "brute"
-    (small-n oracle, refuses above its cap), or "auto".
+    (small-n oracle, refuses above its cap), or "auto"; any other is a
+    ValueError.
     ``ratio`` pins the size class for the shifted single-class solvers.
     """
+    if algo not in ALGOS:
+        raise ValueError(f"algo must be one of {', '.join(ALGOS)}, got {algo!r}")
     v = instance.variant
     items = instance.items
     if algo == "brute":

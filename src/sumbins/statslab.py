@@ -44,7 +44,7 @@ import numpy as np
 
 from .dpbins import build_table
 from .numtheory import random_prime, random_residue
-from .oracles import collision_values
+from .oracles import _mask_sums, _ordered_pair_count, collision_values
 from .rng import derive_seed, spawn
 
 __all__ = [
@@ -154,18 +154,8 @@ def bin_product_check(
     n = len(items)
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    sums = np.zeros(1 << n, dtype=np.int64)
-    size = 1
-    for a in items:
-        sums[size : 2 * size] = sums[:size] + a
-        size *= 2
-    vals, counts = np.unique(sums, return_counts=True)
-    if s == 0:
-        pair_total = int(np.sum(counts.astype(np.int64) ** 2))
-    else:
-        pos = np.minimum(np.searchsorted(vals, vals - s), len(vals) - 1)
-        hit = vals[pos] == vals - s
-        pair_total = int(np.sum(counts[hit] * counts[pos[hit]]))
+    # ordered pairs, with the 2^n pairs (S, S) at s = 0
+    pair_total = _ordered_pair_count(_mask_sums(items), s) + (0 if s else 1 << n)
     if pair_total > 2.0 ** ((2.0 - b) * n):
         raise ValueError(
             f"instance has {pair_total} solution pairs, over the 2^((2-b)n) precondition"
@@ -220,7 +210,7 @@ def value_hash_check(
         raise ValueError("instance has no collision values; plant a solution")
     ell = ratio if ratio is not None else 1.0 - math.log2(len(values)) / n
     bits = _prime_bits(b, n)
-    varr = np.array(values, dtype=np.int64)
+    varr = np.array(values, dtype=object if values[-1] >> 63 else np.int64)
     dense = ell <= 1.0 - b + 1e-9
     threshold = max(1.0, 2.0 ** ((1.0 - ell - b) * n - 2.0)) if dense else 1.0
     c = 1.0 / 16.0

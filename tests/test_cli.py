@@ -303,6 +303,49 @@ def test_solve_out_writes_file(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# output formats
+# ---------------------------------------------------------------------------
+
+
+def _format_choices():
+    """{subcommand: the --format choices it accepts}, from the parser."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return {
+        name: action.choices
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if action.dest == "format"
+    }
+
+
+FORMAT_ARGV = {
+    "solve": ["--budget-repeats", "2"],  # the instance path goes first
+    "unrank": ["--items", "1,2,3", "--p", "3", "--k", "0", "--index", "2"],
+    "stats": ["--check", "split", "--params", '{"n": 9, "ratio": 0.667}', "--trials", "50"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv", "xml"])
+@pytest.mark.parametrize("command", sorted(_format_choices()))
+def test_every_format_carries_seed_and_version(tmp_path, capsys, command, fmt):
+    argv = [command, *FORMAT_ARGV[command], "--seed", "13", "--format", fmt]
+    if command == "solve":
+        argv.insert(1, write_instance(tmp_path / "i.json", ProblemInstance("equal_sums", (1, 2, 3))))
+    code, out = run(capsys, *argv)
+    if fmt not in _format_choices()[command]:
+        assert code == 3
+        return
+    assert code == 0
+    if fmt == "csv":
+        assert out.startswith(f"# sumbins {__version__} seed=13\n")
+    elif fmt == "json":
+        payload = json.loads(out)
+        assert (payload["seed"], payload["version"]) == (13, __version__)
+    else:
+        assert out.splitlines()[-2:] == ["seed: 13", f"version: {__version__}"]
+
+
+# ---------------------------------------------------------------------------
 # unrank
 # ---------------------------------------------------------------------------
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import sumbins.dpbins as dpbins
 from sumbins.core import Subset
 from sumbins.dpbins import (
-    BinRef,
     ResourceLimitError,
     build_table,
     compare_chi,
@@ -330,11 +329,10 @@ class TestBinWalk:
                 want_seg.append(b)
                 want.append(value % (modulus or 1 << 64))
         table = dpbins._stack_tables(tables) if stacked else tables[0]
+        positions = np.array(bins) + (table.offset[np.array(which)] if stacked else 0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dpbins, "_WALK_CHUNK", chunk)
-            walk = dpbins._walk_bins(
-                table, np.array(bins), np.array(ranks), lo, hi, np.array(which) if stacked else None, values, modulus
-            )
+            walk = dpbins._walk_bins(table, positions, np.array(ranks), lo, hi, values, modulus)
             firsts, segs, sums = [], [], []
             for first, seg, part in walk:
                 assert 0 < part.size <= chunk and seg.size == part.size
@@ -353,12 +351,11 @@ class TestSplitWalk:
     @staticmethod
     def _walk(tables, stacked, which, bins, ranks, lo, hi, values, modulus, chunk, split):
         table = dpbins._stack_tables(tables) if stacked else tables[0]
+        positions = np.array(bins) + (table.offset[np.array(which)] if stacked else 0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dpbins, "_WALK_CHUNK", chunk)
-            walk = dpbins._walk_bins(
-                table, np.array(bins), np.array(ranks), lo, hi,
-                np.array(which) if stacked else None, values, modulus, split,
-            )
+            mp.setattr(dpbins, "_split_levels", lambda *sizes: split)
+            walk = dpbins._walk_bins(table, positions, np.array(ranks), lo, hi, values, modulus)
             firsts, segs, sums = [], [], []
             for first, seg, part in walk:
                 firsts.append(first)
@@ -478,17 +475,19 @@ class TestEnumerateBin:
         it = enumerate_bin(t, 0)
         assert next(it) == S()
 
-
-class TestBinRef:
     def test_size_and_indexing(self):
         t = build_table((1, 2, 3), 3)
-        ref = BinRef(t, 0)
-        assert len(ref) == 4
-        assert ref.size == 4
-        assert ref.subset_at(2) == S(1, 2)
-        assert list(ref) == [S(), S(1, 2), S(3), S(1, 2, 3)]
+        assert t.bin_size(0) == 4
+        assert unrank(t, 0, 2) == S(1, 2)
+        assert list(enumerate_bin(t, 0)) == [S(), S(1, 2), S(3), S(1, 2, 3)]
 
     def test_residue_validated(self):
+        # checked at the call, before any subset is asked for, as unrank does
         t = build_table((1, 2, 3), 3)
-        with pytest.raises(ValueError):
-            BinRef(t, 3)
+        for k in (-1, 3):
+            with pytest.raises(ValueError):
+                enumerate_bin(t, k)
+            with pytest.raises(ValueError):
+                unrank(t, k, 1)
+        with pytest.raises(IndexError):
+            enumerate_bin(t, 0, start=0)

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from sumbins.core import Pair, ProblemInstance, Subset, verify
-from sumbins.dpbins import ResourceLimitError, build_table
+from sumbins.dpbins import DEFAULT_MEMORY_CAP_BYTES, ResourceLimitError, build_table
 from sumbins.oracles import pigeonhole_mitm_check
 from sumbins.pigeonhole import (
     QuotientDecomposition,
-    count_b_interval,
+    _ModularContext,
     find_heavy_bin,
     solve_pigeonhole_equal,
     solve_pigeonhole_modular,
@@ -22,6 +22,11 @@ def S(*indices):
 
 def mask_sum(items, mask):
     return sum(a for i, a in enumerate(items) if (mask >> i) & 1)
+
+
+def count_b(items, q, i, j):
+    """(count, marked) of the dichotomy's class-interval count over [i, j]."""
+    return _ModularContext([a % q for a in items], q, DEFAULT_MEMORY_CAP_BYTES).count_b(i, j)
 
 
 class TestFindHeavyBin:
@@ -154,17 +159,17 @@ class TestCountBInterval:
             i = rng.randrange(d.q1)
             j = (i + width - 1) % d.q1
             items = [rng.randrange(1, q) for _ in range(n)]
-            res = count_b_interval(items, q, i, j)
-            if res.marked is not None:
+            count, marked = count_b(items, q, i, j)
+            if marked is not None:
                 dd = QuotientDecomposition.compute(n, q)
                 cls_count = sum(
                     1
                     for m in range(1 << n)
-                    if dd.fold(mask_sum(items, m) % q) == res.marked % dd.q1
+                    if dd.fold(mask_sum(items, m) % q) == marked % dd.q1
                 )
-                assert cls_count > dd.beta_single(res.marked % dd.q1)
+                assert cls_count > dd.beta_single(marked % dd.q1)
             else:
-                assert res.count == self.brute_class_count(items, q, i, j)
+                assert count == self.brute_class_count(items, q, i, j)
             checked += 1
 
     def test_width_preconditions(self):
@@ -172,13 +177,9 @@ class TestCountBInterval:
         q = 60_000  # q1 = 937 at h = 6... recomputed below
         d = QuotientDecomposition.compute(12, q)
         with pytest.raises(ValueError):
-            count_b_interval(items, q, 0, 2)  # too narrow
+            count_b(items, q, 0, 2)  # too narrow
         with pytest.raises(ValueError):
-            count_b_interval(items, q, 0, d.q1 - 1)  # too wide
-
-    def test_zero_residues_rejected(self):
-        with pytest.raises(ValueError):
-            count_b_interval([7, 14], 7, 0, 0)
+            count_b(items, q, 0, d.q1 - 1)  # too wide
 
     def test_constructed_marked_class(self):
         # all items below 2^h drop every subset into C-bin 0, whose size
@@ -187,11 +188,11 @@ class TestCountBInterval:
         n = 16
         items = [rng.randrange(1, 256) for _ in range(n)]
         q = 140 * 256 + 3  # q1 = 140 > 8n + 4
-        res = count_b_interval(items, q, 0, 39)
-        assert res.count is None
-        assert res.marked is not None
+        count, marked = count_b(items, q, 0, 39)
+        assert count is None
+        assert marked is not None
         d = QuotientDecomposition.compute(n, q)
-        cls = res.marked % d.q1
+        cls = marked % d.q1
         b_count = sum(
             1 for m in range(1 << n) if d.fold(mask_sum(items, m) % q) == cls
         )
@@ -294,7 +295,7 @@ class TestGoldenPairs:
             d = QuotientDecomposition.compute(n, q)
             if d.q1 <= 8 * n + 4:
                 routes.append("direct")
-            elif count_b_interval(items, q, 0, d.q1 // 2 - 1).marked is not None:
+            elif count_b(items, q, 0, d.q1 // 2 - 1)[1] is not None:
                 routes.append("marked")
             else:
                 routes.append("dichotomy")

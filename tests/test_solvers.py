@@ -780,6 +780,39 @@ class TestShiftedRepBatches:
         assert not timed_out and hit[0] == 0
         assert _masks(SolveOutcome(SolveStatus.FOUND, hit[1], 0, 0.0, {})) == want
 
+    @pytest.mark.parametrize("shift_kind, ratio, seed, cap", [("planted", 0.5, 1, 150_000), ("zero", 0.75, 0, 60_000)])
+    def test_draw_deferred_for_room_is_scanned_in_full_next_batch(self, monkeypatch, shift_kind, ratio, seed, cap):
+        # The join holds _REP_ENTRY_BYTES per bin-k2 entry. Under these caps a
+        # draw that would fit alone overflows the room its batch's earlier
+        # draws left, so it waits for the next batch instead of being cut.
+        rng = random.Random(12)
+        items = tuple(rng.randrange(1, 1 << 30) for _ in range(12))
+        shift = abs(sum(items[:4]) - sum(items[4:6])) if shift_kind == "planted" else 0
+        budget = SolverBudget(memory_cap_bytes=cap)
+        joins = []
+        join = solvers._shifted_rep_join
+
+        def spy(items_, shift_, tables, draws, deadline):
+            joins.append([(tables[d[0]].p, *d[1:]) for d in draws])
+            return join(items_, shift_, tables, draws, deadline)
+
+        monkeypatch.setattr(solvers, "_shifted_rep_join", spy)
+        out = solve_shifted_rep(items, shift, ratio, seed, budget)
+        status, masks, draw_count, records = _ref_shifted_rep(items, shift, ratio, seed, budget)
+        assert (out.status, _masks(out), out.trace["draw_count"]) == (status, masks, draw_count)
+        assert out.trace["draws"] == records[: solvers._TRACE_DRAWS]
+        assert out.status is (SolveStatus.FOUND if shift else SolveStatus.INCONCLUSIVE)
+        # every walked draw, the deferred ones included, scans both bins in
+        # full (at n=12 no bin passes enum_cap)
+        walked = [draw for batch in joins for draw in batch]
+        assert all(build_table(items, p).bin_size(k) == scan1 for p, k, _, scan1, _ in walked)
+        assert all(build_table(items, p).bin_size(k2) == scan2 for p, _, k2, _, scan2 in walked)
+        # with room to spare the same draws take fewer batches: room deferred some
+        monkeypatch.setattr(solvers, "_REP_ENTRY_BYTES", 1)
+        roomy = solve_shifted_rep(items, shift, ratio, seed, budget)
+        assert out.trace["batches"] > roomy.trace["batches"]
+        assert (roomy.status, _masks(roomy), roomy.trace["draws"]) == (out.status, _masks(out), out.trace["draws"])
+
     def test_small_bins_take_at_most_three_batches(self):
         # Powers of two have distinct sums: at n=15, p in [128, 256), every
         # bin holds under 256 ranks, and the class has no pair at shift 0.
@@ -1179,6 +1212,14 @@ class TestSolveInstance:
         big = ProblemInstance("subset_sum", tuple(range(1, 31)), target=5)
         with pytest.raises(ResourceLimitError):
             solve_instance(big, algo="brute")
+
+    def test_unknown_algo_is_refused(self):
+        # a misspelt name used to run the dispatcher silently
+        inst = ProblemInstance("equal_sums", (1, 2, 3))
+        for bad in ("exhaustiv", "", "AUTO"):
+            with pytest.raises(ValueError, match="algo"):
+                solve_instance(inst, algo=bad)
+        assert all(solve_instance(inst, algo=algo).found for algo in solvers.ALGOS)
 
     def test_time_cap_inconclusive(self):
         # unsolvable at a size where enumeration cannot finish instantly

@@ -97,6 +97,30 @@ def test_bin_product_rejects_collision_heavy_instances():
         sl.bin_product_check((7,) * 10, 0, 0.5, 10, seed=0)
 
 
+@pytest.mark.parametrize("s", [0, (1 << 63) + 1, 3])
+def test_bin_product_counts_pairs_past_int64(s):
+    # item sums past 2^63 overflowed (or wrapped) the check's int64 sums; the
+    # count is of ordered pairs, the 2^n pairs (S, S) at s = 0 included
+    items = ((1 << 63) + 1, (1 << 63) + 1, 1, 2, 4, 8)
+    sums = [sum(a for i, a in enumerate(items) if m >> i & 1) for m in range(1 << len(items))]
+    want = sum(x - y == s for x in sums for y in sums)
+    rep = sl.bin_product_check(items, s, 0.5, 50, seed=4)
+    assert rep.details["solution_pairs"] == want
+    assert rep.passed
+
+
+def test_checks_take_values_and_shifts_past_int64():
+    # collision values past 2^63, and shifts past 2^63 over int64 sums,
+    # overflowed numpy int64 arrays
+    wide = ((1 << 63) + 1, (1 << 63) + 1, 1, 2, 4, 8)
+    rep = sl.value_hash_check(wide, 0.5, 40, seed=5)
+    assert rep.details["collision_values"] == 16  # {2^63 + 1} u T against its twin
+    narrow, s = (3, 5, 7, 9, 11, 13), 1 << 63
+    assert sl.bin_product_check(narrow, s, 0.5, 20, seed=5).details["solution_pairs"] == 0
+    with pytest.raises(ValueError, match="no collision values"):
+        sl.value_hash_check(narrow, 0.5, 20, seed=5, s=s)
+
+
 # ---------------------------------------------------------------------------
 # value hashing
 # ---------------------------------------------------------------------------
