@@ -20,11 +20,12 @@ table index within n of jj, because dropping the low halves and wrapping
 mod q misplaces the quotient sum by less than n. A dichotomic search then
 maintains an interval of classes where subsets outnumber residues; interval
 counts (``_ModularContext.count_b``) come from the table's inner bins plus
-a walk of at most 4n boundary bins; a boundary bin too large to walk
-certifies an overfull class, returned in place of the count. Either way
-the search ends on a class window of width <= 4n whose covering table bins
-hold more subsets than residues, and bucketing those subsets by true
-residue mod q exhibits the collision.
+a walk of at most 4n boundary bins. A boundary bin too large to walk is a
+collision on its own: its subsets reach at most 2n + 1 classes, fewer
+residues than its first ``boundary_bin_cap`` subsets, so those repeat a
+residue. Otherwise the search ends on a class window of width <= 4n whose
+covering table bins hold more subsets than residues, and bucketing those
+subsets by true residue mod q exhibits the collision.
 
 Every enumeration here is one batched walk of the quotient table
 (``dpbins._walk_bins``): the ranks of all the bins involved go through
@@ -222,24 +223,16 @@ class _ModularContext:
         c_items = tuple(((r >> d.h) % d.q1) or d.q1 for r in self.residues)
         self.table = build_table(c_items, d.q1, memory_cap_bytes)
         self.sizes = self.table.rows[self.n]
-        self.prefix = [0, *np.cumsum(self.sizes).tolist()]
         n = self.n
+        # Bin c holds subsets of the 2n + 1 classes within n of c, fewer than
+        # (2n + 2) * 2^h residues, so its first boundary_bin_cap subsets repeat one.
         self.boundary_bin_cap = (4 * n + 2) * (1 << d.h) + 1
         self.final_extract_cap = (8 * n + 2) * (1 << d.h) + 1
 
-    def c_interval_count(self, x: int, y: int) -> int:
-        """Total table count over circular C-bin interval [x, y]."""
-        q1 = self.decomp.q1
-        x %= q1
-        y %= q1
-        if x <= y:
-            return self.prefix[y + 1] - self.prefix[x]
-        return self.prefix[q1] - self.prefix[x] + self.prefix[y + 1]
-
     def count_b(self, i: int, j: int) -> tuple[int | None, int | None]:
         """(count, None) with the exact number of subsets whose quotient class
-        is in [i, j] (circular), or (None, marked) with a class that provably
-        exceeds its residue supply.
+        is in [i, j] (circular), or (None, c) with a boundary table bin c
+        larger than ``boundary_bin_cap``, which then holds a residue repeat.
 
         Preconditions: interval width w satisfies 2n <= w and w + 2n <= q1,
         so the boundary windows around i and j do not collide.
@@ -250,15 +243,14 @@ class _ModularContext:
         w = (j - i) % q1 + 1
         if w < 2 * n or w + 2 * n > q1:
             raise ValueError("interval width must be in [2n, q1 - 2n]")
-        count = 0
-        if w > 2 * n:
-            count += self.c_interval_count(i + n, j - n)
+        # Inner bins [i + n, j - n] hold only classes inside [i, j].
+        count = int(self.sizes[(i + n + np.arange(w - 2 * n)) % q1].sum())
         # Boundary windows [i - n + 1, i + n - 1] and [j - n + 1, j + n].
         bins = np.concatenate((np.arange(i - n + 1, i + n), np.arange(j - n + 1, j + n + 1))) % q1
         sizes = self.sizes[bins]
         over = np.nonzero(sizes > self.boundary_bin_cap)[0]
         if over.size:
-            return None, self._mark_overfull_class(int(bins[over[0]]))
+            return None, int(bins[over[0]])
         span = (j - i) % q1
         walk = _walk_bins(self.table, bins, sizes, 0, int(sizes.sum()), self.residues, self.q)
         for _, _, res in walk:
@@ -266,33 +258,6 @@ class _ModularContext:
                 raise _Expired
             count += int(np.count_nonzero((d.fold(res) - i) % q1 <= span))
         return count, None
-
-    def _mark_overfull_class(self, c: int) -> int:
-        """Classify a capped slice of an oversized C-bin by true class.
-
-        The slice holds (4n+2) * 2^h + 1 subsets spread over at most 2n
-        classes, so some class collects more than 2^(h+1) > beta of them.
-        The class returned is the first to pass its beta in scan order.
-        """
-        d = self.decomp
-        cap = self.boundary_bin_cap
-        walk = _walk_bins(self.table, np.array([c]), np.array([cap]), 0, cap, self.residues, self.q)
-        parts = []
-        for _, _, res in walk:
-            if self.expired is not None and self.expired():
-                raise _Expired
-            parts.append(res)
-        cls = d.fold(np.concatenate(parts))
-        # Occurrence number of each scanned subset within its class.
-        order = np.argsort(cls, kind="stable")
-        sc = cls[order]
-        at = np.arange(sc.size)
-        group_start = np.maximum.accumulate(np.where(np.r_[True, sc[1:] != sc[:-1]], at, 0))
-        beta = np.where(sc == d.q1 - 1, (1 << d.h) + d.q2, 1 << d.h)
-        over = order[at - group_start + 1 > beta]
-        if not over.size:
-            raise RuntimeError("overfull bin produced no overfull class")
-        return int(cls[over.min()])
 
     def extract(self, lo: int, hi: int, cap: int) -> Pair:
         """Find a residue collision among subsets with C-index in [lo, hi].
@@ -323,9 +288,10 @@ def solve_pigeonhole_modular(
     table mod q, where some bin of size >= 2 must exist and its first two
     subsets collide. Otherwise the quotient-class dichotomy runs: keep
     halving a class interval whose subset count exceeds its residue count
-    until it is 4n classes wide or a marked class appears, then bucket the
-    covering table bins by true residue. The dichotomy returns None if
-    ``expired()`` turns true between walk chunks or halving steps.
+    until it is 4n classes wide, then bucket the covering table bins by true
+    residue; a boundary bin too large to walk is bucketed alone instead.
+    The dichotomy returns None if ``expired()`` turns true between walk
+    chunks or halving steps.
     """
     items = tuple(int(a) for a in items)
     n = len(items)
@@ -359,9 +325,9 @@ def solve_pigeonhole_modular(
             w = (j - i) % q1 + 1
             wl = w // 2
             mid = (i + wl - 1) % q1
-            left, jj = ctx.count_b(i, mid)
-            if jj is not None:
-                return ctx.extract(jj - n + 1, jj + n, ctx.boundary_bin_cap)
+            left, c = ctx.count_b(i, mid)
+            if c is not None:
+                return ctx.extract(c, c, ctx.boundary_bin_cap)
             beta_left = d.beta_interval(i, mid)
             if left > beta_left:
                 j = mid

@@ -199,6 +199,12 @@ def _mask_value(items: Sequence[int], mask: int) -> int:
     return v
 
 
+def _require_bytes(per: int, count: int, cap: int, what: str) -> None:
+    """Refuse, before anything is built, ``count`` entries of ``per`` bytes past ``cap``."""
+    if per * count > cap:
+        raise ResourceLimitError(f"{count} {what} need about {per * count} bytes, cap is {cap}")
+
+
 # ---------------------------------------------------------------------------
 # Meet-in-the-middle for a plain or modular target
 # ---------------------------------------------------------------------------
@@ -225,11 +231,7 @@ def solve_subset_sum_mitm(
     trace = {"algorithm": "subset-sum-mitm", "halves": [h1, n - h1], "scanned": 0}
     # Eight-byte arrays: three over the first half, at most five over the
     # second, which is no larger.
-    need_bytes = 64 << h1
-    if need_bytes > budget.memory_cap_bytes:
-        raise ResourceLimitError(
-            f"mitm halves for n={n} need about {need_bytes} bytes, cap is {budget.memory_cap_bytes}"
-        )
+    _require_bytes(64, 1 << h1, budget.memory_cap_bytes, "first-half entries")
     if target == 0:
         trace["scanned"] = 1
         return _outcome(SolveStatus.FOUND, Subset.of(()), None, deadline, trace)
@@ -248,25 +250,35 @@ def solve_subset_sum_mitm(
     return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
 
 
+# Bytes per first-half entry of the modular mitm beside two ints (a sum and its
+# residue, 32 B plus 4 B per 30-bit digit): tracemalloc read 80 B of list slots
+# and dict entry at n = 32 with 32- to 200-bit items; 96 leaves two words spare.
+_MODULAR_ENTRY_BYTES = 96
+
+
 def solve_modular_subset_sum_mitm(
     items: Sequence[int],
     target: int,
     modulus: int,
     budget: SolverBudget | None = None,
 ) -> SolveOutcome:
-    """Same strategy with sums reduced mod the modulus; still complete."""
+    """Same strategy with sums reduced mod the modulus; complete, or refused past ``memory_cap_bytes``."""
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
     items = tuple(items)
     n = len(items)
     q = modulus
     h1 = n - n // 2
+    per = _MODULAR_ENTRY_BYTES + 2 * (32 + 4 * (sum(items).bit_length() // 30))
+    _require_bytes(per, 1 << h1, budget.memory_cap_bytes, "first-half entries")
+    trace = {"algorithm": "modular-mitm", "halves": [h1, n - h1], "scanned": 0}
     first: dict[int, int] = {}
     for mask, v in enumerate(_half_sums(items, range(h1))):
         r = v % q
         if r not in first:
             first[r] = mask
-    trace = {"algorithm": "modular-mitm", "halves": [h1, n - h1], "scanned": 0}
+        if mask % 4096 == 0 and deadline.expired():
+            return _inconclusive("timed_out", None, deadline, trace)
     sums2 = _half_sums(items, range(h1, n))
     for mask2, v2 in enumerate(sums2):
         mask1 = first.get((target - v2) % q)
@@ -420,12 +432,6 @@ _PAIR_CHUNK = 1 << 16  # pair states of the single-class path built per vector c
 _PAIR_STATE_BYTES = 48
 # Odd, so distinct small tags (split or draw) stay distinct mod 2^64.
 _TAG = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _require_pair_bytes(states: int, cap: int) -> None:
-    need = _PAIR_STATE_BYTES * states
-    if need > cap:
-        raise ResourceLimitError(f"{states} pair states need about {need} bytes, cap is {cap}")
 
 
 def _class_states(words: np.ndarray, combos: np.ndarray, t: int) -> np.ndarray:
@@ -620,7 +626,7 @@ def solve_shifted_mitm(
     h1 = n // 2
     t1, t2 = t // 2, t - t // 2
     per1, per2 = math.comb(h1, t1) << t1, math.comb(n - h1, t2) << t2
-    _require_pair_bytes(per1 + per2, budget.memory_cap_bytes)
+    _require_bytes(_PAIR_STATE_BYTES, per1 + per2, budget.memory_cap_bytes, "pair states")
     combos1 = list(combinations(range(h1), t1))
     combos2 = list(combinations(range(n - h1), t2))
     index1 = np.array(combos1, dtype=np.intp).reshape(len(combos1), t1)
@@ -868,7 +874,7 @@ def solve_shifted_exhaustive(
     n = len(items)
     left, right = list(range(n // 2)), list(range(n // 2, n))
     trace: dict = {"algorithm": "shifted-exhaustive", "pair_states": 3 ** len(left) + 3 ** len(right)}
-    _require_pair_bytes(trace["pair_states"], budget.memory_cap_bytes)
+    _require_bytes(_PAIR_STATE_BYTES, trace["pair_states"], budget.memory_cap_bytes, "pair states")
     keys1 = _all_states([items[p] & _WORD_MASK for p in left])
     needs2 = np.uint64(shift & _WORD_MASK) - _all_states([items[p] & _WORD_MASK for p in right])
     blocks = np.array([[keys1.size, needs2.size, 1]])

@@ -24,9 +24,24 @@ def mask_sum(items, mask):
     return sum(a for i, a in enumerate(items) if (mask >> i) & 1)
 
 
+def context(items, q):
+    return _ModularContext([a % q for a in items], q, DEFAULT_MEMORY_CAP_BYTES)
+
+
 def count_b(items, q, i, j):
-    """(count, marked) of the dichotomy's class-interval count over [i, j]."""
-    return _ModularContext([a % q for a in items], q, DEFAULT_MEMORY_CAP_BYTES).count_b(i, j)
+    """(count, None) or (None, oversized bin) of the dichotomy's class-interval
+    count over [i, j]."""
+    return context(items, q).count_b(i, j)
+
+
+def check_oversized_bin(items, q, ctx, c):
+    """Bin c is past the walk cap, and its capped prefix holds a verified pair."""
+    assert ctx.sizes[c] > ctx.boundary_bin_cap
+    pair = ctx.extract(c, c, ctx.boundary_bin_cap)
+    assert verify(ProblemInstance("pigeonhole_modular", items, modulus=q), pair)
+    d = ctx.decomp
+    for s in (pair.s1, pair.s2):
+        assert sum((items[k - 1] % q) >> d.h for k in s.indices) % d.q1 == c
 
 
 class TestFindHeavyBin:
@@ -159,15 +174,10 @@ class TestCountBInterval:
             i = rng.randrange(d.q1)
             j = (i + width - 1) % d.q1
             items = [rng.randrange(1, q) for _ in range(n)]
-            count, marked = count_b(items, q, i, j)
-            if marked is not None:
-                dd = QuotientDecomposition.compute(n, q)
-                cls_count = sum(
-                    1
-                    for m in range(1 << n)
-                    if dd.fold(mask_sum(items, m) % q) == marked % dd.q1
-                )
-                assert cls_count > dd.beta_single(marked % dd.q1)
+            ctx = context(items, q)
+            count, c = ctx.count_b(i, j)
+            if c is not None:
+                check_oversized_bin(items, q, ctx, c)
             else:
                 assert count == self.brute_class_count(items, q, i, j)
             checked += 1
@@ -183,20 +193,43 @@ class TestCountBInterval:
 
     def test_constructed_marked_class(self):
         # all items below 2^h drop every subset into C-bin 0, whose size
-        # 2^16 exceeds the boundary enumeration cap, forcing a marked class
+        # 2^16 exceeds the boundary enumeration cap
         rng = random.Random(7)
         n = 16
         items = [rng.randrange(1, 256) for _ in range(n)]
         q = 140 * 256 + 3  # q1 = 140 > 8n + 4
-        count, marked = count_b(items, q, 0, 39)
+        ctx = context(items, q)
+        count, c = ctx.count_b(0, 39)
         assert count is None
-        assert marked is not None
-        d = QuotientDecomposition.compute(n, q)
-        cls = marked % d.q1
-        b_count = sum(
-            1 for m in range(1 << n) if d.fold(mask_sum(items, m) % q) == cls
-        )
-        assert b_count > d.beta_single(cls)
+        assert c == 0
+        check_oversized_bin(items, q, ctx, c)
+
+    def test_oversized_bins_on_skewed_instances(self, monkeypatch):
+        # most items below 2^h crowd a few C-bins past the walk cap; a few
+        # wide items spread them over more bins
+        seen = []
+        count_b = _ModularContext.count_b
+
+        def spy(ctx, i, j):
+            count, c = count_b(ctx, i, j)
+            if c is not None:
+                check_oversized_bin(ctx.residues, ctx.q, ctx, c)
+                seen.append(c)
+            return count, c
+
+        monkeypatch.setattr(_ModularContext, "count_b", spy)
+        rng = random.Random(14)
+        for _ in range(80):
+            n = rng.randrange(14, 19)  # q1 > 8n + 4 needs n >= 14
+            h = (n + 1) // 2
+            q = rng.randrange((8 * n + 5) << h, 1 << n)
+            wide = rng.randrange(4)
+            items = [rng.randrange(1, 1 << h) for _ in range(n - wide)]
+            items += [rng.randrange(1, 1 << 32) for _ in range(wide)]
+            rng.shuffle(items)
+            inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
+            assert verify(inst, solve_pigeonhole_modular(items, q)), (items, q)
+        assert len(seen) >= 20
 
 
 class TestPigeonholeModular:
@@ -228,6 +261,33 @@ class TestPigeonholeModular:
         pair = solve_pigeonhole_modular(items, q)
         inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
         assert verify(inst, pair)
+
+    def test_dichotomy_keeps_right_halves(self, monkeypatch):
+        # q just below 2^n with wide items spreads the subsets, so some
+        # left halves are not overfull and the search moves right
+        steps = []
+        count_b = _ModularContext.count_b
+
+        def spy(ctx, i, j):
+            count, c = count_b(ctx, i, j)
+            steps.append((i, j, c is None and count <= ctx.decomp.beta_interval(i, j)))
+            return count, c
+
+        monkeypatch.setattr(_ModularContext, "count_b", spy)
+        rng = random.Random(13)
+        right = 0
+        for _ in range(40):
+            n = rng.randrange(10, 17)
+            q = (1 << n) - rng.randrange(1, 9)
+            items = [rng.randrange(1, 1 << 32) for _ in range(n)]
+            steps.clear()
+            inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
+            assert verify(inst, solve_pigeonhole_modular(items, q)), (items, q)
+            q1 = QuotientDecomposition.compute(n, q).q1
+            for (i, mid, moved), (i_next, _, _) in zip(steps, steps[1:]):
+                assert i_next == ((mid + 1) % q1 if moved else i)
+            right += sum(moved for _, _, moved in steps)
+        assert right
 
     def test_direct_route_small_q(self):
         rng = random.Random(9)
@@ -262,7 +322,7 @@ class TestPigeonholeModular:
 
 # (items, q, s1, s2) recorded from the sequential per-subset scan that the
 # batched walk replaced. Indices 0-7 take the dichotomy route at n = 14..20,
-# 8-10 the marked-class route (every item below 2^h puts all subsets in
+# 8-10 the oversized-bin route (every item below 2^h puts all subsets in
 # C-bin 0), 11-12 the direct small-q table.
 GOLDEN_PAIRS = [
     ([8142435, 117535014, 49050730, 178100818, 32625137, 130058741, 239503673, 212907931, 140531361, 252153667, 142409723, 140006821, 202242284, 149008024], 15550, (4, 5, 9), (1, 2, 4, 7, 8, 9, 13)),

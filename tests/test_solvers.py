@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sumbins.dpbins as dpbins
+import sumbins.pigeonhole as pigeonhole
 import sumbins.solvers as solvers
 from sumbins.core import Pair, ProblemInstance, Subset, reduce_two_subset_to_shifted, subset_sum, verify
 from sumbins.dpbins import ResourceLimitError, build_table, estimate_table_bytes
@@ -1313,6 +1315,54 @@ def test_inconclusive_names_its_reason(solve, reason):
     out = solve()
     assert out.status is SolveStatus.INCONCLUSIVE
     assert out.trace["reason"] == reason and out.trace[reason] is True
+
+
+# Every public solver at n = 40 under a 1 MiB memory cap: it refuses, or its
+# tracemalloc peak stays under the cap plus the walk-chunk temporaries that
+# no cap charges (the _REP_ENTRY_BYTES comment puts them near 3.5 MB; the
+# dispatcher peaked at 5.05 MiB).
+_GUARD_CAP = 1 << 20
+_GUARD_SLACK = 6 << 20
+_GUARD = SolverBudget(sample_cap=0, time_cap_ms=200.0, memory_cap_bytes=_GUARD_CAP)
+_GUARD_RNG = random.Random(40)
+_GUARD_ITEMS = tuple(_GUARD_RNG.randrange(1, 1 << 48) for _ in range(40))
+_GUARD_SMALL = tuple(_GUARD_RNG.randrange(1, 1 << 34) for _ in range(40))  # sum below 2^40 - 1
+_GUARD_T = _GUARD_RNG.randrange(sum(_GUARD_ITEMS))
+_GUARD_SOLVES = {
+    "solve_subset_sum_mitm": lambda: solve_subset_sum_mitm(_GUARD_ITEMS, _GUARD_T, _GUARD),
+    "solve_modular_subset_sum_mitm": lambda: solve_modular_subset_sum_mitm(_GUARD_ITEMS, _GUARD_T, (1 << 47) + 5, _GUARD),
+    "solve_subset_sum_rep": lambda: solve_subset_sum_rep(_GUARD_ITEMS, _GUARD_T, 0, _GUARD),
+    "solve_shifted_mitm": lambda: solve_shifted_mitm(_GUARD_ITEMS, _GUARD_T, 0.5, 0, _GUARD),
+    "solve_shifted_rep": lambda: solve_shifted_rep(_GUARD_ITEMS, _GUARD_T, 0.5, 0, _GUARD),
+    "solve_shifted_exhaustive": lambda: solve_shifted_exhaustive(_GUARD_ITEMS, _GUARD_T, _GUARD),
+    "solve_shifted": lambda: solve_shifted(_GUARD_ITEMS, _GUARD_T, 0, _GUARD),
+    "solve_equal_sums": lambda: solve_equal_sums(_GUARD_ITEMS, 0, _GUARD),
+    "solve_two_subset_sum": lambda: solve_two_subset_sum(_GUARD_ITEMS, _GUARD_T, 0, _GUARD),
+    "solve_pigeonhole_equal": lambda: pigeonhole.solve_pigeonhole_equal(
+        _GUARD_SMALL, _GUARD_CAP, solvers._Deadline(_GUARD.time_cap_ms).expired
+    ),
+    "solve_pigeonhole_modular": lambda: pigeonhole.solve_pigeonhole_modular(
+        _GUARD_ITEMS, (1 << 40) - 1, _GUARD_CAP, solvers._Deadline(_GUARD.time_cap_ms).expired
+    ),
+}
+
+
+def test_guard_covers_every_public_solver():
+    public = {name for mod in (solvers, pigeonhole) for name in mod.__all__ if name.startswith("solve_")}
+    assert public - {"solve_instance"} == set(_GUARD_SOLVES)  # solve_instance routes to these
+
+
+@pytest.mark.parametrize("name", sorted(_GUARD_SOLVES))
+def test_every_solver_honours_memory_cap(name):
+    tracemalloc.start()
+    try:
+        _GUARD_SOLVES[name]()
+    except ResourceLimitError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < _GUARD_CAP + _GUARD_SLACK, f"{name} peaked at {peak} bytes"
 
 
 class TestWideItems:
