@@ -40,9 +40,9 @@ def main() -> None:
         race(n, seed)
         print()
 
-    # The instance-level entry point routes by variant, sweeps solution-size
-    # classes from large to small, and re-verifies the witness before
-    # returning it. A planted pair on 3/4 of the items lands in the band
+    # The instance-level entry point routes by variant, probes solution-size
+    # classes from large to small, settles a miss with the exhaustive pass,
+    # and re-verifies the witness before returning it. A planted pair on 3/4 of the items lands in the band
     # where residue binning is the cheaper engine.
     inst, planted = _random_instance("equal_sums", 16, 32, 0.75, 5)
     out = solve_instance(inst, seed=11)

@@ -59,7 +59,7 @@ WIRE_VARIANTS = (
 )
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, slots=True)
 class Subset:
     """An index subset of {1..n}, stored as a strictly increasing tuple."""
 
@@ -111,7 +111,7 @@ class Subset:
         return i in self.indices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair:
     """An ordered pair of subsets; the witness shape for two-subset variants."""
 

@@ -21,10 +21,12 @@ Every list match, the three mitm searches and the shifted bin pairs (bin
 k2 ranks as states (empty, S2), bin k ranks as (S1, empty)), runs on one
 sorted join of pair states, ``_join_pair_states``.
 
-``solve_shifted`` combines both: a sweep over solution-size ratios picks
-mitm or rep per ratio by their cost exponents, and a final folklore
-exhaustive pass (all 3^(n/2) pair states of each half, all sizes at once)
-settles NotFound while its pair states fit ``memory_cap_bytes``.
+``solve_shifted`` combines both: a probe over solution-size ratios (one
+draw or split each, mitm or rep per ratio by their cost exponents), then
+the folklore exhaustive pass (all 3^(n/2) pair states of each half, all
+sizes at once), which settles the instance while its pair states fit
+``memory_cap_bytes``; only when they do not does a full sweep of the
+ratios run, and its miss is Inconclusive.
 
 Numpy sums wrap mod 2^64 whatever the item width, so a match there is only
 a candidate until exact integer arithmetic confirms it. All witnesses are
@@ -893,28 +895,29 @@ def solve_shifted(
     seed: int = 0,
     budget: SolverBudget | None = None,
 ) -> SolveOutcome:
-    """Two-phase shifted-sums driver.
+    """Phased shifted-sums driver: probe, exhaustive pass, sweep if refused.
 
-    Phase 1 visits solution-size classes t = n-1 .. 1 (largest first) and
-    picks the residue-binning solver where its cost exponent beats
-    meet-in-the-middle (between the classical crossover ratios), and the
-    single-class mitm otherwise, in two passes: the probe gives each class
-    only its first draw or split, where planted pairs are mostly hit, and
-    the sweep then runs each class in full to the repeat cap (its first
-    draw or split is the probe's, and misses again). The witness is the
-    first hit in probe order, then in sweep order. Phase 2 falls back to the
-    exhaustive pair search so a miss becomes a definitive NOT_FOUND for n
-    small enough to afford it; perfect-partition pairs (total size n) are
-    only reachable by phase 2, since phase 1 classes stop at n-1.
+    The probe visits solution-size classes t = n-1 .. 1 (largest first) and
+    gives each only its first draw or split, where planted pairs are mostly
+    hit: the residue-binning solver where its cost exponent beats
+    meet-in-the-middle (between the classical crossover ratios), the
+    single-class mitm otherwise. The exhaustive pair search then runs at
+    once and settles the instance: FOUND (perfect-partition pairs of total
+    size n are only reachable here) or a definitive NOT_FOUND. Only when
+    that pass refuses with :class:`ResourceLimitError` (its pair states
+    would pass ``memory_cap_bytes``, n >= 34 under the default cap) does
+    the sweep run each class in full to the repeat cap (its first draw or
+    split is the probe's, and misses again); a miss there ends INCONCLUSIVE
+    with reason "exhaustive_skipped". The witness is the first hit in
+    probe order, then the exhaustive pass's, then the first in sweep order.
 
-    A phase-1 class whose solver refuses with :class:`ResourceLimitError`
-    (its states or tables would pass ``memory_cap_bytes``) is recorded with
-    status "skipped" and not tried again. Every ``trace["phases"]`` entry
-    carries its ``pass`` ("probe", "sweep" or "exhaustive") and the phase's
-    ``elapsed_ms``; a FOUND names ``found_at_class`` and ``found_in_pass``.
-    An INCONCLUSIVE result names its ``trace["reason"]``: "timed_out", or
-    "exhaustive_skipped" when the exhaustive pass's pair states would pass
-    ``memory_cap_bytes``.
+    A class whose solver refuses with :class:`ResourceLimitError` is
+    recorded with status "skipped" and not tried again. Every
+    ``trace["phases"]`` entry carries its ``pass`` ("probe", "exhaustive"
+    or "sweep") and the phase's ``elapsed_ms``; a FOUND names
+    ``found_at_class`` and ``found_in_pass`` ("all" and "exhaustive" for
+    the exhaustive pass). An INCONCLUSIVE result names its
+    ``trace["reason"]``: "timed_out" or "exhaustive_skipped".
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -937,8 +940,8 @@ def solve_shifted(
         trace["phases"].append(dict(zip(("t", "pass", "algorithm", "status", "elapsed_ms"), entry)))
 
     skipped = set()
-    passes = [("probe", {"repeat_cap": 1}), ("sweep", {})]  # (pass, budget knobs)
-    for name, knobs in passes[: 1 + (budget.resolved_repeat_cap(n) > 1)]:
+
+    def run_classes(name: str, knobs: dict) -> SolveOutcome | None:
         for t in range(n - 1, 0, -1):
             if t in skipped:
                 continue
@@ -961,15 +964,24 @@ def solve_shifted(
                 _check_witness(_verify_pair(items, sub.witness, shift))
                 trace["found_at_class"], trace["found_in_pass"] = t, name
                 return _outcome(SolveStatus.FOUND, sub.witness, seed, deadline, trace)
+        return None
+
+    out = run_classes("probe", {"repeat_cap": 1})
+    if out is not None:
+        return out
     if deadline.expired():
         return _inconclusive("timed_out", seed, deadline, trace)
     try:
         final = solve_shifted_exhaustive(items, shift, phase_budget())
     except ResourceLimitError:
-        return _inconclusive("exhaustive_skipped", seed, deadline, trace)
+        # Too many pair states: only the sweep is left, and its miss proves nothing.
+        out = run_classes("sweep", {}) if budget.resolved_repeat_cap(n) > 1 else None
+        return out or _inconclusive("exhaustive_skipped", seed, deadline, trace)
     record("all", "exhaustive", final.trace["algorithm"], final.status.value, final.elapsed_ms)
     if final.status is SolveStatus.INCONCLUSIVE:
         return _inconclusive("timed_out", seed, deadline, trace)
+    if final.found:
+        trace["found_at_class"], trace["found_in_pass"] = "all", "exhaustive"
     return _outcome(final.status, final.witness, seed, deadline, trace)
 
 
@@ -1007,6 +1019,8 @@ def solve_two_subset_sum(
         witness = red.lift(inner.witness)
         _check_witness(sum(a * e for a, e in zip(items, witness)) == target)
         return _outcome(SolveStatus.FOUND, witness, seed, deadline, trace)
+    if inner.status is SolveStatus.INCONCLUSIVE:
+        return _inconclusive(inner.trace["reason"], seed, deadline, trace)
     return _outcome(inner.status, None, seed, deadline, trace)
 
 

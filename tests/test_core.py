@@ -1,6 +1,7 @@
 """Instance model, witness verification, and the two-subset reduction."""
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,19 @@ class TestPair:
         after = subset_sum(items, canon.s1) - subset_sum(items, canon.s2)
         assert before == after
         assert canon == Pair(S(1, 3), S(4))
+
+    def test_witnesses_are_slotted_values(self):
+        # slotted: no per-instance __dict__, the same value semantics
+        pair = Pair(S(1, 3), S(2))
+        for obj in (pair, pair.s1):
+            assert not hasattr(obj, "__dict__") and type(obj).__slots__
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj and hash(back) == hash(obj) and back is not obj
+        assert pair == Pair(S(3, 1), S(2)) and hash(pair) == hash(Pair(S(1, 3), S(2)))
+        assert pair != Pair(S(2), S(1, 3)) and S(1) != S(2)
+        assert len({pair, Pair(S(1, 3), S(2)), Pair(S(1), S(2))}) == 2
+        with pytest.raises(AttributeError):
+            pair.s1 = S(4)  # frozen
 
 
 class TestInstanceValidation:

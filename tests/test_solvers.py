@@ -1018,27 +1018,48 @@ class TestShiftedDispatcher:
 
         return wrapper
 
+    @staticmethod
+    def _refuse_exhaustive(monkeypatch):
+        # the exhaustive pass refuses as it does when its pair states pass the cap
+        def refuse(items, shift, budget=None):
+            raise ResourceLimitError("stub")
+
+        monkeypatch.setattr(solvers, "solve_shifted_exhaustive", refuse)
+
     def test_each_class_is_probed_then_swept_through_module_names(self, monkeypatch):
+        # The probe is followed by the exhaustive pass, which settles the
+        # solve; only a refused pass sends it on to the sweep. Both passes
+        # call the class solvers through their module-level names, where
+        # bench/tracing.py wraps them.
         calls = []
         for name in ("solve_shifted_rep", "solve_shifted_mitm"):
             monkeypatch.setattr(solvers, name, self._counting(calls, getattr(solvers, name)))
-        out = solve_shifted(tuple(1 << i for i in range(10)), 0, seed=0)  # no pair
-        assert out.status is SolveStatus.NOT_FOUND
+        items = tuple(1 << i for i in range(10))  # no pair
         classes = range(9, 0, -1)
+        assert solve_shifted(items, 0, seed=0).status is SolveStatus.NOT_FOUND
+        assert [c[:2] for c in calls] == [(t, 1) for t in classes]
+        calls.clear()
+        self._refuse_exhaustive(monkeypatch)
+        out = solve_shifted(items, 0, seed=0)
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["reason"] == "exhaustive_skipped"
         assert [c[:2] for c in calls] == [(t, 1) for t in classes] + [(t, None) for t in classes]
 
     def test_probe_and_sweep_make_one_full_run_per_class(self, monkeypatch):
-        # On an unsolvable instance each class's probe makes the first draw
-        # (or split) of a full run of its solver, and its sweep is that run.
+        # On an unsolvable instance whose exhaustive pass is refused, each
+        # class's probe makes the first draw (or split) of a full run of its
+        # solver, and its sweep is that run.
         monkeypatch.setattr(solvers, "_TRACE_DRAWS", 1000)
+        self._refuse_exhaustive(monkeypatch)
         calls = []
         for name in ("solve_shifted_rep", "solve_shifted_mitm"):
             monkeypatch.setattr(solvers, name, self._counting(calls, getattr(solvers, name)))
         rng = random.Random(10)
         items = tuple(rng.randrange(1, 1 << 30) for _ in range(10))
         assert not brute_solve(ProblemInstance("equal_sums", items)).solvable
-        assert solve_shifted(items, 0, seed=5).status is SolveStatus.NOT_FOUND
+        out = solve_shifted(items, 0, seed=5)
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["reason"] == "exhaustive_skipped"
         probes, sweeps = calls[:9], calls[9:]
+        assert len(sweeps) == 9
         for (t, _, probe), (t2, _, sweep) in zip(probes, sweeps):
             assert t == t2
             algorithm = probe.trace["algorithm"]
@@ -1064,11 +1085,39 @@ class TestShiftedDispatcher:
             return real(items, shift, ratio, seed, budget)
 
         monkeypatch.setattr(solvers, "solve_shifted_mitm", refuse_t8)
-        out = solve_shifted(tuple(1 << i for i in range(10)), 0, seed=0)
+        items = tuple(1 << i for i in range(10))
+        out = solve_shifted(items, 0, seed=0)
         assert out.status is SolveStatus.NOT_FOUND
+        assert len(out.trace["phases"]) == 9 + 1  # probe, exhaustive
+        self._refuse_exhaustive(monkeypatch)
+        out = solve_shifted(items, 0, seed=0)
+        assert out.status is SolveStatus.INCONCLUSIVE
         eights = [(p["pass"], p["status"]) for p in out.trace["phases"] if p["t"] == 8]
         assert eights == [("probe", "skipped")]
-        assert len(out.trace["phases"]) == 9 + 8 + 1  # probe, sweep, exhaustive
+        assert len(out.trace["phases"]) == 9 + 8  # probe, sweep
+
+    def test_unsolvable_n22_is_settled_under_a_500ms_cap(self):
+        # The sweep alone would take seconds here; the exhaustive pass right
+        # after the probe answers in about 0.1 s.
+        rng = random.Random(22)
+        items = [rng.randrange(1, 1 << 66) for _ in range(22)]
+        out = solve_equal_sums(items, seed=0, budget=SolverBudget(time_cap_ms=500.0))
+        assert out.status is SolveStatus.NOT_FOUND
+        passes = [(p["pass"], p["t"]) for p in out.trace["phases"]]
+        assert passes == [("probe", t) for t in range(21, 0, -1)] + [("exhaustive", "all")]
+
+    def test_pass_refused_by_its_bytes_reaches_the_sweep(self):
+        # n = 10: the pass needs 2 * 3^5 states of 48 B (23,328 B), more
+        # than the cap; every class fits under it
+        items = tuple(1 << i for i in range(10))
+        out = solve_shifted(items, 0, seed=0, budget=SolverBudget(memory_cap_bytes=20_000))
+        assert out.status is SolveStatus.INCONCLUSIVE
+        assert out.trace["reason"] == "exhaustive_skipped" and out.trace["exhaustive_skipped"] is True
+        passes = [(p["pass"], p["t"], p["status"]) for p in out.trace["phases"]]
+        classes = range(9, 0, -1)
+        assert passes == [("probe", t, "inconclusive") for t in classes] + [
+            ("sweep", t, "inconclusive") for t in classes
+        ]
 
     def test_phase_entry_keys(self, monkeypatch):
         keys = {"t", "pass", "algorithm", "status", "elapsed_ms"}
@@ -1078,13 +1127,28 @@ class TestShiftedDispatcher:
         last = found.trace["phases"][-1]
         assert (last["t"], last["pass"]) == (found.trace["found_at_class"], found.trace["found_in_pass"])
 
+        # the only pair, {1, 2, 4} against {7}, has total size n: no class holds it
+        whole = solve_shifted((1, 2, 4, 7), 0, seed=0)
+        assert whole.found and set(whole.trace) == {"algorithm", "phases", "found_at_class", "found_in_pass"}
+        assert (whole.trace["found_at_class"], whole.trace["found_in_pass"]) == ("all", "exhaustive")
+        assert all(set(p) == keys for p in whole.trace["phases"])
+        passes = [(p["pass"], p["t"]) for p in whole.trace["phases"]]
+        assert passes == [("probe", t) for t in (3, 2, 1)] + [("exhaustive", "all")]
+
         none = solve_shifted((1, 2, 4, 8, 16), 0, seed=0)
         assert none.status is SolveStatus.NOT_FOUND and set(none.trace) == {"algorithm", "phases"}
         assert all(set(p) == keys for p in none.trace["phases"])
         passes = [(p["pass"], p["t"]) for p in none.trace["phases"]]
-        assert passes == [("probe", t) for t in (4, 3, 2, 1)] + [("sweep", t) for t in (4, 3, 2, 1)] + [
-            ("exhaustive", "all")
-        ]
+        assert passes == [("probe", t) for t in (4, 3, 2, 1)] + [("exhaustive", "all")]
+
+        with monkeypatch.context() as m:
+            self._refuse_exhaustive(m)
+            refused = solve_shifted((1, 2, 4, 8, 16), 0, seed=0)
+        assert refused.status is SolveStatus.INCONCLUSIVE
+        assert set(refused.trace) == {"algorithm", "phases", "exhaustive_skipped", "reason"}
+        assert all(set(p) == keys for p in refused.trace["phases"])
+        passes = [(p["pass"], p["t"]) for p in refused.trace["phases"]]
+        assert passes == [("probe", t) for t in (4, 3, 2, 1)] + [("sweep", t) for t in (4, 3, 2, 1)]
 
         # every class call takes 30 ms, so a 100 ms cap ends the solve in the probe
         real = solvers.solve_shifted_mitm
@@ -1304,11 +1368,16 @@ _NO_TIME = SolverBudget(time_cap_ms=0.0)
         (lambda: solve_shifted_rep((1, 2, 4, 8), 0, 0.5, 0, _NO_TIME), "timed_out"),
         (lambda: solve_shifted_rep((1, 2, 4, 8), 0, 0.5, 0), "repeat_cap"),
         (lambda: solve_shifted_exhaustive(tuple(1 << i for i in range(12)), 0, _NO_TIME), "timed_out"),
+        (lambda: solve_shifted((1, 2, 4, 8), 0, 0, _NO_TIME), "timed_out"),
+        (lambda: solve_shifted((1, 2, 4, 8), 0, 0, SolverBudget(memory_cap_bytes=500)), "exhaustive_skipped"),
+        (lambda: solve_two_subset_sum((2, 4, 8, 16), 5, 0, _NO_TIME), "timed_out"),
+        (lambda: solve_two_subset_sum((2, 4, 8, 16), 5, 0, SolverBudget(memory_cap_bytes=500)), "exhaustive_skipped"),
         (lambda: solve_instance(ProblemInstance("pigeonhole_equal", (1,) * 20), 0, _NO_TIME), "timed_out"),
     ],
     ids=[
         "subset-mitm", "modular-mitm", "subset-rep", "subset-rep-draws", "shifted-mitm", "shifted-mitm-splits",
-        "shifted-rep", "shifted-rep-draws", "exhaustive", "pigeonhole",
+        "shifted-rep", "shifted-rep-draws", "exhaustive", "shifted-dispatch", "shifted-dispatch-skipped",
+        "two-subset", "two-subset-skipped", "pigeonhole",
     ],
 )
 def test_inconclusive_names_its_reason(solve, reason):
