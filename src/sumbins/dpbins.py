@@ -28,7 +28,7 @@ only the levels between them rank by rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -182,33 +182,7 @@ def _require_word_rows(n: int) -> None:
         )
 
 
-class _TableStack(NamedTuple):
-    """Tables over the same items with their rows laid end to end, so that
-    one :func:`_bin_sums_batch` walk covers bins of all of them."""
-
-    items: tuple[int, ...]
-    rows: list  # rows[i]: row i of every table, one after another
-    offset: np.ndarray  # where each table's residues start in a stacked row
-    # steps[i, g]: the stacked position a walk at position g moves to when it
-    # takes item i+1, residue j - a_{i+1} mod p of the same table
-    steps: np.ndarray
-    p: np.ndarray  # each table's modulus
-    mods: np.ndarray  # mods[t]: the items mod p[t]
-    low: dict  # as CountTable.low, over stacked positions
-
-
-def _stack_tables(tables: Sequence[CountTable]) -> _TableStack:
-    """Stack machine-word tables that share their items (and so their n)."""
-    p = np.array([t.p for t in tables], dtype=np.int64)
-    offset = np.cumsum(p) - p
-    of = np.repeat(np.arange(len(tables)), p)
-    mods = np.array([t.mods for t in tables], dtype=np.int64)
-    steps = (np.arange(p.sum()) - offset[of] - mods.T[:, of]) % p[of] + offset[of]
-    rows = [np.concatenate(level) for level in zip(*(t.rows for t in tables))]
-    return _TableStack(tables[0].items, rows, offset, steps, p, mods, {})
-
-
-def _addends(table: CountTable | _TableStack, values: Sequence[int] | None, modulus: int) -> list:
+def _addends(table: CountTable, values: Sequence[int] | None, modulus: int) -> list:
     """What a walk adds per item taken: ``values`` given a modulus, else the items mod 2^64."""
     return [np.int64(v) for v in values] if modulus else [np.uint64(a & _WORD_MASK) for a in table.items]
 
@@ -221,20 +195,19 @@ def _doubled(sums: np.ndarray, y, q: int) -> np.ndarray:
     return np.concatenate((sums, more))
 
 
-def _low_part(table: CountTable | _TableStack, L: int, values: Sequence[int] | None, modulus: int) -> tuple:
+def _low_part(table: CountTable, L: int, values: Sequence[int] | None, modulus: int) -> tuple:
     """(starts, sums) of the subsets of the first L items sorted by (residue,
     mask) in one sort: those with sum = j (mod p) are sums[starts[j] + r],
     r = 1 .. rows[L][j]. Kept on the table for the last key asked."""
     key = (L, modulus, None if values is None else tuple(values))
     if key not in table.low:
-        addends, p = _addends(table, values, modulus), np.reshape(table.p, (-1, 1))
-        mods = np.atleast_2d(table.mods)
-        res, sums = np.zeros_like(p), np.zeros(1, dtype=addends[0].dtype)  # residues: a row per table
+        addends = _addends(table, values, modulus)
+        res, sums = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=addends[0].dtype)
         for i in range(L):
-            res = np.concatenate((res, (res + mods[:, i : i + 1]) % p), axis=1)
+            res = np.concatenate((res, (res + table.mods[i]) % table.p))
             sums = _doubled(sums, addends[i], modulus)
-        res = np.sort((res + np.cumsum(p, axis=0) - p << L | np.arange(1 << L)).ravel())  # stacked positions
-        # the split keeps tables << L below 2^31, so int32 rows suit the starts
+        res = np.sort(res << L | np.arange(1 << L))
+        # the split keeps 2^L below 2^31, so int32 rows suit the starts
         starts = np.cumsum(table.rows[L], dtype=table.rows[L].dtype)
         starts -= table.rows[L] + 1
         table.low.clear()
@@ -248,16 +221,14 @@ def _scratch(size: int) -> tuple:
 
 
 def _bin_sums_batch(
-    table: CountTable | _TableStack, k, start, count: int, values: Sequence[int] | None = None, modulus: int = 0,
+    table: CountTable, k, start, count: int, values: Sequence[int] | None = None, modulus: int = 0,
     sums: np.ndarray | None = None, split: tuple = (0, 0, None, None, None, None),
 ) -> np.ndarray:
     """Subset sums of ranks start .. start+count-1 of bin k.
 
     ``k`` and ``start`` may also be int64 arrays of ``count`` bins and
-    1-based ranks, one pair per entry, so many bins go through in one call.
-    ``table`` may be a :class:`_TableStack`: k then holds stacked positions
-    (bin k of table m is k + offset[m]), and a walk moves by the stack's
-    ``steps``, which stand for each table's p and item residues.
+    1-based ranks, one pair per entry, so many bins of the table go through
+    in one call.
 
     The walk is that of :func:`_unrank_mask`, run level by level over the
     whole rank vector; callers that need the subsets themselves re-unrank
@@ -284,7 +255,6 @@ def _bin_sums_batch(
     # Masked ufuncs (``where=``) are several times slower on random masks.
     contrib = scratch.view(sums.dtype)
     take_s = take.view(sums.dtype)
-    stacked = isinstance(table, _TableStack)
 
     def gather(row: np.ndarray) -> None:
         # row[j] into ``scratch`` (int32 rows via ``narrow``: ``take`` writes its
@@ -308,17 +278,11 @@ def _bin_sums_batch(
         np.greater(idx, scratch, out=take, casting="unsafe")
         np.multiply(scratch, take, out=scratch)
         np.subtract(idx, scratch, out=idx)
-        if stacked:
-            table.steps[i - 1].take(j, out=scratch, mode="clip")
-            np.subtract(scratch, j, out=scratch)
-            np.multiply(scratch, take, out=scratch)
-            np.add(j, scratch, out=j)
-        else:
-            np.multiply(take, table.mods[i - 1], out=scratch)
-            np.subtract(j, scratch, out=j)
-            np.right_shift(j, 63, out=scratch)
-            np.bitwise_and(scratch, table.p, out=scratch)
-            np.add(j, scratch, out=j)
+        np.multiply(take, table.mods[i - 1], out=scratch)
+        np.subtract(j, scratch, out=j)
+        np.right_shift(j, 63, out=scratch)
+        np.bitwise_and(scratch, table.p, out=scratch)
+        np.add(j, scratch, out=j)
         np.multiply(take_s, addends[i - 1], out=contrib)
         add(contrib)
     if L:
@@ -331,8 +295,8 @@ def _bin_sums_batch(
 _WALK_CHUNK = 1 << 15  # ranks per batched walk call (and needles per join chunk); bounds scratch memory
 
 
-def _split_levels(n: int, bins: int, ranks: int, tables: int, positions: int) -> tuple[int, int]:
-    """(m, L) for ``ranks`` ranks over ``bins`` bins of ``tables`` tables with
+def _split_levels(n: int, bins: int, ranks: int, positions: int) -> tuple[int, int]:
+    """(m, L) for ``ranks`` ranks over ``bins`` bins of a table with
     ``positions`` residues. A top group (bin, top part), low subset or
     residue start costs about a rank's walked level: doublings stay within
     the ranks and (for memory) half a chunk, starts within the L levels
@@ -342,20 +306,18 @@ def _split_levels(n: int, bins: int, ranks: int, tables: int, positions: int) ->
         return 0, 0
     room = min(ranks, _WALK_CHUNK // 2)
     m = min(n, max(0, (room // bins).bit_length() - 1))
-    L = min(n - m, max(0, (room // tables).bit_length() - 1))
+    L = min(n - m, max(0, room.bit_length() - 1))
     return m, L if positions <= min(L * ranks, (n - 2) * _WALK_CHUNK) else 0
 
 
 def _walk_bins(
-    table: CountTable | _TableStack, bins: np.ndarray, ranks: np.ndarray, lo: int, hi: int,
+    table: CountTable, bins: np.ndarray, ranks: np.ndarray, lo: int, hi: int,
     values: Sequence[int] | None = None, modulus: int = 0,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray]]:
     """Sums of positions lo .. hi-1 of ranks 1..ranks[b] of bin bins[b], for
-    b = 0, 1, ... laid end to end: yields (first position, b of each entry,
-    sums) a chunk of _WALK_CHUNK at a time, from one :func:`_bin_sums_batch`
-    call each. ``values`` and ``modulus`` are those of :func:`_bin_sums_batch`;
-    for a :class:`_TableStack`, ``bins`` holds stacked positions (bin k of
-    table m is k + offset[m]).
+    b = 0, 1, ... laid end to end: yields (first position, sums) a chunk of
+    _WALK_CHUNK at a time, from one :func:`_bin_sums_batch` call each.
+    ``values`` and ``modulus`` are those of :func:`_bin_sums_batch`.
 
     The items are split (Horowitz-Sahni): in chi order, bin k is, for each
     subset T of the top m items in turn, the subsets of the rest with
@@ -367,15 +329,14 @@ def _walk_bins(
     """
     if hi <= lo:
         return
-    n, ends, stacked = len(table.items), np.cumsum(ranks), isinstance(table, _TableStack)
+    n, ends = table.n, np.cumsum(ranks)
     e0, e1 = (int(e) for e in ends.searchsorted((lo, hi - 1), "right"))  # bins holding lo and hi - 1
-    m, L = _split_levels(n, e1 + 1 - e0, hi - lo, np.size(table.p), len(table.rows[0]))
+    m, L = _split_levels(n, e1 + 1 - e0, hi - lo, table.p)
     # groups (bin, T) of bins e0..e1 in walk order: position after T, T's sum, end
     addends = _addends(table, values, modulus)
     pos, top = np.array(bins[e0 : e1 + 1], dtype=np.int64)[:, None], np.zeros(1, dtype=addends[0].dtype)
     for i in range(n - m, n):
-        step = table.steps[i][pos] if stacked else (pos - table.mods[i]) % table.p
-        pos, top = np.concatenate((pos, step), axis=1), _doubled(top, addends[i], modulus)
+        pos, top = np.concatenate((pos, (pos - table.mods[i]) % table.p), axis=1), _doubled(top, addends[i], modulus)
     gext = ends[e0 : e1 + 1]  # group ends: the bins', or their top parts' cut at the bin's ranks
     if m:
         gext = np.minimum(np.cumsum(table.rows[n - m][pos], axis=1), ranks[e0 : e1 + 1, None])
@@ -388,22 +349,19 @@ def _walk_bins(
         b = min(hi, a + _WALK_CHUNK)
         g = int(gends.searchsorted(a, "right"))  # the group that holds position a
         if gends[g] >= b:
-            # Inside one group: the scalar form and a zero-stride bin index
-            # leave out per-entry arrays, each a round of page faults.
-            seg = np.broadcast_to(e0 + (g >> m), (b - a,))
+            # Inside one group: the scalar form leaves out per-entry arrays,
+            # each a round of page faults.
             k, start, sums = int(gpos[g]), a - int(gext[g]) + 1, np.full(b - a, top[g & tmask])
         else:
-            # k, start and T in the scratch, and seg in place, for the same reason
+            # k, start and T in the scratch, for the same reason
             h = int(gends.searchsorted(b - 1, "right"))
             counts = np.minimum(gends[g : h + 1], b) - np.maximum(gext[g : h + 1], a)
-            seg = np.repeat(np.arange(g, h + 1), counts)
-            start, k = gext.take(seg, out=work[1][: b - a]), gpos.take(seg, out=work[2][: b - a])
+            group = np.repeat(np.arange(g, h + 1), counts)
+            start, k = gext.take(group, out=work[1][: b - a]), gpos.take(group, out=work[2][: b - a])
             start -= a + 1
             np.subtract(work[0][: b - a], start, out=start)
-            sums = top.take(np.bitwise_and(seg, tmask, out=work[3][: b - a]))
-            np.right_shift(seg, m, out=seg)
-            seg += e0
-        yield a, seg, _bin_sums_batch(table, k, start, b - a, values, modulus, sums, split)
+            sums = top.take(np.bitwise_and(group, tmask, out=work[3][: b - a]))
+        yield a, _bin_sums_batch(table, k, start, b - a, values, modulus, sums, split)
 
 
 def unrank(table: CountTable, k: int, index: int) -> Subset:

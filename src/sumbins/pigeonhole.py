@@ -91,7 +91,7 @@ def _repeat_masks(
     done = 0
     while done < total:
         stop = min(total, 2 * done + _FIRST_SCAN)  # chunks of _FIRST_SCAN, twice that, ...
-        for _, _, sums in _walk_bins(table, bins, sizes, done, stop, values, modulus):
+        for _, sums in _walk_bins(table, bins, sizes, done, stop, values, modulus):
             if expired is not None and expired():
                 raise _Expired
             parts.append(sums)
@@ -185,12 +185,6 @@ class QuotientDecomposition:
         array: the last class is wider."""
         return np.minimum(residues >> self.h, self.q1 - 1)
 
-    def beta_single(self, jj: int) -> int:
-        """Number of residues in class jj."""
-        if jj == self.q1 - 1:
-            return (1 << self.h) + self.q2
-        return 1 << self.h
-
     def beta_interval(self, i: int, j: int) -> int:
         """Number of residues with class in the circular interval [i, j]."""
         width = (j - i) % self.q1 + 1
@@ -253,7 +247,7 @@ class _ModularContext:
             return None, int(bins[over[0]])
         span = (j - i) % q1
         walk = _walk_bins(self.table, bins, sizes, 0, int(sizes.sum()), self.residues, self.q)
-        for _, _, res in walk:
+        for _, res in walk:
             if self.expired is not None and self.expired():
                 raise _Expired
             count += int(np.count_nonzero((d.fold(res) - i) % q1 <= span))

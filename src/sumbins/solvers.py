@@ -19,7 +19,8 @@ Two algorithm families:
 
 Every list match, the three mitm searches and the shifted bin pairs (bin
 k2 ranks as states (empty, S2), bin k ranks as (S1, empty)), runs on one
-sorted join of pair states, ``_join_pair_states``.
+sorted join of pair states, ``_join_pair_states``: one split, one draw or
+the one fixed split per join.
 
 ``solve_shifted`` combines both: a probe over solution-size ratios (one
 draw or split each, mitm or rep per ratio by their cost exponents), then
@@ -58,7 +59,6 @@ from .dpbins import (
     _WALK_CHUNK,
     _WORD_MASK,
     _require_word_rows,
-    _stack_tables,
     _unrank_mask,
     _walk_bins,
     build_table,
@@ -173,10 +173,13 @@ def _inconclusive(reason: str, seed: int | None, deadline: _Deadline, trace: dic
     return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
 
 
-def _half_sums(items: Sequence[int], positions: Sequence[int]) -> list[int]:
-    """Subset sums of the given positions, indexed by local mask (doubling)."""
+def _half_sums(items: Sequence[int], positions: Sequence[int], deadline: _Deadline) -> list[int] | None:
+    """Subset sums of the given positions, indexed by local mask (doubling),
+    or None once ``deadline`` has passed between doublings."""
     sums = [0]
     for pos in positions:
+        if deadline.expired():
+            return None
         a = items[pos]
         sums += [v + a for v in sums]
     return sums
@@ -240,12 +243,11 @@ def solve_subset_sum_mitm(
     keys1 = _half_sums_vec(items, range(h1))
     needs2 = np.uint64(target & _WORD_MASK) - _half_sums_vec(items, range(h1, n))
     hit, timed_out = _join_pair_states(
-        items, target, keys1, _chunks(needs2), np.array([[keys1.size, needs2.size, 1]]),
-        lambda b, i: (i, 0), lambda b, j: (j << h1, 0), deadline,
+        items, target, keys1, _chunks(needs2), 1, lambda i: (i, 0), lambda j: (j << h1, 0), deadline
     )
     if hit is not None:
-        trace["scanned"] = hit[1] + 1
-        return _outcome(SolveStatus.FOUND, hit[2].s1, None, deadline, trace)
+        trace["scanned"] = hit[0] + 1
+        return _outcome(SolveStatus.FOUND, hit[1].s1, None, deadline, trace)
     if timed_out:
         return _inconclusive("timed_out", None, deadline, trace)
     trace["scanned"] = int(needs2.size)
@@ -274,14 +276,19 @@ def solve_modular_subset_sum_mitm(
     per = _MODULAR_ENTRY_BYTES + 2 * (32 + 4 * (sum(items).bit_length() // 30))
     _require_bytes(per, 1 << h1, budget.memory_cap_bytes, "first-half entries")
     trace = {"algorithm": "modular-mitm", "halves": [h1, n - h1], "scanned": 0}
+    sums1 = _half_sums(items, range(h1), deadline)
+    if sums1 is None:
+        return _inconclusive("timed_out", None, deadline, trace)
     first: dict[int, int] = {}
-    for mask, v in enumerate(_half_sums(items, range(h1))):
+    for mask, v in enumerate(sums1):
         r = v % q
         if r not in first:
             first[r] = mask
         if mask % 4096 == 0 and deadline.expired():
             return _inconclusive("timed_out", None, deadline, trace)
-    sums2 = _half_sums(items, range(h1, n))
+    sums2 = _half_sums(items, range(h1, n), deadline)
+    if sums2 is None:
+        return _inconclusive("timed_out", None, deadline, trace)
     for mask2, v2 in enumerate(sums2):
         mask1 = first.get((target - v2) % q)
         if mask1 is not None:
@@ -348,11 +355,12 @@ def _sample_random_subsets(
     return None, tried
 
 
-def _record_draws(trace: dict, records: list[dict]) -> None:
+def _record_draw(trace: dict, record: dict) -> None:
     """Keep at most _TRACE_DRAWS per-draw records and count the others."""
-    kept = records[: max(0, _TRACE_DRAWS - len(trace["draws"]))]
-    trace["draws"] += kept
-    trace["draws_dropped"] += len(records) - len(kept)
+    if len(trace["draws"]) < _TRACE_DRAWS:
+        trace["draws"].append(record)
+    else:
+        trace["draws_dropped"] += 1
 
 
 def solve_subset_sum_rep(
@@ -395,13 +403,13 @@ def solve_subset_sum_rep(
         size = table.bin_size(k)
         scan = min(size, enum_cap)
         record = {"p": p, "k": k, "bin_size": size, "enumerated": scan}
-        _record_draws(trace, [record])
+        _record_draw(trace, record)
         draws_done += 1
         # Chunked vector scan; candidate sums match mod 2^64, and each
         # candidate rank is re-unranked and confirmed exactly, so the first
         # confirmed rank is the first solution of the bin in chi order.
         tgt = np.uint64(target & _WORD_MASK)
-        for done, _, sums_c in _walk_bins(table, np.array([k]), np.array([scan]), 0, scan):
+        for done, sums_c in _walk_bins(table, np.array([k]), np.array([scan]), 0, scan):
             for off in np.nonzero(sums_c == tgt)[0]:
                 rank = done + int(off) + 1
                 mask, value = _unrank_mask(table, k, rank)
@@ -428,29 +436,26 @@ def solve_subset_sum_rep(
 # Shifted pairs: meet-in-the-middle over disjoint pair states
 # ---------------------------------------------------------------------------
 
-_PAIR_CHUNK = 1 << 16  # pair states of the single-class path built per vector call
 # Bytes per pair state: its key, the sort order, the sorted copy and the
 # probe positions, eight each, plus temporaries while the keys are built.
 _PAIR_STATE_BYTES = 48
-# Odd, so distinct small tags (split or draw) stay distinct mod 2^64.
-_TAG = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _class_states(words: np.ndarray, combos: np.ndarray, t: int) -> np.ndarray:
     """Sum differences mod 2^64 of the disjoint pairs of total size t.
 
-    Row b of ``words`` holds one side's item values mod 2^64. Row b of the
-    result holds, at index u * 2^t + s, sum(S1) - sum(S2) for the pair whose
-    union is ``combos[u]`` (positions into the row) and whose first set
-    takes union member j when bit j of s is set.
+    ``words`` holds one side's item values mod 2^64. The result holds, at
+    index u * 2^t + s, sum(S1) - sum(S2) for the pair whose union is
+    ``combos[u]`` (positions into ``words``) and whose first set takes union
+    member j when bit j of s is set.
     """
-    a = words[:, combos]
-    d = np.empty(a.shape[:2] + (1 << t,), dtype=np.uint64)
-    d[..., 0] = -a.sum(axis=-1)
+    a = words[combos]
+    d = np.empty((len(combos), 1 << t), dtype=np.uint64)
+    d[:, 0] = -a.sum(axis=-1)
     a += a
     for j in range(t):
-        np.add(d[..., : 1 << j], a[..., j, None], out=d[..., 1 << j : 2 << j])
-    return d.reshape(len(words), -1)
+        np.add(d[:, : 1 << j], a[:, j, None], out=d[:, 1 << j : 2 << j])
+    return d.ravel()
 
 
 def _all_states(words: Sequence[int]) -> np.ndarray:
@@ -463,12 +468,11 @@ def _all_states(words: Sequence[int]) -> np.ndarray:
     return d
 
 
-def _class_decoder(sides: list[list[int]], combos: list[tuple[int, ...]], t: int):
-    """decode(split, i) -> (S1 mask, S2 mask) for class state i of
-    :func:`_class_states` over ``sides[split]``."""
+def _class_decoder(side: list[int], combos: list[tuple[int, ...]], t: int):
+    """decode(i) -> (S1 mask, S2 mask) for class state i of
+    :func:`_class_states` over the items at positions ``side``."""
 
-    def decode(split: int, i: int) -> tuple[int, int]:
-        side = sides[split]
+    def decode(i: int) -> tuple[int, int]:
         m1 = m2 = 0
         for j, p in enumerate(combos[i >> t]):
             if i >> j & 1:
@@ -481,10 +485,10 @@ def _class_decoder(sides: list[list[int]], combos: list[tuple[int, ...]], t: int
 
 
 def _ternary_decoder(positions: Sequence[int]):
-    """decode(0, i) -> (S1 mask, S2 mask) for the states of
+    """decode(i) -> (S1 mask, S2 mask) for the states of
     :func:`_all_states` over the items at ``positions``."""
 
-    def decode(block: int, i: int) -> tuple[int, int]:
+    def decode(i: int) -> tuple[int, int]:
         m1 = m2 = 0
         for p in reversed(positions):
             i, digit = divmod(i, 3)
@@ -498,40 +502,34 @@ def _ternary_decoder(positions: Sequence[int]):
 
 
 def _join_pair_states(
-    items: Sequence[int], shift: int, keys1: np.ndarray, needles, blocks: np.ndarray, decode1, decode2,
+    items: Sequence[int], shift: int, keys1: np.ndarray, needles, twins: int, decode1, decode2,
     deadline: _Deadline,
-) -> tuple[tuple[int, int, Pair] | None, bool]:
+) -> tuple[tuple[int, Pair] | None, bool]:
     """First exact shifted pair across two sides of pair states.
 
     Every list match in this module runs on this join: the three
-    meet-in-the-middle searches and shifted-rep's bin pairs. A subset is a
-    pair state whose S2 is empty, and ``shift`` is then the subset's target.
-    Each side is a run of blocks (splits, draws, or one block): row b of
-    ``blocks`` holds block b's number of left states, of right states and of
-    twins. ``keys1[i]`` is left state i's key mod 2^64, and ``needles``
-    yields, a chunk at a time, the key each right state needs from its
-    partner; the keys are sum differences with a tag (the block, or 0) mixed
-    in, so that the two states of an exact pair meet. ``decode1(b, i)`` and
-    ``decode2(b, j)`` give the exact (S1 mask, S2 mask) of state i or j of
-    block b.
+    meet-in-the-middle searches (one split each) and shifted-rep's bin pair
+    (one draw). A subset is a pair state whose S2 is empty, and ``shift`` is
+    then the subset's target. ``keys1[i]`` is left state i's key, its sum
+    difference mod 2^64, and ``needles`` yields, a chunk at a time, the key
+    each right state needs from its partner, so that the two states of an
+    exact pair meet. ``decode1(i)`` and ``decode2(j)`` give the exact
+    (S1 mask, S2 mask) of left state i or right state j.
 
-    A key match is only a candidate. One between different blocks is
-    dropped before anything is decoded. Right state r of block b, for r
-    below the block's twin count, has left state r of block b as its twin,
-    the state that makes the degenerate pair (S, S) with it; a match whose
-    wrapped group holds only its twin is dropped with array ops, with no
-    argsort and no decode. The rest are
+    A key match is only a candidate. Right state r, for r below ``twins``,
+    has left state r as its twin, the state that makes the degenerate pair
+    (S, S) with it; a match whose wrapped group holds only its twin is
+    dropped with array ops, with no argsort and no decode. The rest are
     confirmed with exact integers: right states in ascending index, each
-    against its left partners of the same block with the exact difference in
-    ascending index, and the first partner whose union pair is not (S, S)
-    wins. Returns ((block, right index, pair) or None, timed out).
+    against its left partners with the exact difference in ascending index,
+    and the first partner whose union pair is not (S, S) wins. Returns
+    ((right index, pair) or None, timed out).
     """
     sv = np.sort(keys1)
     if deadline.expired():
         return None, True
-    starts1, ends2 = np.cumsum(blocks[:, 0]) - blocks[:, 0], np.cumsum(blocks[:, 1])
     order = None  # left states in key order, needed only once a match survives
-    groups: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
+    groups: dict[int, dict[int, list[tuple[int, int]]]] = {}
     start = 0
     for want in needles:
         # Sorted needles keep the binary searches cache friendly; the group
@@ -546,31 +544,26 @@ def _join_pair_states(
             at = np.minimum(np.searchsorted(vals, want), vals.size - 1)
             hits = np.flatnonzero(vals[at] == want)
             lo, hi, j = lo[at[hits]], hi[at[hits]], start + hits
-            b = np.searchsorted(ends2, j, "right")
-            r = j - ends2[b] + blocks[b, 1]  # index inside block b
-            lone = (hi - lo == 1) & (r < blocks[b, 2])
-            lone[lone] = keys1[starts1[b[lone]] + r[lone]] == want[hits[lone]]
-            for bb, jj, rr, l, h in zip(*(x[~lone].tolist() for x in (b, j, r, lo, hi))):
-                # One exact table per (block, wrapped group): exact difference
-                # -> the group's left states of the block in ascending index.
-                exact = groups.get((bb, l))
+            lone = (hi - lo == 1) & (j < twins)
+            lone[lone] = keys1[j[lone]] == want[hits[lone]]
+            for jj, l, h in zip(*(x[~lone].tolist() for x in (j, lo, hi))):
+                # One exact table per wrapped group: exact difference -> the
+                # group's left states in ascending index.
+                exact = groups.get(l)
                 if exact is None:
                     if order is None:
                         order = np.argsort(keys1)
-                    first, size = int(starts1[bb]), int(blocks[bb, 0])
-                    exact = groups[bb, l] = {}
-                    for i in sorted(i - first for i in order[l:h].tolist() if 0 <= i - first < size):
-                        g1, g2 = decode1(bb, i)
+                    exact = groups[l] = {}
+                    for i in sorted(order[l:h].tolist()):
+                        g1, g2 = decode1(i)
                         exact.setdefault(_mask_value(items, g1) - _mask_value(items, g2), []).append((g1, g2))
-                if not exact:
-                    continue
-                m1, m2 = decode2(bb, rr)
+                m1, m2 = decode2(jj)
                 for g1, g2 in exact.get(shift - _mask_value(items, m1) + _mask_value(items, m2), ()):
                     c1, c2 = g1 | m1, g2 | m2
                     if c1 != c2:
                         pair = Pair(Subset.from_mask(c1), Subset.from_mask(c2))
                         _check_witness(_verify_pair(items, pair, shift))
-                        return (bb, jj, pair), False
+                        return (jj, pair), False
         start += want.size
         if deadline.expired():
             return None, True
@@ -606,12 +599,12 @@ def solve_shifted_mitm(
 
     Each side's pair states are built as numpy arrays of sum differences mod
     2^64, only those of the wanted size: C(h, t1) * 2^t1 states for t1 of h
-    items. Splits are joined in doubling batches (1, 2, 4, ...), and a
-    wrapped match counts only once exact integers confirm it. The witness is
-    the first exact one in the order of a sequential search: earliest split,
-    then lowest right state, then lowest left state, where a side's states
-    are ordered by their union in lexicographic order, then by the subset of
-    the union in S1 (its bit j for union member j).
+    items. Each split is joined on its own (:func:`_join_pair_states`), and
+    a wrapped match counts only once exact integers confirm it. The witness
+    is the first exact one of the earliest split that has one: lowest right
+    state, then lowest left state, where a side's states are ordered by
+    their union in lexicographic order, then by the subset of the union in
+    S1 (its bit j for union member j).
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -635,33 +628,20 @@ def solve_shifted_mitm(
     index2 = np.array(combos2, dtype=np.intp).reshape(len(combos2), t2)
     words = np.array([a & _WORD_MASK for a in items], dtype=np.uint64)
     shift_w = np.uint64(shift & _WORD_MASK)
-    batch_cap = max(1, _PAIR_CHUNK // (per1 + per2))
-    batch = 1
     while trace["splits"] < repeats:
         if deadline.expired():
             return _inconclusive("timed_out", seed, deadline, trace)
-        done = trace["splits"]
-        size = min(batch, batch_cap, repeats - done)
-        perms = [rng.sample(range(n), n) for _ in range(size)]
-        lefts = [sorted(p[:h1]) for p in perms]
-        rights = [sorted(p[h1:]) for p in perms]
-        tags = (np.arange(size, dtype=np.uint64) * _TAG)[:, None]
-        keys1 = _class_states(words[np.array(lefts, dtype=np.intp)], index1, t1)
-        keys1 += tags
-        needs2 = shift_w - _class_states(words[np.array(rights, dtype=np.intp)], index2, t2)
-        needs2 += tags
-        trace["splits"] = done + size
-        decode1, decode2 = _class_decoder(lefts, combos1, t1), _class_decoder(rights, combos2, t2)
-        blocks = np.tile([per1, per2, 0], (size, 1))
-        hit, timed_out = _join_pair_states(
-            items, shift, keys1.ravel(), _chunks(needs2.ravel()), blocks, decode1, decode2, deadline
-        )
+        perm = rng.sample(range(n), n)
+        left, right = sorted(perm[:h1]), sorted(perm[h1:])
+        trace["splits"] += 1
+        keys1 = _class_states(words[left], index1, t1)
+        needs2 = shift_w - _class_states(words[right], index2, t2)
+        decode1, decode2 = _class_decoder(left, combos1, t1), _class_decoder(right, combos2, t2)
+        hit, timed_out = _join_pair_states(items, shift, keys1, _chunks(needs2), 0, decode1, decode2, deadline)
         if hit is not None:
-            trace["splits"] = done + hit[0] + 1
-            return _outcome(SolveStatus.FOUND, hit[2], seed, deadline, trace)
+            return _outcome(SolveStatus.FOUND, hit[1], seed, deadline, trace)
         if timed_out:
             return _inconclusive("timed_out", seed, deadline, trace)
-        batch *= 2
     return _inconclusive("repeat_cap", seed, deadline, trace)
 
 
@@ -678,54 +658,42 @@ _REP_ENTRY_BYTES = 40
 
 
 def _shifted_rep_join(
-    items: Sequence[int], shift: int, tables: list, draws: list, deadline: _Deadline
-) -> tuple[tuple[int, Pair] | None, bool]:
-    """The pair-state join (:func:`_join_pair_states`) over a batch of
-    :func:`solve_shifted_rep` draws.
+    items: Sequence[int], shift: int, table, k: int, k2: int, scan1: int, scan2: int, deadline: _Deadline
+) -> tuple[Pair | None, bool]:
+    """The pair-state join (:func:`_join_pair_states`) of one
+    :func:`solve_shifted_rep` draw: ranks 1..scan1 of bin k against ranks
+    1..scan2 of bin k2.
 
-    ``draws[d]`` is (table index, k, k2, scan1, scan2), and draw d is block d
-    of both sides. Bin k2 of every draw is walked in one pass into the left
-    keys, each rank the pair state (empty, S2) keyed by (draw, sum mod 2^64);
-    bin k of every draw is streamed as the needles (at k2 == k and equal
-    scans, from the same keys), each rank the pair state (S1, empty). A match
-    across draws is dropped before any unrank, and at k2 == k bin-k rank r
-    has bin-k2 rank r, the same subset, as its twin, so a rank that meets
-    only itself is dropped unranked. The pair returned is the first exact
-    one of the first draw that has one, by bin-k rank, then bin-k2 rank.
-    Returns ((draw, pair) or None, timed out).
+    Bin k2 is walked in one pass into the left keys, each rank the pair
+    state (empty, S2) keyed by its sum mod 2^64; bin k is streamed as the
+    needles (at k2 == k and equal scans, from the same keys), each rank the
+    pair state (S1, empty). At k2 == k bin-k rank r has bin-k2 rank r, the
+    same subset, as its twin, so a rank that meets only itself is dropped
+    unranked. The pair returned is the first exact one by bin-k rank, then
+    bin-k2 rank. Returns (pair or None, timed out).
     """
-    tab, ks, k2s, scan1, scan2 = (np.array(c, dtype=np.int64) for c in zip(*draws))
-    stacked = len(draws) > 1
-    walked = _stack_tables(tables) if stacked else tables[draws[0][0]]
 
-    def keyed(bins: np.ndarray, scans: np.ndarray):
-        # A key is the rank's sum mod 2^64, plus draw * _TAG for a stack,
-        # whose walk takes each draw's bin at its stacked position.
-        bins = bins + walked.offset[tab] if stacked else bins
-        for _, seg, sums in _walk_bins(walked, bins, scans, 0, int(scans.sum())):
-            yield sums + seg.astype(np.uint64) * _TAG if stacked else sums
+    def walk(b: int, scan: int):
+        return (sums for _, sums in _walk_bins(table, np.array([b]), np.array([scan]), 0, scan))
 
     parts = []
-    for keys in keyed(k2s, scan2):
+    for keys in walk(k2, scan2):
         parts.append(keys)
         if deadline.expired():
             return None, True
     if not parts:
         return None, False
     key2 = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    shift_w, same = np.uint64(shift & _WORD_MASK), k2s == ks
-    if same.all() and (scan1 == scan2).all():
-        needles = (keys - shift_w for keys in _chunks(key2))
-    else:
-        needles = (keys - shift_w for keys in keyed(ks, scan1))
-    blocks = np.stack((scan2, scan1, np.where(same, np.minimum(scan1, scan2), 0)), axis=1)
+    shift_w = np.uint64(shift & _WORD_MASK)
+    same = k2 == k
+    needles = (keys - shift_w for keys in (_chunks(key2) if same and scan1 == scan2 else walk(k, scan1)))
     hit, timed_out = _join_pair_states(
-        items, shift, key2, needles, blocks,
-        lambda d, r: (0, _unrank_mask(tables[tab[d]], int(k2s[d]), r + 1)[0]),
-        lambda d, r: (_unrank_mask(tables[tab[d]], int(ks[d]), r + 1)[0], 0),
+        items, shift, key2, needles, min(scan1, scan2) if same else 0,
+        lambda r: (0, _unrank_mask(table, k2, r + 1)[0]),
+        lambda r: (_unrank_mask(table, k, r + 1)[0], 0),
         deadline,
     )
-    return (hit if hit is None else (hit[0], hit[2])), timed_out
+    return (None if hit is None else hit[1]), timed_out
 
 
 def solve_shifted_rep(
@@ -743,19 +711,18 @@ def solve_shifted_rep(
     over the two bins, enumerating at most n^2 * 2^((1-b) n) entries per
     bin.
 
-    Each batch holds as many draws as fill about one walk chunk with their
-    two bins: the first as if each bin held 2^n / 2^(b n) ranks (the mean at
-    the least prime), each later one as if it held the largest scan of the
-    batch before. A batch is joined at once (:func:`_shifted_rep_join`),
-    with tables only for the primes of draws to walk or to size. A draw
-    whose (p, k) an earlier draw of the call already joined with at least
-    its scans is the same search and cannot hit: it is not walked again,
-    only counted in ``trace["repeats_skipped"]``. The witness rule is that of one draw at a
-    time: the first draw with an exact pair, then its lowest bin-k rank,
-    then its lowest bin-k2 rank. ``trace["draw_count"]`` counts the draws
-    (skipped ones too) up to the deciding one, and only those get ``draws``
-    records (at most _TRACE_DRAWS, the rest are counted in
-    ``draws_dropped``).
+    Draws run one at a time: each builds its prime's table and joins its
+    one bin pair (:func:`_shifted_rep_join`), which holds _REP_ENTRY_BYTES
+    per bin-k2 entry, so the bin-k2 scan is also capped by the room the
+    table leaves under ``memory_cap_bytes``. A miss is only INCONCLUSIVE,
+    so that cap is as sound as the enumeration cap. A draw whose (p, k) an
+    earlier draw of the call already joined is the same search and cannot
+    hit: it builds no table and is not walked again, only counted in
+    ``trace["repeats_skipped"]``. The witness is the first exact pair of
+    the first draw that has one, by bin-k rank, then bin-k2 rank.
+    ``trace["draw_count"]`` counts the draws (skipped ones too) up to the
+    deciding one, and only those get ``draws`` records (at most
+    _TRACE_DRAWS, the rest are counted in ``draws_dropped``).
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -772,77 +739,31 @@ def solve_shifted_rep(
         "prime_bits": bn_bits,
         "draws": [],
         "draws_dropped": 0,
-        "batches": 0,
-        "tables_built": 0,
         "repeats_skipped": 0,
         "draw_count": 0,
     }
-
-    repeats = budget.resolved_repeat_cap(n)
-
-    def draw(i: int) -> tuple[int, int]:
-        p = random_prime(1 << bn_bits, 1 << (bn_bits + 1), derive_seed(seed, "shifted-rep-prime", t, i))
-        return p, random_residue(p, derive_seed(seed, "shifted-rep-residue", t, i))
-
-    # (p, k) -> [its two bin sizes or None, the largest bin-k2 scan joined]
-    seen: dict = {}
-    r, size = 0, max(1, (_WALK_CHUNK << bn_bits) >> (n + 1))
-    while r < repeats:
+    seen: dict = {}  # (p, k) -> the record of the draw that joined that bin pair
+    for r in range(budget.resolved_repeat_cap(n)):
         if deadline.expired():
             return _inconclusive("timed_out", seed, deadline, trace)
-        # Several draws stack their tables too (the rows again and a step
-        # per entry): the batch stops short where that would pass the cap.
-        batch, primes, table_bytes = [], set(), 0
-        for i in range(r, min(repeats, r + size)):
-            p, k = draw(i)
-            need = table_bytes + (0 if p in primes else estimate_table_bytes(n, p))
-            if batch and 3 * need > cap:
-                break
-            primes.add(p)
-            table_bytes = need
-            batch.append((p, k))
-        tables, table_of = [], {}
-
-        def table(p: int) -> int:
-            if p not in table_of:
-                table_of[p] = len(tables)
-                tables.append(build_table(items, p, cap))
-            return table_of[p]
-
-        # The join holds _REP_ENTRY_BYTES per bin-k2 entry. A miss is only
-        # INCONCLUSIVE, so capping that scan is as sound as enum_cap; a draw
-        # capped only for the draws before it waits for the next batch.
-        room = max(0, cap - table_bytes * (3 if len(batch) > 1 else 1)) // _REP_ENTRY_BYTES
-        draws, records, index = [], [], []
-        for p, k in batch:
-            k2, known = (k - shift) % p, seen.setdefault((p, k), [None, -1])
-            if known[0] is None:
-                known[0] = [tables[table(p)].bin_size(x) for x in (k, k2)]
-            bins = known[0]
-            scans = [min(bins[0], enum_cap), min(bins[1], enum_cap, room)]
-            if draws and scans[1] < min(bins[1], enum_cap):
-                break
-            records.append({"p": p, "k": k, "bins": bins, "enumerated": scans})
-            if known[1] >= scans[1]:
-                continue  # that bin pair was searched at least this far
-            known[1] = scans[1]
-            room -= scans[1]
-            index.append(len(records))
-            draws.append((table(p), k, k2, *scans))
-        trace["tables_built"] += len(tables)
-        hit, timed_out = _shifted_rep_join(items, shift, tables, draws, deadline) if draws else (None, False)
-        trace["batches"] += 1
-        decided = len(records) if hit is None else index[hit[0]]
-        trace["repeats_skipped"] += decided - (len(draws) if hit is None else hit[0] + 1)
-        r += decided
-        trace["draw_count"] = r
-        _record_draws(trace, records[:decided])
-        if hit is not None:
-            return _outcome(SolveStatus.FOUND, hit[1], seed, deadline, trace)
+        p = random_prime(1 << bn_bits, 1 << (bn_bits + 1), derive_seed(seed, "shifted-rep-prime", t, r))
+        k = random_residue(p, derive_seed(seed, "shifted-rep-residue", t, r))
+        trace["draw_count"] = r + 1
+        if (p, k) in seen:
+            trace["repeats_skipped"] += 1
+            _record_draw(trace, seen[p, k])
+            continue
+        table, k2 = build_table(items, p, cap), (k - shift) % p
+        bins = [table.bin_size(k), table.bin_size(k2)]
+        room = (cap - estimate_table_bytes(n, p)) // _REP_ENTRY_BYTES
+        scans = [min(bins[0], enum_cap), min(bins[1], enum_cap, room)]
+        seen[p, k] = {"p": p, "k": k, "bins": bins, "enumerated": scans}
+        _record_draw(trace, seen[p, k])
+        pair, timed_out = _shifted_rep_join(items, shift, table, k, k2, *scans, deadline)
+        if pair is not None:
+            return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
         if timed_out:
             return _inconclusive("timed_out", seed, deadline, trace)
-        if draws:
-            size = max(1, _WALK_CHUNK // max(1, 2 * max(max(d[3:]) for d in draws)))
     return _inconclusive("repeat_cap", seed, deadline, trace)
 
 
@@ -879,11 +800,10 @@ def solve_shifted_exhaustive(
     _require_bytes(_PAIR_STATE_BYTES, trace["pair_states"], budget.memory_cap_bytes, "pair states")
     keys1 = _all_states([items[p] & _WORD_MASK for p in left])
     needs2 = np.uint64(shift & _WORD_MASK) - _all_states([items[p] & _WORD_MASK for p in right])
-    blocks = np.array([[keys1.size, needs2.size, 1]])
     decode1, decode2 = _ternary_decoder(left), _ternary_decoder(right)
-    hit, timed_out = _join_pair_states(items, shift, keys1, _chunks(needs2), blocks, decode1, decode2, deadline)
+    hit, timed_out = _join_pair_states(items, shift, keys1, _chunks(needs2), 1, decode1, decode2, deadline)
     if hit is not None:
-        return _outcome(SolveStatus.FOUND, hit[2], None, deadline, trace)
+        return _outcome(SolveStatus.FOUND, hit[1], None, deadline, trace)
     if timed_out:
         return _inconclusive("timed_out", None, deadline, trace)
     return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)

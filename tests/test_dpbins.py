@@ -273,32 +273,6 @@ class TestBatchWalk:
         assert got.tolist() == want
 
 
-class TestStackedWalk:
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_stacked_tables_match_one_table_walks(self, data):
-        # n up to 40 puts int32 and int64 rows in the same stacked walk
-        n = data.draw(st.integers(1, 40))
-        bits = data.draw(st.sampled_from([8, 40, 70]))
-        items = data.draw(st.lists(st.integers(1, (1 << bits) - 1), min_size=n, max_size=n))
-        ps = data.draw(st.lists(st.integers(1, 600), min_size=1, max_size=5))
-        tables = [build_table(items, p) for p in ps]
-        entries = []
-        for _ in range(data.draw(st.integers(1, 40))):
-            m = data.draw(st.integers(0, len(ps) - 1))
-            k = data.draw(st.integers(0, ps[m] - 1))
-            if tables[m].bin_size(k):
-                entries.append((m, k, data.draw(st.integers(1, tables[m].bin_size(k)))))
-        if not entries:
-            return
-        which, ks, ranks = (np.array(c) for c in zip(*entries))
-        stack = dpbins._stack_tables(tables)
-        got = dpbins._bin_sums_batch(stack, ks + stack.offset[which], ranks, len(entries))
-        one = [dpbins._bin_sums_batch(tables[m], k, r, 1)[0] for m, k, r in entries]
-        want = [dpbins._unrank_mask(tables[m], k, r)[1] % (1 << 64) for m, k, r in entries]
-        assert got.tolist() == one == want
-
-
 class TestBinWalk:
     """The chunked multi-bin walk against the scalar unrank."""
 
@@ -307,40 +281,32 @@ class TestBinWalk:
     def test_positions_match_scalar_unrank(self, data):
         n = data.draw(st.integers(1, 14))
         items = data.draw(st.lists(st.integers(1, (1 << 70) - 1), min_size=n, max_size=n))
-        ps = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
-        stacked = len(ps) > 1 and data.draw(st.booleans())
-        tables = [build_table(items, p) for p in (ps if stacked else ps[:1])]
-        which = data.draw(st.lists(st.integers(0, len(tables) - 1), min_size=1, max_size=8))
-        bins = [data.draw(st.integers(0, tables[m].p - 1)) for m in which]
+        table = build_table(items, data.draw(st.integers(1, 40)))
+        bins = data.draw(st.lists(st.integers(0, table.p - 1), min_size=1, max_size=8))
         # a bin may be empty, or walked only partly
-        ranks = [data.draw(st.integers(0, tables[m].bin_size(k))) for m, k in zip(which, bins)]
+        ranks = [data.draw(st.integers(0, table.bin_size(k))) for k in bins]
         lo = data.draw(st.integers(0, sum(ranks)))
         hi = data.draw(st.integers(lo, sum(ranks)))
         modulus = data.draw(st.sampled_from([0, 5, (1 << 61) + 1]))
         values = [a % modulus for a in items] if modulus else None
         chunk = data.draw(st.sampled_from([1, 3, 7, 1 << 15]))
 
-        want_seg, want = [], []
-        for b, (m, k, r) in enumerate(zip(which, bins, ranks)):
+        want = []
+        for k, r in zip(bins, ranks):
             for rank in range(1, r + 1):
-                mask, value = dpbins._unrank_mask(tables[m], k, rank)
+                mask, value = dpbins._unrank_mask(table, k, rank)
                 if modulus:
                     value = sum(v for i, v in enumerate(values) if mask >> i & 1)
-                want_seg.append(b)
                 want.append(value % (modulus or 1 << 64))
-        table = dpbins._stack_tables(tables) if stacked else tables[0]
-        positions = np.array(bins) + (table.offset[np.array(which)] if stacked else 0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dpbins, "_WALK_CHUNK", chunk)
-            walk = dpbins._walk_bins(table, positions, np.array(ranks), lo, hi, values, modulus)
-            firsts, segs, sums = [], [], []
-            for first, seg, part in walk:
-                assert 0 < part.size <= chunk and seg.size == part.size
+            walk = dpbins._walk_bins(table, np.array(bins), np.array(ranks), lo, hi, values, modulus)
+            firsts, sums = [], []
+            for first, part in walk:
+                assert 0 < part.size <= chunk
                 firsts.append(first)
-                segs += seg.tolist()
                 sums += part.tolist()
         assert firsts == list(range(lo, hi, chunk))
-        assert segs == want_seg[lo:hi]
         assert sums == want[lo:hi]
 
 
@@ -349,33 +315,29 @@ class TestSplitWalk:
     against per-rank scalar unranks and the chunks of the plain walk."""
 
     @staticmethod
-    def _walk(tables, stacked, which, bins, ranks, lo, hi, values, modulus, chunk, split):
-        table = dpbins._stack_tables(tables) if stacked else tables[0]
-        positions = np.array(bins) + (table.offset[np.array(which)] if stacked else 0)
+    def _walk(table, bins, ranks, lo, hi, values, modulus, chunk, split):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dpbins, "_WALK_CHUNK", chunk)
             mp.setattr(dpbins, "_split_levels", lambda *sizes: split)
-            walk = dpbins._walk_bins(table, positions, np.array(ranks), lo, hi, values, modulus)
-            firsts, segs, sums = [], [], []
-            for first, seg, part in walk:
+            walk = dpbins._walk_bins(table, np.array(bins), np.array(ranks), lo, hi, values, modulus)
+            firsts, sums = [], []
+            for first, part in walk:
                 firsts.append(first)
-                segs += seg.tolist()
                 sums += part.tolist()
-        return firsts, segs, sums
+        return firsts, sums
 
     @staticmethod
-    def _scalar(tables, which, bins, ranks, lo, hi, values, modulus):
-        """(bin index, sum) of positions lo .. hi-1 by scalar unranks."""
-        segs, sums, end = [], [], 0
-        for b, (m, k, r) in enumerate(zip(which, bins, ranks)):
+    def _scalar(table, bins, ranks, lo, hi, values, modulus):
+        """Sums of positions lo .. hi-1 by scalar unranks."""
+        sums, end = [], 0
+        for k, r in zip(bins, ranks):
             for rank in range(max(1, lo - end + 1), min(r, hi - end) + 1):
-                mask, value = dpbins._unrank_mask(tables[m], k, rank)
+                mask, value = dpbins._unrank_mask(table, k, rank)
                 if modulus:
                     value = sum(v for i, v in enumerate(values) if mask >> i & 1)
-                segs.append(b)
                 sums.append(value % (modulus or 1 << 64))
             end += r
-        return segs, sums
+        return sums
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -384,13 +346,10 @@ class TestSplitWalk:
         n = data.draw(st.integers(1, 40))
         bits = data.draw(st.sampled_from([8, 40, 70]))
         items = data.draw(st.lists(st.integers(1, (1 << bits) - 1), min_size=n, max_size=n))
-        ps = data.draw(st.lists(st.integers(1, 300), min_size=1, max_size=4))
-        stacked = len(ps) > 1 and data.draw(st.booleans())
-        tables = [build_table(items, p) for p in (ps if stacked else ps[:1])]
-        which = data.draw(st.lists(st.integers(0, len(tables) - 1), min_size=1, max_size=6))
-        bins = [data.draw(st.integers(0, tables[m].p - 1)) for m in which]
+        table = build_table(items, data.draw(st.integers(1, 300)))
+        bins = data.draw(st.lists(st.integers(0, table.p - 1), min_size=1, max_size=6))
         # a bin may be empty, or walked only partly
-        ranks = [data.draw(st.integers(0, tables[m].bin_size(k))) for m, k in zip(which, bins)]
+        ranks = [data.draw(st.integers(0, table.bin_size(k))) for k in bins]
         lo = data.draw(st.integers(0, sum(ranks)))
         hi = data.draw(st.integers(lo, min(sum(ranks), lo + 300)))
         modulus = data.draw(st.sampled_from([0, 5, (1 << 61) + 1]))
@@ -399,39 +358,35 @@ class TestSplitWalk:
         m = data.draw(st.integers(0, min(n, 10)))
         L = data.draw(st.integers(0, min(n - m, 10)))
 
-        firsts, segs, sums = self._walk(tables, stacked, which, bins, ranks, lo, hi, values, modulus, chunk, (m, L))
+        firsts, sums = self._walk(table, bins, ranks, lo, hi, values, modulus, chunk, (m, L))
         assert firsts == list(range(lo, hi, chunk))
-        assert (segs, sums) == self._scalar(tables, which, bins, ranks, lo, hi, values, modulus)
+        assert sums == self._scalar(table, bins, ranks, lo, hi, values, modulus)
 
     def test_every_split_of_small_tables(self):
         # every (m, L) with m + L <= n, so m = n, L = n and L = n - 1 too
         rng = random.Random(41)
         for n in range(1, 10):
             items = [rng.randrange(1, 1 << 70) for _ in range(n)]
-            tables = [build_table(items, p) for p in (rng.randrange(1, 12), rng.randrange(1, 12))]
-            for stacked, modulus in ((False, 0), (True, 0), (True, (1 << 61) + 1), (False, 7)):
-                which = [rng.randrange(2) if stacked else 0 for _ in range(5)]
-                bins = [rng.randrange(tables[m].p) for m in which]
-                ranks = [rng.randrange(tables[m].bin_size(k) + 1) for m, k in zip(which, bins)]
+            table = build_table(items, rng.randrange(1, 12))
+            for modulus in (0, (1 << 61) + 1, 7):
+                bins = [rng.randrange(table.p) for _ in range(5)]
+                ranks = [rng.randrange(table.bin_size(k) + 1) for k in bins]
                 lo, hi = rng.randrange(sum(ranks) + 1), sum(ranks)
                 values = [a % modulus for a in items] if modulus else None
-                want = self._scalar(tables, which, bins, ranks, lo, hi, values, modulus)
+                want = self._scalar(table, bins, ranks, lo, hi, values, modulus)
                 for m in range(n + 1):
                     for L in range(n + 1 - m):
-                        got = self._walk(tables, stacked, which, bins, ranks, lo, hi, values, modulus, 5, (m, L))
-                        assert got == (list(range(lo, hi, 5)), *want), (n, stacked, modulus, m, L)
+                        got = self._walk(table, bins, ranks, lo, hi, values, modulus, 5, (m, L))
+                        assert got == (list(range(lo, hi, 5)), want), (n, modulus, m, L)
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(1, 62), st.integers(1, 1 << 20), st.integers(1, 1 << 62),
-        st.integers(1, 300), st.integers(1, 1 << 34),
-    )
-    def test_setup_stays_within_one_chunk(self, n, bins, ranks, tables, positions):
-        m, L = dpbins._split_levels(n, bins, ranks, tables, positions)
+    @given(st.integers(1, 62), st.integers(1, 1 << 20), st.integers(1, 1 << 62), st.integers(1, 1 << 34))
+    def test_setup_stays_within_one_chunk(self, n, bins, ranks, positions):
+        m, L = dpbins._split_levels(n, bins, ranks, positions)
         assert m + L <= n
         # what the split adds before the first chunk: top groups beyond the
         # bins themselves, low subsets and their residue starts
-        setup = (bins << m if m else 0) + ((tables << L) + positions if L else 0)
+        setup = (bins << m if m else 0) + ((1 << L) + positions if L else 0)
         assert setup <= n * dpbins._WALK_CHUNK
 
     def test_huge_bin_setup_memory(self):
@@ -443,7 +398,7 @@ class TestSplitWalk:
         size = table.bin_size(7)
         tracemalloc.start()
         try:
-            first, seg, sums = next(dpbins._walk_bins(table, np.array([7]), np.array([size]), 0, size))
+            first, sums = next(dpbins._walk_bins(table, np.array([7]), np.array([size]), 0, size))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

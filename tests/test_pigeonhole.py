@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from sumbins.core import Pair, ProblemInstance, Subset, verify
@@ -117,6 +118,11 @@ class TestPigeonholeEqual:
                 assert verify(inst, pair), items
 
 
+def _class_widths(d):
+    """Number of residues in each quotient class (its single-class beta), read off ``fold``."""
+    return np.bincount(d.fold(np.arange(d.q)), minlength=d.q1)
+
+
 class TestQuotientDecomposition:
     def test_beta_singles_partition_q(self):
         rng = random.Random(4)
@@ -124,24 +130,27 @@ class TestQuotientDecomposition:
             n = rng.randrange(4, 16)
             q = rng.randrange(1 << ((n + 1) // 2), 1 << n)
             d = QuotientDecomposition.compute(n, q)
+            widths = _class_widths(d)
             assert d.q1 * (1 << d.h) + d.q2 == q
-            assert sum(d.beta_single(jj) for jj in range(d.q1)) == q
+            assert widths.size == d.q1 and widths.sum() == q
 
     def test_fold_counts_match_beta(self):
+        # every class holds 2^h residues but the last, which takes the q2 left over
         d = QuotientDecomposition.compute(8, 777)
         counts = [0] * d.q1
         for r in range(777):
             counts[d.fold(r)] += 1
-        assert counts == [d.beta_single(jj) for jj in range(d.q1)]
+        assert counts == _class_widths(d).tolist() == [1 << d.h] * (d.q1 - 1) + [(1 << d.h) + d.q2]
 
     def test_beta_interval_matches_singles(self):
         rng = random.Random(5)
         d = QuotientDecomposition.compute(10, 29_000)
+        widths = _class_widths(d)
         for _ in range(80):
             i = rng.randrange(d.q1)
             j = rng.randrange(d.q1)
             width = (j - i) % d.q1 + 1
-            want = sum(d.beta_single((i + t) % d.q1) for t in range(width))
+            want = sum(int(widths[(i + t) % d.q1]) for t in range(width))
             assert d.beta_interval(i, j) == want
 
     def test_full_circle_is_q(self):

@@ -238,9 +238,18 @@ class TestModularMitm:
 
     def test_bad_witness_never_returned(self, monkeypatch):
         # wrong half sums make the join pair up the empty set for target 2
-        monkeypatch.setattr(solvers, "_half_sums", lambda items, positions: [1] * (1 << len(positions)))
+        monkeypatch.setattr(solvers, "_half_sums", lambda items, positions, deadline: [1] * (1 << len(positions)))
         with pytest.raises(RuntimeError):
             solve_modular_subset_sum_mitm((3, 5, 7), 2, 10)
+
+    def test_time_cap_stops_the_half_sum_build(self):
+        # n=38 builds 2^19 first-half sums; the deadline is checked between doublings
+        rng = random.Random(38)
+        items = [rng.randrange(1, 1 << 48) for _ in range(38)]
+        t0 = time.perf_counter()
+        out = solve_modular_subset_sum_mitm(items, 12345, (1 << 47) + 5, SolverBudget(time_cap_ms=1.0))
+        assert time.perf_counter() - t0 < 0.02
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["reason"] == "timed_out"
 
 
 class TestShiftedMitm:
@@ -400,19 +409,6 @@ class TestPairStateEngine:
         out = solve_shifted_exhaustive(tuple(1 << i for i in range(12)), 0)
         assert out.status is SolveStatus.NOT_FOUND and calls == []
 
-    def test_match_across_splits_is_no_pair(self, monkeypatch):
-        # Every class state of (2i + 2) * 2^64 items is 0 mod 2^64, so with
-        # shift = -_TAG mod 2^64 the right states of split 1 of a batch need
-        # the key of every left state of split 0 and of none of their own:
-        # the join rejects those matches before decoding any state.
-        items = tuple((2 * i + 2) << 64 for i in range(8))
-        shift = (1 << 64) - int(solvers._TAG)
-        decoded = []
-        monkeypatch.setattr(solvers, "_class_decoder", lambda *a: lambda *b: decoded.append(b))
-        out = solve_shifted_mitm(items, shift, 0.5, seed=0, budget=SolverBudget(repeat_cap=3))
-        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["splits"] == 3  # batches of 1 and 2 splits
-        assert decoded == []
-
     def test_twin_in_a_larger_group_is_skipped_at_confirmation(self, monkeypatch):
         # Left half (5, 5): the empty state 0 and ({1}, {2}), state 5, both
         # differ by 0, so at shift 0 right state 0 (empty) meets a group that
@@ -424,7 +420,7 @@ class TestPairStateEngine:
         )
         out = solve_shifted_exhaustive((5, 5, 1, 2), 0)
         assert (out.witness.s1.indices, out.witness.s2.indices) == ((1,), (2,))
-        assert ([0, 1], (0, 0)) in decoded and ([2, 3], (0, 0)) in decoded
+        assert ([0, 1], (0,)) in decoded and ([2, 3], (0,)) in decoded
 
 
 class TestShiftedRep:
@@ -620,8 +616,9 @@ def _ref_shifted_rep(items, shift, ratio, seed, budget):
     return SolveStatus.INCONCLUSIVE, None, len(records), records
 
 
-class TestShiftedRepBatches:
-    """Batched draws against the one-draw-at-a-time reference."""
+class TestShiftedRepDraws:
+    """The draw loop against the one-draw-at-a-time reference, which walks
+    and joins each draw's bins with its own code."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -638,7 +635,7 @@ class TestShiftedRepBatches:
         shift = data.draw(st.sampled_from([0, planted % total, data.draw(st.integers(0, total - 1))]))
         t = data.draw(st.integers(1, max(1, n - 1)))
         seed = data.draw(st.integers(0, 1000))
-        # a batch holds as many draws as fill a walk chunk; None is 4n draws
+        # None is 4n draws
         budget = SolverBudget(repeat_cap=data.draw(st.sampled_from([1, 2, 3, 8, None])))
         if n == 1:  # no prime range below 2^0
             with pytest.raises(ValueError):
@@ -654,52 +651,37 @@ class TestShiftedRepBatches:
         if out.found:
             assert verify(ProblemInstance("shifted_sums", items, shift=shift), out.witness)
 
-    def test_deciding_draw_inside_a_batch(self):
-        # A deciding draw past the first shares its batch with earlier draws:
-        # the first exact pair must still come from the earliest that has one.
+    def test_deciding_draw_after_earlier_misses(self, monkeypatch):
+        # A deciding draw past the first follows draws that missed: the first
+        # exact pair must still come from the earliest that has one, and no
+        # prime is drawn past it.
         rng = random.Random(6)
         budget = SolverBudget()
-        inside = 0
+        later = 0
+        primes, prime = [], solvers.random_prime
+        monkeypatch.setattr(solvers, "random_prime", lambda *a: primes.append(a) or prime(*a))
         for seed in range(40):
             n = rng.randrange(8, 13)
             items = tuple(rng.randrange(1, 1 << 20) for _ in range(n))
             shift = abs(sum(items[: n // 3]) - sum(items[n // 3 : n // 2]))
             want = _ref_shifted_rep(items, shift, 0.5, seed, budget)
+            primes.clear()
             out = solve_shifted_rep(items, shift, 0.5, seed, budget)
             assert (out.status, _masks(out), out.trace["draw_count"]) == want[:3]
-            inside += out.found and want[2] not in (1, 2, 4, 8, 16, 32)
-        assert inside >= 3
-
-    def test_match_across_draws_is_no_pair(self, monkeypatch):
-        # Every subset sum is 0 mod 2^64, so with shift = -_TAG mod 2^64 the
-        # key draw d wants from bin k2, d * _TAG - shift = (d + 1) * _TAG,
-        # is the key of every bin-k2 rank of draw d + 1 and of none of its
-        # own: the join rejects those matches before confirming any.
-        items = tuple((2 * i + 2) << 64 for i in range(6))
-        shift = (1 << 64) - int(solvers._TAG)
-        table = build_table(items, 5)
-        draws = []
-        for k in range(5):
-            k2 = (k - shift) % 5
-            assert not dpbins._bin_sums_batch(table, k, 1, table.bin_size(k)).any()
-            draws.append((0, k, k2, table.bin_size(k), table.bin_size(k2)))
-        unranked = []
-        with monkeypatch.context() as m:
-            m.setattr(solvers, "_unrank_mask", lambda *a: unranked.append(a))
-            assert solvers._shifted_rep_join(items, shift, [table], draws, solvers._Deadline(None)) == (None, False)
-        assert unranked == []
-        out = solve_shifted_rep(items, shift, 0.5, seed=1)
-        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["batches"] == 1  # all 24 draws stacked
+            assert len(primes) == out.trace["draw_count"]
+            later += out.found and want[2] > 1
+        assert later >= 3
 
     def test_shift_zero_self_matches_are_never_confirmed(self, monkeypatch):
         # Powers of two have distinct subset sums: at shift 0 each bin-k rank
         # meets only itself, and none of them reaches exact confirmation.
         items = tuple(1 << i for i in range(12))
-        tables = [build_table(items, p) for p in (7, 11, 13)]
-        draws = [(i, k, k, tables[i].bin_size(k), tables[i].bin_size(k)) for i, k in ((0, 3), (1, 0), (2, 12), (0, 5))]
         unranked = []
         monkeypatch.setattr(solvers, "_unrank_mask", lambda *a: unranked.append(a))
-        assert solvers._shifted_rep_join(items, 0, tables, draws, solvers._Deadline(None)) == (None, False)
+        for p, k in ((7, 3), (11, 0), (13, 12), (7, 5)):
+            table = build_table(items, p)
+            size = table.bin_size(k)
+            assert solvers._shifted_rep_join(items, 0, table, k, k, size, size, solvers._Deadline(None)) == (None, False)
         assert unranked == []
         out = solve_shifted_rep(items, 0, 0.5, seed=2)
         assert out.status is SolveStatus.INCONCLUSIVE and unranked == []
@@ -718,14 +700,12 @@ class TestShiftedRepBatches:
         assert (out.status, _masks(out), out.trace["draw_count"]) == (status, masks, draw_count)
         assert out.found and verify(ProblemInstance("shifted_sums", items, shift=shift), out.witness)
 
-    def test_trace_counts_batches_tables_and_dropped_draws(self):
+    def test_trace_counts_dropped_draws(self):
         out = solve_shifted_rep(tuple(1 << i for i in range(16)), 0, 0.5, seed=3)
         trace = out.trace
         assert trace["draw_count"] == 64
         assert len(trace["draws"]) == solvers._TRACE_DRAWS
         assert trace["draws_dropped"] == 64 - solvers._TRACE_DRAWS
-        assert trace["batches"] == 1  # bins of about 2^16 / 2^8 ranks: 64 draws fill one walk chunk
-        assert trace["tables_built"] <= 64 and len({d["p"] for d in trace["draws"]}) <= trace["tables_built"]
         sub = solve_subset_sum_rep((2, 4, 8), 5, seed=1)
         assert sub.trace["draws_dropped"] == 0
 
@@ -745,85 +725,29 @@ class TestShiftedRepBatches:
             if seed == 0:  # the powers of two: 48 draws, no pair
                 assert draw_count == 48 and out.trace["repeats_skipped"] > 0
 
-    def test_batch_of_repeats_builds_no_table(self):
-        # Classes t=9 and t=11 of an unsolvable n=12 dispatcher solve. Tables
-        # are built only for primes with a draw to walk or to size: at t=9
-        # (primes 11 and 13, batches of 32 and 16 draws) each batch builds
-        # both; at t=11 (primes 2 and 3, five pairs (p, k)) at least two of the
-        # five batches hold only repeats and build none. The draws, records
-        # and counts are those of the one-draw-at-a-time reference.
+    def test_one_prime_per_draw_and_no_table_for_a_repeat(self, monkeypatch):
+        # Classes t=9 and t=11 of an unsolvable n=12 dispatcher solve (primes
+        # 11 and 13, then 2 and 3): each counted draw draws one prime, and only
+        # a draw whose (p, k) no earlier draw joined builds a table.
         rng = random.Random(12)
         items = tuple(rng.randrange(1, 1 << 36) for _ in range(12))
-        for t, skipped, batches, tables, primes in ((9, 29, 2, 4, {11, 13}), (11, 43, 5, 3, {2, 3})):
-            seed = derive_seed(0, "dispatch", t)
-            status, _, draw_count, records = _ref_shifted_rep(items, 0, t / 12, seed, SolverBudget())
+        cases = [(t, derive_seed(0, "dispatch", t)) for t in (9, 11)]
+        refs = [_ref_shifted_rep(items, 0, t / 12, seed, SolverBudget()) for t, seed in cases]
+        calls = []
+        prime, build = solvers.random_prime, solvers.build_table
+        monkeypatch.setattr(solvers, "random_prime", lambda *a: calls.append("prime") or prime(*a))
+        monkeypatch.setattr(solvers, "build_table", lambda *a: calls.append("table") or build(*a))
+        for (t, seed), (skipped, primes), (status, _, draw_count, records) in zip(
+            cases, ((29, {11, 13}), (43, {2, 3})), refs
+        ):
+            calls.clear()
             out = solve_shifted_rep(items, 0, t / 12, seed)
             assert out.status is status is SolveStatus.INCONCLUSIVE
-            assert out.trace["draw_count"] == draw_count == 48
-            assert out.trace["draws"] == records[: solvers._TRACE_DRAWS]
+            assert calls.count("prime") == out.trace["draw_count"] == draw_count == 48
+            assert calls.count("table") == out.trace["draw_count"] - out.trace["repeats_skipped"]
             assert out.trace["repeats_skipped"] == skipped
-            assert (out.trace["batches"], out.trace["tables_built"]) == (batches, tables)
+            assert out.trace["draws"] == records[: solvers._TRACE_DRAWS]
             assert {r["p"] for r in records} == primes
-
-    def test_lone_draw_walks_its_own_table(self):
-        # A batch with one walked draw on its second table (the draws of the
-        # first were repeats) must walk that table, not tables[0].
-        rng = random.Random(31)
-        items = tuple(rng.randrange(1 << 19, 1 << 20) for _ in range(3)) + tuple(
-            rng.randrange(1, 1 << 18) for _ in range(7)
-        )
-        shift = sum(items[:3]) - sum(items[3:5])
-        tables = [build_table(items, 5), build_table(items, 31)]
-        k = sum(items[:3]) % 31
-        draw = (1, k, (k - shift) % 31, tables[1].bin_size(k), tables[1].bin_size((k - shift) % 31))
-        want = _ref_rep_join(tables[1], shift, *draw[1:])
-        assert want is not None
-        hit, timed_out = solvers._shifted_rep_join(items, shift, tables, [draw], solvers._Deadline(None))
-        assert not timed_out and hit[0] == 0
-        assert _masks(SolveOutcome(SolveStatus.FOUND, hit[1], 0, 0.0, {})) == want
-
-    @pytest.mark.parametrize("shift_kind, ratio, seed, cap", [("planted", 0.5, 1, 150_000), ("zero", 0.75, 0, 60_000)])
-    def test_draw_deferred_for_room_is_scanned_in_full_next_batch(self, monkeypatch, shift_kind, ratio, seed, cap):
-        # The join holds _REP_ENTRY_BYTES per bin-k2 entry. Under these caps a
-        # draw that would fit alone overflows the room its batch's earlier
-        # draws left, so it waits for the next batch instead of being cut.
-        rng = random.Random(12)
-        items = tuple(rng.randrange(1, 1 << 30) for _ in range(12))
-        shift = abs(sum(items[:4]) - sum(items[4:6])) if shift_kind == "planted" else 0
-        budget = SolverBudget(memory_cap_bytes=cap)
-        joins = []
-        join = solvers._shifted_rep_join
-
-        def spy(items_, shift_, tables, draws, deadline):
-            joins.append([(tables[d[0]].p, *d[1:]) for d in draws])
-            return join(items_, shift_, tables, draws, deadline)
-
-        monkeypatch.setattr(solvers, "_shifted_rep_join", spy)
-        out = solve_shifted_rep(items, shift, ratio, seed, budget)
-        status, masks, draw_count, records = _ref_shifted_rep(items, shift, ratio, seed, budget)
-        assert (out.status, _masks(out), out.trace["draw_count"]) == (status, masks, draw_count)
-        assert out.trace["draws"] == records[: solvers._TRACE_DRAWS]
-        assert out.status is (SolveStatus.FOUND if shift else SolveStatus.INCONCLUSIVE)
-        # every walked draw, the deferred ones included, scans both bins in
-        # full (at n=12 no bin passes enum_cap)
-        walked = [draw for batch in joins for draw in batch]
-        assert all(build_table(items, p).bin_size(k) == scan1 for p, k, _, scan1, _ in walked)
-        assert all(build_table(items, p).bin_size(k2) == scan2 for p, _, k2, _, scan2 in walked)
-        # with room to spare the same draws take fewer batches: room deferred some
-        monkeypatch.setattr(solvers, "_REP_ENTRY_BYTES", 1)
-        roomy = solve_shifted_rep(items, shift, ratio, seed, budget)
-        assert out.trace["batches"] > roomy.trace["batches"]
-        assert (roomy.status, _masks(roomy), roomy.trace["draws"]) == (out.status, _masks(out), out.trace["draws"])
-
-    def test_small_bins_take_at_most_three_batches(self):
-        # Powers of two have distinct sums: at n=15, p in [128, 256), every
-        # bin holds under 256 ranks, and the class has no pair at shift 0.
-        items = tuple(1 << i for i in range(15))
-        for seed in range(4):
-            out = solve_shifted_rep(items, 0, 0.5, seed)
-            assert out.status is SolveStatus.INCONCLUSIVE and out.trace["draw_count"] == 60
-            assert all(max(d["bins"]) < 256 for d in out.trace["draws"])
-            assert out.trace["batches"] <= 3
 
     @pytest.mark.parametrize("shift", [0, 123456789])
     def test_time_cap_at_n20(self, shift):
@@ -839,12 +763,12 @@ class TestShiftedRepBatches:
         items = tuple(1 << i for i in range(12))  # no pair at shift 0
         with pytest.raises(ResourceLimitError):
             solve_shifted_rep(items, 0, 0.5, seed=0, budget=SolverBudget(memory_cap_bytes=1000))
-        # Room for any one table of p in [64, 128) and a few bin-k2 entries,
-        # but not for two tables: one draw per batch, its scan capped.
+        # Room for any one table of p in [64, 128) and a few bin-k2 entries:
+        # each draw's scan is capped by the room its table leaves.
         cap = estimate_table_bytes(12, 127) + 10 * solvers._REP_ENTRY_BYTES
         out = solve_shifted_rep(items, 0, 0.5, seed=0, budget=SolverBudget(memory_cap_bytes=cap))
         assert out.status is SolveStatus.INCONCLUSIVE
-        assert out.trace["draw_count"] == 48 == out.trace["batches"]
+        assert out.trace["draw_count"] == 48
         room = [(cap - estimate_table_bytes(12, d["p"])) // solvers._REP_ENTRY_BYTES for d in out.trace["draws"]]
         assert [d["enumerated"][1] for d in out.trace["draws"]] == [
             min(d["bins"][1], r) for d, r in zip(out.trace["draws"], room)
