@@ -195,13 +195,13 @@ def _doubled(sums: np.ndarray, y, q: int) -> np.ndarray:
     return np.concatenate((sums, more))
 
 
-def _low_part(table: CountTable, L: int, values: Sequence[int] | None, modulus: int) -> tuple:
+def _low_part(table: CountTable, L: int, values: Sequence[int] | None, modulus: int, addends: list) -> tuple:
     """(starts, sums) of the subsets of the first L items sorted by (residue,
     mask) in one sort: those with sum = j (mod p) are sums[starts[j] + r],
-    r = 1 .. rows[L][j]. Kept on the table for the last key asked."""
+    r = 1 .. rows[L][j]. ``addends`` are the walk's (:func:`_addends`). Kept
+    on the table for the last key asked."""
     key = (L, modulus, None if values is None else tuple(values))
     if key not in table.low:
-        addends = _addends(table, values, modulus)
         res, sums = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=addends[0].dtype)
         for i in range(L):
             res = np.concatenate((res, (res + table.mods[i]) % table.p))
@@ -344,7 +344,7 @@ def _walk_bins(
     # group f holds positions gext[f] .. gext[f + 1] - 1
     gext = np.concatenate(([ends[e0] - ranks[e0]], gext.ravel()))
     gends, gpos, tmask, work = gext[1:], pos.ravel(), (1 << m) - 1, _scratch(min(_WALK_CHUNK, hi - lo))
-    split = (m, L, *(_low_part(table, L, values, modulus) if L else (None, None)), work, addends)
+    split = (m, L, *(_low_part(table, L, values, modulus, addends) if L else (None, None)), work, addends)
     for a in range(lo, hi, _WALK_CHUNK):
         b = min(hi, a + _WALK_CHUNK)
         g = int(gends.searchsorted(a, "right"))  # the group that holds position a

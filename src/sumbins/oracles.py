@@ -80,6 +80,11 @@ def _mask_sums(items: Sequence[int]):
     return sums_big
 
 
+def _residues(sums: np.ndarray, q: int) -> np.ndarray:
+    """int64 mask sums mod q: below 2^62, they are their own residues mod any wider q."""
+    return sums % q if q < (1 << 62) else sums
+
+
 def brute_bin_masks(items: Sequence[int], p: int, k: int):
     """Masks of subsets with sum = k (mod p), ascending (= chi order)."""
     _check_cap(len(items), _BIN_CAP_N, "bin enumeration")
@@ -87,7 +92,7 @@ def brute_bin_masks(items: Sequence[int], p: int, k: int):
         raise ValueError("need p >= 1 and 0 <= k < p")
     sums = _mask_sums(items)
     if isinstance(sums, np.ndarray):
-        return np.nonzero(sums % p == k)[0]
+        return np.nonzero(_residues(sums, p) == k)[0]
     return [mask for mask, v in enumerate(sums) if v % p == k]
 
 
@@ -282,7 +287,7 @@ def brute_solve(instance: ProblemInstance, with_ratios: bool = False) -> BruteFo
         else:
             q = instance.modulus
             matches = (
-                np.nonzero(sums % q == instance.target)[0]
+                np.nonzero(_residues(sums, q) == instance.target)[0]
                 if isinstance(sums, np.ndarray)
                 else [m for m, v in enumerate(sums) if v % q == instance.target]
             )
@@ -306,7 +311,7 @@ def brute_solve(instance: ProblemInstance, with_ratios: bool = False) -> BruteFo
     if variant == "pigeonhole_modular":
         q = instance.modulus
         if isinstance(sums, np.ndarray):
-            res = sums % q
+            res = _residues(sums, q)
             order = np.argsort(res, kind="stable")
             rv = res[order]
             dup = np.nonzero(rv[1:] == rv[:-1])[0]

@@ -40,7 +40,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -664,31 +664,35 @@ def _shifted_rep_join(
     :func:`solve_shifted_rep` draw: ranks 1..scan1 of bin k against ranks
     1..scan2 of bin k2.
 
-    Bin k2 is walked in one pass into the left keys, each rank the pair
-    state (empty, S2) keyed by its sum mod 2^64; bin k is streamed as the
-    needles (at k2 == k and equal scans, from the same keys), each rank the
-    pair state (S1, empty). At k2 == k bin-k rank r has bin-k2 rank r, the
-    same subset, as its twin, so a rank that meets only itself is dropped
-    unranked. The pair returned is the first exact one by bin-k rank, then
-    bin-k2 rank. Returns (pair or None, timed out).
+    One walk (:func:`_walk_bins`) covers both bins, bin k2 then bin k. Its
+    first scan2 positions are the left keys, each rank the pair state
+    (empty, S2) keyed by its sum mod 2^64; the rest, from inside the chunk
+    that holds position scan2, is streamed as the needles, each rank the
+    pair state (S1, empty). At k2 == k and equal scans the walk covers the
+    bin once and the needles are taken from the keys. At k2 == k bin-k rank
+    r has bin-k2 rank r, the same subset, as its twin, so a rank that meets
+    only itself is dropped unranked. The pair returned is the first exact
+    one by bin-k rank, then bin-k2 rank. Returns (pair or None, timed out).
     """
-
-    def walk(b: int, scan: int):
-        return (sums for _, sums in _walk_bins(table, np.array([b]), np.array([scan]), 0, scan))
-
-    parts = []
-    for keys in walk(k2, scan2):
-        parts.append(keys)
+    if not scan2:
+        return None, False
+    once = k2 == k and scan1 == scan2
+    bins, scans = ([k2], [scan2]) if once else ([k2, k], [scan2, scan1])
+    walk = _walk_bins(table, np.array(bins), np.array(scans), 0, sum(scans))
+    parts, rest = [], []
+    for done, sums in walk:
+        parts.append(sums[: scan2 - done])
         if deadline.expired():
             return None, True
-    if not parts:
-        return None, False
+        if done + sums.size > scan2:  # bin k starts inside this chunk
+            rest.append(sums[scan2 - done :])
+            break
     key2 = parts[0] if len(parts) == 1 else np.concatenate(parts)
     shift_w = np.uint64(shift & _WORD_MASK)
-    same = k2 == k
-    needles = (keys - shift_w for keys in (_chunks(key2) if same and scan1 == scan2 else walk(k, scan1)))
+    tail = _chunks(key2) if once else chain(rest, (sums for _, sums in walk))
+    needles = (keys - shift_w for keys in tail)
     hit, timed_out = _join_pair_states(
-        items, shift, key2, needles, min(scan1, scan2) if same else 0,
+        items, shift, key2, needles, min(scan1, scan2) if k2 == k else 0,
         lambda r: (0, _unrank_mask(table, k2, r + 1)[0]),
         lambda r: (_unrank_mask(table, k, r + 1)[0], 0),
         deadline,

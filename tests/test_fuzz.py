@@ -1,6 +1,6 @@
 """Differential fuzz: every variant through solve_instance against the brute-force oracle."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumbins.core import ProblemInstance, verify
@@ -67,6 +67,8 @@ def _solve(inst: ProblemInstance, seed: int, budget: SolverBudget | None):
 
 @settings(max_examples=150, deadline=None)
 @given(cases(), st.integers(0, 1 << 32))
+# a modulus past int64: the oracle once overflowed on it
+@example((ProblemInstance("modular_subset_sum", (1, 1, 1, 1, 6), target=5, modulus=1 << 63), None), 0)
 def test_solve_instance_against_brute(case, seed):
     inst, budget = case
     got = _solve(inst, seed, budget)

@@ -180,6 +180,16 @@ class TestBruteSolve:
             if want:
                 assert verify(inst, res.witness)
 
+    @pytest.mark.parametrize("q", [1 << 63, 1 << 64])
+    def test_modulus_past_int64(self, q):
+        # int64 mask sums are their own residues mod q: no overflow
+        items = (1, 1, 1, 1, 6)
+        for target in (5, 7, q - 1):
+            res = brute_solve(ProblemInstance("modular_subset_sum", items, target=target, modulus=q))
+            assert res.count == sum(mask_sum(items, m) == target for m in range(32))
+            assert list(brute_bin_masks(items, q, target)) == [m for m in range(32) if mask_sum(items, m) == target]
+        assert brute_solve(ProblemInstance("modular_subset_sum", items, target=7, modulus=q)).solvable
+
 
 class TestPigeonholeMitmCheck:
     def test_small_example(self):

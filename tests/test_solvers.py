@@ -651,6 +651,70 @@ class TestShiftedRepDraws:
         if out.found:
             assert verify(ProblemInstance("shifted_sums", items, shift=shift), out.witness)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_outcome_under_small_walk_chunks(self, data):
+        # Chunks of 1, 3 or 7 ranks: the chunk that holds bin k's first rank
+        # usually straddles the end of bin k2 in the draw's one walk.
+        n = data.draw(st.integers(2, 10))
+        items = tuple(data.draw(st.integers(1, (1 << data.draw(st.sampled_from([4, 64]))) - 1)) for _ in range(n))
+        total = sum(items)
+        shift = data.draw(st.sampled_from([0, data.draw(st.integers(0, total - 1))]))
+        t = data.draw(st.integers(1, n - 1))
+        seed = data.draw(st.integers(0, 1000))
+        budget = SolverBudget(repeat_cap=data.draw(st.integers(1, 4)))
+        status, masks, draw_count, records = _ref_shifted_rep(items, shift, t / n, seed, budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dpbins, "_WALK_CHUNK", data.draw(st.sampled_from([1, 3, 7])))
+            out = solve_shifted_rep(items, shift, t / n, seed, budget)
+        assert (out.status, _masks(out), out.trace["draw_count"]) == (status, masks, draw_count)
+        assert out.trace["draws"] == records
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 15])
+    def test_same_bin_with_a_shorter_key_scan(self, chunk, monkeypatch):
+        # k2 == k with scan2 < scan1, as when the memory room caps the key
+        # scan: bin k is walked twice in one walk, keys first.
+        monkeypatch.setattr(dpbins, "_WALK_CHUNK", chunk)
+        rng = random.Random(9)
+        found = 0
+        for _ in range(20):
+            items = tuple(rng.randrange(1, 30) for _ in range(8))
+            p = rng.choice([3, 5, 7, 11])
+            table, k = build_table(items, p), rng.randrange(p)
+            scan1 = table.bin_size(k)
+            for shift in (0, p * rng.randrange(1, 20)):
+                for scan2 in (1, scan1 // 3, scan1 - 1):
+                    want = _ref_rep_join(table, shift, k, k, scan1, scan2)
+                    pair, timed_out = solvers._shifted_rep_join(
+                        items, shift, table, k, k, scan1, scan2, solvers._Deadline(None)
+                    )
+                    assert not timed_out
+                    assert (pair and (pair.s1.mask(), pair.s2.mask())) == want
+                    found += want is not None
+        assert found >= 20
+
+    def test_one_walk_per_joined_draw(self, monkeypatch):
+        # n=12, t=9: 48 draws over the bin pairs of primes 11 and 13. Each
+        # joined draw walks its two bins in one call; a repeat walks nothing.
+        walks, walk = [], solvers._walk_bins
+        monkeypatch.setattr(solvers, "_walk_bins", lambda *a: walks.append(a) or walk(*a))
+        rng = random.Random(12)
+        for seed in range(4):
+            items = tuple(rng.randrange(1, 1 << 36) for _ in range(12))
+            walks.clear()
+            out = solve_shifted_rep(items, seed % 2 * 12345, 9 / 12, seed)
+            assert out.status is SolveStatus.INCONCLUSIVE and out.trace["repeats_skipped"] > 0
+            assert all(d["enumerated"][1] > 0 for d in out.trace["draws"])
+            assert len(walks) == out.trace["draw_count"] - out.trace["repeats_skipped"]
+            joined = {(d["p"], d["k"]): d for d in out.trace["draws"]}  # a repeat's record is its first's
+            for (_, bins, scans, lo, hi), d in zip(walks, joined.values()):
+                k, k2 = d["k"], (d["k"] - seed % 2 * 12345) % d["p"]
+                if k2 == k and d["enumerated"][0] == d["enumerated"][1]:
+                    assert bins.tolist() == [k] and scans.tolist() == [d["enumerated"][1]]
+                else:
+                    assert bins.tolist() == [k2, k] and scans.tolist() == d["enumerated"][::-1]
+                assert (lo, hi) == (0, int(scans.sum()))
+
     def test_deciding_draw_after_earlier_misses(self, monkeypatch):
         # A deciding draw past the first follows draws that missed: the first
         # exact pair must still come from the earliest that has one, and no
@@ -674,14 +738,17 @@ class TestShiftedRepDraws:
 
     def test_shift_zero_self_matches_are_never_confirmed(self, monkeypatch):
         # Powers of two have distinct subset sums: at shift 0 each bin-k rank
-        # meets only itself, and none of them reaches exact confirmation.
+        # meets only itself, and none of them reaches exact confirmation,
+        # also when a shorter key scan puts bin k twice in one walk.
         items = tuple(1 << i for i in range(12))
         unranked = []
         monkeypatch.setattr(solvers, "_unrank_mask", lambda *a: unranked.append(a))
         for p, k in ((7, 3), (11, 0), (13, 12), (7, 5)):
             table = build_table(items, p)
             size = table.bin_size(k)
-            assert solvers._shifted_rep_join(items, 0, table, k, k, size, size, solvers._Deadline(None)) == (None, False)
+            for scan2 in (size, size // 2):
+                join = solvers._shifted_rep_join(items, 0, table, k, k, size, scan2, solvers._Deadline(None))
+                assert join == (None, False)
         assert unranked == []
         out = solve_shifted_rep(items, 0, 0.5, seed=2)
         assert out.status is SolveStatus.INCONCLUSIVE and unranked == []
