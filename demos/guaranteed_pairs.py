@@ -2,8 +2,9 @@
 
 Two promise regimes. With sum(items) < 2^n - 1 there are more subsets than
 reachable sums, so two subsets share an exact sum; with any modulus
-q <= 2^n - 1 two subsets share a residue. Both solvers return a verified
-pair unconditionally on their promise domain, no randomness involved.
+q <= 2^n - 1 two subsets share a residue. Both solvers find a pair
+unconditionally on their promise domain, no randomness involved; with no
+time cap their outcome is always FOUND, and the pair is its witness.
 
 Run:  python3 demos/guaranteed_pairs.py
 """
@@ -39,7 +40,7 @@ def main() -> None:
         cuts = sorted(rng.sample(range(1, total), n - 1))
         items = [b - a for a, b in zip([0] + cuts, cuts + [total])]
         print(f"n = {n}, sum(items) = {sum(items)} < 2^{n} - 1 = {(1 << n) - 1}")
-        show(items, solve_pigeonhole_equal(items))
+        show(items, solve_pigeonhole_equal(items).witness)
 
     print()
     print("residue collisions, items arbitrarily large:")
@@ -48,7 +49,7 @@ def main() -> None:
     for q in (97, 8 * n + 5, (1 << n) - 1):
         # 8n+5 is just past the direct-table cutoff, so the quotient-class
         # dichotomy does the work for it and for the huge modulus.
-        pair = solve_pigeonhole_modular(items, q)
+        pair = solve_pigeonhole_modular(items, q).witness
         print(f"q = {q}:")
         show(items, pair, q)
 

@@ -18,7 +18,6 @@ import gc
 import json
 import statistics
 import sys
-import time
 from math import log2
 
 from . import __version__
@@ -313,17 +312,13 @@ def _bench_one(variant: str, algo: str, n: int, rep: int, seed: int) -> tuple[fl
     try:
         if variant == "pigeonhole_equal":
             instance, _ = _random_instance("pigeonhole_equal", n, n, None, inst_seed)
-            t0 = time.perf_counter()
-            pair = solve_pigeonhole_equal(instance.items)
-            ms = (time.perf_counter() - t0) * 1000.0
-            return ms, pair is not None
-        instance, _ = _random_instance("subset_sum", n, n, 0.5, inst_seed)
-        if algo == "mitm":
-            out = solve_subset_sum_mitm(instance.items, instance.target)
+            out = solve_pigeonhole_equal(instance.items)
         else:
-            out = solve_subset_sum_rep(
-                instance.items, instance.target, derive_seed(inst_seed, "solve")
-            )
+            instance, _ = _random_instance("subset_sum", n, n, 0.5, inst_seed)
+            if algo == "mitm":
+                out = solve_subset_sum_mitm(instance.items, instance.target)
+            else:
+                out = solve_subset_sum_rep(instance.items, instance.target, derive_seed(inst_seed, "solve"))
         return out.elapsed_ms, out.found
     finally:
         if gc_was_on:

@@ -28,7 +28,7 @@ only the levels between them rank by rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +52,10 @@ _INT64_SAFE_N = 62
 
 class ResourceLimitError(RuntimeError):
     """The requested work would exceed a configured resource cap."""
+
+
+class _TimedOut(Exception):
+    """A solver's time cap ran out; each public solver returns it as INCONCLUSIVE."""
 
 
 @dataclass
@@ -312,12 +316,14 @@ def _split_levels(n: int, bins: int, ranks: int, positions: int) -> tuple[int, i
 
 def _walk_bins(
     table: CountTable, bins: np.ndarray, ranks: np.ndarray, lo: int, hi: int,
-    values: Sequence[int] | None = None, modulus: int = 0,
+    values: Sequence[int] | None = None, modulus: int = 0, expired: Callable[[], bool] | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Sums of positions lo .. hi-1 of ranks 1..ranks[b] of bin bins[b], for
     b = 0, 1, ... laid end to end: yields (first position, sums) a chunk of
     _WALK_CHUNK at a time, from one :func:`_bin_sums_batch` call each.
-    ``values`` and ``modulus`` are those of :func:`_bin_sums_batch`.
+    ``values`` and ``modulus`` are those of :func:`_bin_sums_batch`. Before
+    each chunk it raises :class:`_TimedOut` if ``expired()`` is true, so no
+    caller checks its time cap inside a walk.
 
     The items are split (Horowitz-Sahni): in chi order, bin k is, for each
     subset T of the top m items in turn, the subsets of the rest with
@@ -346,6 +352,8 @@ def _walk_bins(
     gends, gpos, tmask, work = gext[1:], pos.ravel(), (1 << m) - 1, _scratch(min(_WALK_CHUNK, hi - lo))
     split = (m, L, *(_low_part(table, L, values, modulus, addends) if L else (None, None)), work, addends)
     for a in range(lo, hi, _WALK_CHUNK):
+        if expired is not None and expired():
+            raise _TimedOut
         b = min(hi, a + _WALK_CHUNK)
         g = int(gends.searchsorted(a, "right"))  # the group that holds position a
         if gends[g] >= b:

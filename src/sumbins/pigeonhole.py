@@ -38,6 +38,12 @@ doubling chunks and find the earliest repeat with a stable sort, which is
 the pair a sequential scan returns. The walk needs machine-word table rows,
 so the dichotomy refuses n > 62; at that size it would need at least 2^31
 walk steps anyway.
+
+Both solvers keep the contract of :mod:`sumbins.solvers`: they take a
+``SolverBudget`` and return a ``SolveOutcome``, FOUND with the pair, or
+INCONCLUSIVE (reason "timed_out") once the time cap passes between walk
+chunks or dichotomy steps. A table past ``memory_cap_bytes`` raises
+``ResourceLimitError``, and a broken promise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -48,14 +54,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Pair, Subset
-from .dpbins import (
-    DEFAULT_MEMORY_CAP_BYTES,
-    CountTable,
-    _require_word_rows,
-    _unrank_mask,
-    _walk_bins,
-    build_table,
-)
+from .dpbins import CountTable, _require_word_rows, _TimedOut, _unrank_mask, _walk_bins, build_table
+from .solvers import SolveOutcome, SolverBudget, SolveStatus, _Deadline, _inconclusive, _outcome
 
 __all__ = [
     "QuotientDecomposition",
@@ -65,10 +65,6 @@ __all__ = [
 ]
 
 _FIRST_SCAN = 1 << 10  # first chunk of a doubling collision scan
-
-
-class _Expired(Exception):
-    """The caller's time budget ran out before a pair was found."""
 
 
 def _repeat_masks(
@@ -82,8 +78,8 @@ def _repeat_masks(
 
     Scans in doubling chunks. A stable sort keeps equal sums in scan order,
     so the earliest second occurrence in the scanned prefix is where a
-    sequential scan with a seen-set stops. Raises :class:`_Expired` when
-    ``expired()`` turns true between walk chunks.
+    sequential scan with a seen-set stops. The walk raises
+    ``dpbins._TimedOut`` once ``expired()`` is true between chunks.
     """
     sizes = table.rows[table.n][bins]
     ends = np.cumsum(sizes)
@@ -91,10 +87,7 @@ def _repeat_masks(
     done = 0
     while done < total:
         stop = min(total, 2 * done + _FIRST_SCAN)  # chunks of _FIRST_SCAN, twice that, ...
-        for _, sums in _walk_bins(table, bins, sizes, done, stop, values, modulus):
-            if expired is not None and expired():
-                raise _Expired
-            parts.append(sums)
+        parts.extend(sums for _, sums in _walk_bins(table, bins, sizes, done, stop, values, modulus, expired))
         done = stop
         scanned = np.concatenate(parts)
         order = np.argsort(scanned, kind="stable")
@@ -125,11 +118,7 @@ def find_heavy_bin(items: Sequence[int], p: int, table: CountTable | None = None
     return int(heavy[0]) if heavy.size else p - 1
 
 
-def solve_pigeonhole_equal(
-    items: Sequence[int],
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-    expired: Callable[[], bool] | None = None,
-) -> Pair | None:
+def solve_pigeonhole_equal(items: Sequence[int], budget: SolverBudget | None = None) -> SolveOutcome:
     """Two distinct subsets with the same sum, given sum(items) < 2^n - 1.
 
     Walks one bin of the table mod p = 2^(ceil(n/2)). The chosen bin holds
@@ -140,9 +129,11 @@ def solve_pigeonhole_equal(
 
     The bin is scanned in doubling chunks, and the earliest repeat of the
     scanned prefix is the pair a sequential walk returns. Sums are exact in
-    a word (W < 2^n - 1 <= 2^62). Returns None if ``expired()`` turns true
-    between chunks.
+    a word (W < 2^n - 1 <= 2^62). FOUND with that pair, or INCONCLUSIVE
+    ("timed_out") once ``budget.time_cap_ms`` passes between walk chunks.
     """
+    budget = budget or SolverBudget()
+    deadline = _Deadline(budget.time_cap_ms)
     items = tuple(int(a) for a in items)
     n = len(items)
     total = sum(items)
@@ -151,14 +142,15 @@ def solve_pigeonhole_equal(
     if total >= (1 << n) - 1:
         raise ValueError(f"need sum(items) < 2^n - 1 = {(1 << n) - 1}, got {total}")
     _require_word_rows(n)
+    trace = {"algorithm": "pigeonhole-equal"}
     p = 1 << ((n + 1) // 2)
-    table = build_table(items, p, memory_cap_bytes)
+    table = build_table(items, p, budget.memory_cap_bytes)
     k = find_heavy_bin(items, p, table)
     try:
-        hit = _repeat_masks(table, np.array([k]), table.bin_size(k), expired=expired)
-    except _Expired:
-        return None
-    return Pair(Subset.from_mask(hit[0]), Subset.from_mask(hit[1]))
+        m1, m2 = _repeat_masks(table, np.array([k]), table.bin_size(k), expired=deadline.expired)
+    except _TimedOut:
+        return _inconclusive("timed_out", None, deadline, trace)
+    return _outcome(SolveStatus.FOUND, Pair(Subset.from_mask(m1), Subset.from_mask(m2)), None, deadline, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +238,8 @@ class _ModularContext:
         if over.size:
             return None, int(bins[over[0]])
         span = (j - i) % q1
-        walk = _walk_bins(self.table, bins, sizes, 0, int(sizes.sum()), self.residues, self.q)
+        walk = _walk_bins(self.table, bins, sizes, 0, int(sizes.sum()), self.residues, self.q, self.expired)
         for _, res in walk:
-            if self.expired is not None and self.expired():
-                raise _Expired
             count += int(np.count_nonzero((d.fold(res) - i) % q1 <= span))
         return count, None
 
@@ -269,70 +259,61 @@ class _ModularContext:
         return Pair(Subset.from_mask(hit[0]), Subset.from_mask(hit[1]))
 
 
-def solve_pigeonhole_modular(
-    items: Sequence[int],
-    q: int,
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-    expired: Callable[[], bool] | None = None,
-) -> Pair | None:
+def solve_pigeonhole_modular(items: Sequence[int], q: int, budget: SolverBudget | None = None) -> SolveOutcome:
     """Two distinct subsets with equal sums mod q, for any q <= 2^n - 1.
 
     Cheap exits first: an item divisible by q collides with the empty set,
     and a small q (q1 <= 8n + 4 quotient classes) admits a direct count
     table mod q, where some bin of size >= 2 must exist and its first two
-    subsets collide. Otherwise the quotient-class dichotomy runs: keep
-    halving a class interval whose subset count exceeds its residue count
-    until it is 4n classes wide, then bucket the covering table bins by true
-    residue; a boundary bin too large to walk is bucketed alone instead.
-    The dichotomy returns None if ``expired()`` turns true between walk
-    chunks or halving steps.
+    subsets collide. Otherwise :func:`_dichotomy` runs. FOUND with the
+    pair, or INCONCLUSIVE ("timed_out") once ``budget.time_cap_ms`` passes
+    between the dichotomy's walk chunks or halving steps.
     """
+    budget = budget or SolverBudget()
+    deadline = _Deadline(budget.time_cap_ms)
     items = tuple(int(a) for a in items)
     n = len(items)
     if any(a < 1 for a in items):
         raise ValueError("items must be positive")
     if not 1 <= q <= (1 << n) - 1:
         raise ValueError(f"need 1 <= q <= 2^n - 1 = {(1 << n) - 1}, got {q}")
-
+    trace = {"algorithm": "pigeonhole-modular"}
     residues = [a % q for a in items]
-    for i, r in enumerate(residues):
-        if r == 0:
-            return Pair(Subset.of((i + 1,)), Subset.of(()))
-
-    d = QuotientDecomposition.compute(n, q)
-    if d.q1 <= 8 * n + 4:
-        table = build_table(residues, q, memory_cap_bytes)
+    if 0 in residues:
+        pair = Pair(Subset.of((residues.index(0) + 1,)), Subset.of(()))
+    elif QuotientDecomposition.compute(n, q).q1 <= 8 * n + 4:
+        table = build_table(residues, q, budget.memory_cap_bytes)
         k = int(np.nonzero(table.rows[n] >= 2)[0][0])
-        m1, _ = _unrank_mask(table, k, 1)
-        m2, _ = _unrank_mask(table, k, 2)
-        return Pair(Subset.from_mask(m1), Subset.from_mask(m2))
+        pair = Pair(*(Subset.from_mask(_unrank_mask(table, k, r)[0]) for r in (1, 2)))
+    else:
+        ctx = _ModularContext(residues, q, budget.memory_cap_bytes, deadline.expired)
+        try:
+            pair = _dichotomy(ctx, deadline)
+        except _TimedOut:
+            return _inconclusive("timed_out", None, deadline, trace)
+    return _outcome(SolveStatus.FOUND, pair, None, deadline, trace)
 
-    ctx = _ModularContext(residues, q, memory_cap_bytes, expired)
+
+def _dichotomy(ctx: _ModularContext, deadline: _Deadline) -> Pair:
+    """Keep halving a class interval whose subset count exceeds its residue
+    count until it is 4n classes wide, then bucket the covering table bins
+    by true residue; a boundary bin too large to walk is bucketed alone
+    instead. ``deadline`` is checked before each halving step."""
+    d, n = ctx.decomp, ctx.n
     q1 = d.q1
-    i, j = 0, q1 - 1
-    b = 1 << n
-    beta = q
-    try:
-        while (j - i) % q1 + 1 > 4 * n:
-            if expired is not None and expired():
-                return None
-            w = (j - i) % q1 + 1
-            wl = w // 2
-            mid = (i + wl - 1) % q1
-            left, c = ctx.count_b(i, mid)
-            if c is not None:
-                return ctx.extract(c, c, ctx.boundary_bin_cap)
-            beta_left = d.beta_interval(i, mid)
-            if left > beta_left:
-                j = mid
-                b = left
-                beta = beta_left
-            else:
-                b = b - left
-                beta = beta - beta_left
-                i = (mid + 1) % q1
-            if b <= beta:
-                raise RuntimeError("dichotomy invariant lost")
-        return ctx.extract(i - n, j + n, ctx.final_extract_cap)
-    except _Expired:
-        return None
+    i, j, b, beta = 0, q1 - 1, 1 << n, ctx.q  # classes [i, j], their subsets and residues
+    while (j - i) % q1 + 1 > 4 * n:
+        deadline.check()
+        w = (j - i) % q1 + 1
+        mid = (i + w // 2 - 1) % q1
+        left, c = ctx.count_b(i, mid)
+        if c is not None:
+            return ctx.extract(c, c, ctx.boundary_bin_cap)
+        beta_left = d.beta_interval(i, mid)
+        if left > beta_left:
+            j, b, beta = mid, left, beta_left
+        else:
+            i, b, beta = (mid + 1) % q1, b - left, beta - beta_left
+        if b <= beta:
+            raise RuntimeError("dichotomy invariant lost")
+    return ctx.extract(i - n, j + n, ctx.final_extract_cap)

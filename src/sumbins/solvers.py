@@ -32,6 +32,12 @@ ratios run, and its miss is Inconclusive.
 Numpy sums wrap mod 2^64 whatever the item width, so a match there is only
 a candidate until exact integer arithmetic confirms it. All witnesses are
 re-verified against the instance before being returned.
+
+Every public solver takes a :class:`SolverBudget` and returns a
+:class:`SolveOutcome`. A memory cap raises ``ResourceLimitError`` before
+the work is allocated; a time cap raises the private ``_TimedOut`` between
+walk chunks, join chunks, draws and splits, and each public solver returns
+it as INCONCLUSIVE with reason "timed_out".
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import costmodel, pigeonhole
+from . import costmodel
 from .core import (
     Pair,
     ProblemInstance,
@@ -56,6 +62,7 @@ from .core import (
 from .dpbins import (
     DEFAULT_MEMORY_CAP_BYTES,
     ResourceLimitError,
+    _TimedOut,
     _WALK_CHUNK,
     _WORD_MASK,
     _require_word_rows,
@@ -144,6 +151,11 @@ class _Deadline:
             return False
         return (time.perf_counter() - self.start) * 1000.0 >= self.cap_ms
 
+    def check(self) -> None:
+        """Raise :class:`_TimedOut` once the cap has passed."""
+        if self.expired():
+            raise _TimedOut
+
     def elapsed_ms(self) -> float:
         return (time.perf_counter() - self.start) * 1000.0
 
@@ -173,13 +185,12 @@ def _inconclusive(reason: str, seed: int | None, deadline: _Deadline, trace: dic
     return _outcome(SolveStatus.INCONCLUSIVE, None, seed, deadline, trace)
 
 
-def _half_sums(items: Sequence[int], positions: Sequence[int], deadline: _Deadline) -> list[int] | None:
-    """Subset sums of the given positions, indexed by local mask (doubling),
-    or None once ``deadline`` has passed between doublings."""
+def _half_sums(items: Sequence[int], positions: Sequence[int], deadline: _Deadline) -> list[int]:
+    """Subset sums of the given positions, indexed by local mask (doubling);
+    ``deadline`` is checked between doublings."""
     sums = [0]
     for pos in positions:
-        if deadline.expired():
-            return None
+        deadline.check()
         a = items[pos]
         sums += [v + a for v in sums]
     return sums
@@ -242,16 +253,17 @@ def solve_subset_sum_mitm(
         return _outcome(SolveStatus.FOUND, Subset.of(()), None, deadline, trace)
     keys1 = _half_sums_vec(items, range(h1))
     needs2 = np.uint64(target & _WORD_MASK) - _half_sums_vec(items, range(h1, n))
-    hit, timed_out = _join_pair_states(
-        items, target, keys1, _chunks(needs2), 1, lambda i: (i, 0), lambda j: (j << h1, 0), deadline
-    )
-    if hit is not None:
-        trace["scanned"] = hit[0] + 1
-        return _outcome(SolveStatus.FOUND, hit[1].s1, None, deadline, trace)
-    if timed_out:
+    try:
+        hit = _join_pair_states(
+            items, target, keys1, _chunks(needs2), 1, lambda i: (i, 0), lambda j: (j << h1, 0), deadline
+        )
+    except _TimedOut:
         return _inconclusive("timed_out", None, deadline, trace)
-    trace["scanned"] = int(needs2.size)
-    return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
+    if hit is None:
+        trace["scanned"] = int(needs2.size)
+        return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
+    trace["scanned"] = hit[0] + 1
+    return _outcome(SolveStatus.FOUND, hit[1].s1, None, deadline, trace)
 
 
 # Bytes per first-half entry of the modular mitm beside two ints (a sum and its
@@ -276,29 +288,27 @@ def solve_modular_subset_sum_mitm(
     per = _MODULAR_ENTRY_BYTES + 2 * (32 + 4 * (sum(items).bit_length() // 30))
     _require_bytes(per, 1 << h1, budget.memory_cap_bytes, "first-half entries")
     trace = {"algorithm": "modular-mitm", "halves": [h1, n - h1], "scanned": 0}
-    sums1 = _half_sums(items, range(h1), deadline)
-    if sums1 is None:
-        return _inconclusive("timed_out", None, deadline, trace)
     first: dict[int, int] = {}
-    for mask, v in enumerate(sums1):
-        r = v % q
-        if r not in first:
-            first[r] = mask
-        if mask % 4096 == 0 and deadline.expired():
-            return _inconclusive("timed_out", None, deadline, trace)
-    sums2 = _half_sums(items, range(h1, n), deadline)
-    if sums2 is None:
+    try:
+        for mask, v in enumerate(_half_sums(items, range(h1), deadline)):
+            r = v % q
+            if r not in first:
+                first[r] = mask
+            if mask % 4096 == 0:
+                deadline.check()
+        sums2 = _half_sums(items, range(h1, n), deadline)
+        for mask2, v2 in enumerate(sums2):
+            mask1 = first.get((target - v2) % q)
+            if mask1 is not None:
+                trace["scanned"] = mask2 + 1
+                witness = Subset.from_mask(mask1 | (mask2 << h1))
+                _check_witness(sum(items[i - 1] for i in witness.indices) % q == target % q)
+                return _outcome(SolveStatus.FOUND, witness, None, deadline, trace)
+            if mask2 % 4096 == 0:
+                trace["scanned"] = mask2 + 1
+                deadline.check()
+    except _TimedOut:
         return _inconclusive("timed_out", None, deadline, trace)
-    for mask2, v2 in enumerate(sums2):
-        mask1 = first.get((target - v2) % q)
-        if mask1 is not None:
-            trace["scanned"] = mask2 + 1
-            witness = Subset.from_mask(mask1 | (mask2 << h1))
-            _check_witness(sum(items[i - 1] for i in witness.indices) % q == target % q)
-            return _outcome(SolveStatus.FOUND, witness, None, deadline, trace)
-        if mask2 % 4096 == 0 and deadline.expired():
-            trace["scanned"] = mask2 + 1
-            return _inconclusive("timed_out", None, deadline, trace)
     trace["scanned"] = len(sums2)
     return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
 
@@ -316,6 +326,8 @@ def _sample_random_subsets(
     deadline: _Deadline,
 ) -> tuple[int | None, int]:
     """Try ``count`` uniform random subsets; return (hit mask or None, tried).
+    Past ``deadline`` it stops after the current chunk, and the caller's
+    next check ends the solve.
 
     Masks are drawn a chunk at a time as 64-bit words, and the chunk's
     subset sums mod 2^64 come from one gather per byte of the mask: byte b
@@ -373,63 +385,56 @@ def solve_subset_sum_rep(
 
     Every solution lies in bin (target mod p), so a draw that exhausts that
     bin without a hit settles NOT_FOUND. Draws that overflow the enumeration
-    cap n^2 * 2^(ceil(n/2)) only ever yield INCONCLUSIVE.
+    cap n^2 * 2^(ceil(n/2)) only ever yield INCONCLUSIVE. The bin walk needs
+    machine-word table rows, so n > 62 raises :class:`ResourceLimitError`
+    on entry, before any sampling.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
     items = tuple(items)
     n = len(items)
+    _require_word_rows(n)
     rng = as_rng(seed, "subset-rep")
-    trace: dict = {"algorithm": "subset-sum-rep", "samples": 0, "draws": [], "draws_dropped": 0}
+    trace: dict = {"algorithm": "subset-sum-rep", "samples": 0, "draws": [], "draws_dropped": 0, "draw_count": 0}
 
     sample_cap = min(budget.resolved_sample_cap(n), _ceil_half_pow(n))
-    hit, tried = _sample_random_subsets(items, target, rng, sample_cap, deadline)
-    trace["samples"] = tried
+    hit, trace["samples"] = _sample_random_subsets(items, target, rng, sample_cap, deadline)
     if hit is not None:
-        witness = Subset.from_mask(hit)
-        return _outcome(SolveStatus.FOUND, witness, seed, deadline, trace)
+        return _outcome(SolveStatus.FOUND, Subset.from_mask(hit), seed, deadline, trace)
 
     half_bits = (n + 1) // 2
     enum_cap = n * n * (1 << half_bits)
-    repeats = budget.resolved_repeat_cap(n)
-    draws_done = 0
-    for r in range(repeats):
-        if deadline.expired():
-            break
-        _require_word_rows(n)
-        p = random_prime(1 << half_bits, 1 << (half_bits + 1), derive_seed(seed, "subset-rep-prime", r))
-        k = target % p
-        table = build_table(items, p, budget.memory_cap_bytes)
-        size = table.bin_size(k)
-        scan = min(size, enum_cap)
-        record = {"p": p, "k": k, "bin_size": size, "enumerated": scan}
-        _record_draw(trace, record)
-        draws_done += 1
-        # Chunked vector scan; candidate sums match mod 2^64, and each
-        # candidate rank is re-unranked and confirmed exactly, so the first
-        # confirmed rank is the first solution of the bin in chi order.
-        tgt = np.uint64(target & _WORD_MASK)
-        for done, sums_c in _walk_bins(table, np.array([k]), np.array([scan]), 0, scan):
-            for off in np.nonzero(sums_c == tgt)[0]:
-                rank = done + int(off) + 1
-                mask, value = _unrank_mask(table, k, rank)
-                if value == target:
-                    record["enumerated"] = rank
-                    witness = Subset.from_mask(mask)
-                    trace["draw_count"] = draws_done
-                    return _outcome(SolveStatus.FOUND, witness, seed, deadline, trace)
-            done += sums_c.size
-            if done < scan and deadline.expired():
-                record["enumerated"] = done
-                trace["draw_count"] = draws_done
-                return _inconclusive("timed_out", seed, deadline, trace)
-        if scan == size:
-            # The whole bin holding every possible solution was checked.
-            trace["draw_count"] = draws_done
-            trace["definitive_draw"] = r
-            return _outcome(SolveStatus.NOT_FOUND, None, seed, deadline, trace)
-    trace["draw_count"] = draws_done
-    return _inconclusive("timed_out" if draws_done < repeats else "repeat_cap", seed, deadline, trace)
+    tgt = np.uint64(target & _WORD_MASK)
+    try:
+        for r in range(budget.resolved_repeat_cap(n)):
+            deadline.check()
+            p = random_prime(1 << half_bits, 1 << (half_bits + 1), derive_seed(seed, "subset-rep-prime", r))
+            k = target % p
+            table = build_table(items, p, budget.memory_cap_bytes)
+            size = table.bin_size(k)
+            scan = min(size, enum_cap)
+            record = {"p": p, "k": k, "bin_size": size, "enumerated": 0}
+            _record_draw(trace, record)
+            trace["draw_count"] = r + 1
+            # Chunked vector scan; candidate sums match mod 2^64, and each
+            # candidate rank is re-unranked and confirmed exactly, so the first
+            # confirmed rank is the first solution of the bin in chi order.
+            walk = _walk_bins(table, np.array([k]), np.array([scan]), 0, scan, expired=deadline.expired)
+            for done, sums_c in walk:
+                for off in np.nonzero(sums_c == tgt)[0]:
+                    rank = done + int(off) + 1
+                    mask, value = _unrank_mask(table, k, rank)
+                    if value == target:
+                        record["enumerated"] = rank
+                        return _outcome(SolveStatus.FOUND, Subset.from_mask(mask), seed, deadline, trace)
+                record["enumerated"] = done + sums_c.size
+            if scan == size:
+                # The whole bin holding every possible solution was checked.
+                trace["definitive_draw"] = r
+                return _outcome(SolveStatus.NOT_FOUND, None, seed, deadline, trace)
+    except _TimedOut:
+        return _inconclusive("timed_out", seed, deadline, trace)
+    return _inconclusive("repeat_cap", seed, deadline, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +509,7 @@ def _ternary_decoder(positions: Sequence[int]):
 def _join_pair_states(
     items: Sequence[int], shift: int, keys1: np.ndarray, needles, twins: int, decode1, decode2,
     deadline: _Deadline,
-) -> tuple[tuple[int, Pair] | None, bool]:
+) -> tuple[int, Pair] | None:
     """First exact shifted pair across two sides of pair states.
 
     Every list match in this module runs on this join: the three
@@ -523,11 +528,11 @@ def _join_pair_states(
     confirmed with exact integers: right states in ascending index, each
     against its left partners with the exact difference in ascending index,
     and the first partner whose union pair is not (S, S) wins. Returns
-    ((right index, pair) or None, timed out).
+    (right index, pair), or None. ``deadline.check()`` runs after the sort
+    and after each needle chunk, for every caller.
     """
     sv = np.sort(keys1)
-    if deadline.expired():
-        return None, True
+    deadline.check()
     order = None  # left states in key order, needed only once a match survives
     groups: dict[int, dict[int, list[tuple[int, int]]]] = {}
     start = 0
@@ -563,11 +568,10 @@ def _join_pair_states(
                     if c1 != c2:
                         pair = Pair(Subset.from_mask(c1), Subset.from_mask(c2))
                         _check_witness(_verify_pair(items, pair, shift))
-                        return (jj, pair), False
+                        return jj, pair
         start += want.size
-        if deadline.expired():
-            return None, True
-    return None, False
+        deadline.check()
+    return None
 
 
 def _chunks(a: np.ndarray):
@@ -628,20 +632,20 @@ def solve_shifted_mitm(
     index2 = np.array(combos2, dtype=np.intp).reshape(len(combos2), t2)
     words = np.array([a & _WORD_MASK for a in items], dtype=np.uint64)
     shift_w = np.uint64(shift & _WORD_MASK)
-    while trace["splits"] < repeats:
-        if deadline.expired():
-            return _inconclusive("timed_out", seed, deadline, trace)
-        perm = rng.sample(range(n), n)
-        left, right = sorted(perm[:h1]), sorted(perm[h1:])
-        trace["splits"] += 1
-        keys1 = _class_states(words[left], index1, t1)
-        needs2 = shift_w - _class_states(words[right], index2, t2)
-        decode1, decode2 = _class_decoder(left, combos1, t1), _class_decoder(right, combos2, t2)
-        hit, timed_out = _join_pair_states(items, shift, keys1, _chunks(needs2), 0, decode1, decode2, deadline)
-        if hit is not None:
-            return _outcome(SolveStatus.FOUND, hit[1], seed, deadline, trace)
-        if timed_out:
-            return _inconclusive("timed_out", seed, deadline, trace)
+    try:
+        while trace["splits"] < repeats:
+            deadline.check()
+            perm = rng.sample(range(n), n)
+            left, right = sorted(perm[:h1]), sorted(perm[h1:])
+            trace["splits"] += 1
+            keys1 = _class_states(words[left], index1, t1)
+            needs2 = shift_w - _class_states(words[right], index2, t2)
+            decode1, decode2 = _class_decoder(left, combos1, t1), _class_decoder(right, combos2, t2)
+            hit = _join_pair_states(items, shift, keys1, _chunks(needs2), 0, decode1, decode2, deadline)
+            if hit is not None:
+                return _outcome(SolveStatus.FOUND, hit[1], seed, deadline, trace)
+    except _TimedOut:
+        return _inconclusive("timed_out", seed, deadline, trace)
     return _inconclusive("repeat_cap", seed, deadline, trace)
 
 
@@ -659,7 +663,7 @@ _REP_ENTRY_BYTES = 40
 
 def _shifted_rep_join(
     items: Sequence[int], shift: int, table, k: int, k2: int, scan1: int, scan2: int, deadline: _Deadline
-) -> tuple[Pair | None, bool]:
+) -> Pair | None:
     """The pair-state join (:func:`_join_pair_states`) of one
     :func:`solve_shifted_rep` draw: ranks 1..scan1 of bin k against ranks
     1..scan2 of bin k2.
@@ -672,18 +676,17 @@ def _shifted_rep_join(
     bin once and the needles are taken from the keys. At k2 == k bin-k rank
     r has bin-k2 rank r, the same subset, as its twin, so a rank that meets
     only itself is dropped unranked. The pair returned is the first exact
-    one by bin-k rank, then bin-k2 rank. Returns (pair or None, timed out).
+    one by bin-k rank, then bin-k2 rank, or None. The walk and the join
+    check ``deadline`` between chunks.
     """
     if not scan2:
-        return None, False
+        return None
     once = k2 == k and scan1 == scan2
     bins, scans = ([k2], [scan2]) if once else ([k2, k], [scan2, scan1])
-    walk = _walk_bins(table, np.array(bins), np.array(scans), 0, sum(scans))
+    walk = _walk_bins(table, np.array(bins), np.array(scans), 0, sum(scans), expired=deadline.expired)
     parts, rest = [], []
     for done, sums in walk:
         parts.append(sums[: scan2 - done])
-        if deadline.expired():
-            return None, True
         if done + sums.size > scan2:  # bin k starts inside this chunk
             rest.append(sums[scan2 - done :])
             break
@@ -691,13 +694,13 @@ def _shifted_rep_join(
     shift_w = np.uint64(shift & _WORD_MASK)
     tail = _chunks(key2) if once else chain(rest, (sums for _, sums in walk))
     needles = (keys - shift_w for keys in tail)
-    hit, timed_out = _join_pair_states(
+    hit = _join_pair_states(
         items, shift, key2, needles, min(scan1, scan2) if k2 == k else 0,
         lambda r: (0, _unrank_mask(table, k2, r + 1)[0]),
         lambda r: (_unrank_mask(table, k, r + 1)[0], 0),
         deadline,
     )
-    return (None if hit is None else hit[1]), timed_out
+    return None if hit is None else hit[1]
 
 
 def solve_shifted_rep(
@@ -747,27 +750,27 @@ def solve_shifted_rep(
         "draw_count": 0,
     }
     seen: dict = {}  # (p, k) -> the record of the draw that joined that bin pair
-    for r in range(budget.resolved_repeat_cap(n)):
-        if deadline.expired():
-            return _inconclusive("timed_out", seed, deadline, trace)
-        p = random_prime(1 << bn_bits, 1 << (bn_bits + 1), derive_seed(seed, "shifted-rep-prime", t, r))
-        k = random_residue(p, derive_seed(seed, "shifted-rep-residue", t, r))
-        trace["draw_count"] = r + 1
-        if (p, k) in seen:
-            trace["repeats_skipped"] += 1
+    try:
+        for r in range(budget.resolved_repeat_cap(n)):
+            deadline.check()
+            p = random_prime(1 << bn_bits, 1 << (bn_bits + 1), derive_seed(seed, "shifted-rep-prime", t, r))
+            k = random_residue(p, derive_seed(seed, "shifted-rep-residue", t, r))
+            trace["draw_count"] = r + 1
+            if (p, k) in seen:
+                trace["repeats_skipped"] += 1
+                _record_draw(trace, seen[p, k])
+                continue
+            table, k2 = build_table(items, p, cap), (k - shift) % p
+            bins = [table.bin_size(k), table.bin_size(k2)]
+            room = (cap - estimate_table_bytes(n, p)) // _REP_ENTRY_BYTES
+            scans = [min(bins[0], enum_cap), min(bins[1], enum_cap, room)]
+            seen[p, k] = {"p": p, "k": k, "bins": bins, "enumerated": scans}
             _record_draw(trace, seen[p, k])
-            continue
-        table, k2 = build_table(items, p, cap), (k - shift) % p
-        bins = [table.bin_size(k), table.bin_size(k2)]
-        room = (cap - estimate_table_bytes(n, p)) // _REP_ENTRY_BYTES
-        scans = [min(bins[0], enum_cap), min(bins[1], enum_cap, room)]
-        seen[p, k] = {"p": p, "k": k, "bins": bins, "enumerated": scans}
-        _record_draw(trace, seen[p, k])
-        pair, timed_out = _shifted_rep_join(items, shift, table, k, k2, *scans, deadline)
-        if pair is not None:
-            return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
-        if timed_out:
-            return _inconclusive("timed_out", seed, deadline, trace)
+            pair = _shifted_rep_join(items, shift, table, k, k2, *scans, deadline)
+            if pair is not None:
+                return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
+    except _TimedOut:
+        return _inconclusive("timed_out", seed, deadline, trace)
     return _inconclusive("repeat_cap", seed, deadline, trace)
 
 
@@ -805,12 +808,13 @@ def solve_shifted_exhaustive(
     keys1 = _all_states([items[p] & _WORD_MASK for p in left])
     needs2 = np.uint64(shift & _WORD_MASK) - _all_states([items[p] & _WORD_MASK for p in right])
     decode1, decode2 = _ternary_decoder(left), _ternary_decoder(right)
-    hit, timed_out = _join_pair_states(items, shift, keys1, _chunks(needs2), 1, decode1, decode2, deadline)
-    if hit is not None:
-        return _outcome(SolveStatus.FOUND, hit[1], None, deadline, trace)
-    if timed_out:
+    try:
+        hit = _join_pair_states(items, shift, keys1, _chunks(needs2), 1, decode1, decode2, deadline)
+    except _TimedOut:
         return _inconclusive("timed_out", None, deadline, trace)
-    return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
+    if hit is None:
+        return _outcome(SolveStatus.NOT_FOUND, None, None, deadline, trace)
+    return _outcome(SolveStatus.FOUND, hit[1], None, deadline, trace)
 
 
 def solve_shifted(
@@ -869,8 +873,7 @@ def solve_shifted(
         for t in range(n - 1, 0, -1):
             if t in skipped:
                 continue
-            if deadline.expired():
-                return _inconclusive("timed_out", seed, deadline, trace)
+            deadline.check()
             ratio = t / n
             child_seed = derive_seed(seed, "dispatch", t)
             rep = lo <= ratio < hi
@@ -890,17 +893,19 @@ def solve_shifted(
                 return _outcome(SolveStatus.FOUND, sub.witness, seed, deadline, trace)
         return None
 
-    out = run_classes("probe", {"repeat_cap": 1})
-    if out is not None:
-        return out
-    if deadline.expired():
-        return _inconclusive("timed_out", seed, deadline, trace)
     try:
-        final = solve_shifted_exhaustive(items, shift, phase_budget())
-    except ResourceLimitError:
-        # Too many pair states: only the sweep is left, and its miss proves nothing.
-        out = run_classes("sweep", {}) if budget.resolved_repeat_cap(n) > 1 else None
-        return out or _inconclusive("exhaustive_skipped", seed, deadline, trace)
+        out = run_classes("probe", {"repeat_cap": 1})
+        if out is not None:
+            return out
+        deadline.check()
+        try:
+            final = solve_shifted_exhaustive(items, shift, phase_budget())
+        except ResourceLimitError:
+            # Too many pair states: only the sweep is left, and its miss proves nothing.
+            out = run_classes("sweep", {}) if budget.resolved_repeat_cap(n) > 1 else None
+            return out or _inconclusive("exhaustive_skipped", seed, deadline, trace)
+    except _TimedOut:
+        return _inconclusive("timed_out", seed, deadline, trace)
     record("all", "exhaustive", final.trace["algorithm"], final.status.value, final.elapsed_ms)
     if final.status is SolveStatus.INCONCLUSIVE:
         return _inconclusive("timed_out", seed, deadline, trace)
@@ -960,12 +965,14 @@ def solve_instance(
     algo: str = "auto",
     ratio: float | None = None,
 ) -> SolveOutcome:
-    """Route an instance to a solver and re-verify any witness.
+    """Route an instance to one solver call and re-verify any witness.
 
-    ``algo`` narrows the choice: "mitm", "rep", "exhaustive", "brute"
-    (small-n oracle, refuses above its cap), or "auto"; any other is a
-    ValueError.
-    ``ratio`` pins the size class for the shifted single-class solvers.
+    Every solver it reaches, the two pigeonhole solvers included, takes
+    ``budget`` and returns its own :class:`SolveOutcome`, which is passed
+    on with ``seed`` set. ``algo`` narrows the choice: "mitm", "rep",
+    "exhaustive", "brute" (small-n oracle, refuses above its cap), or
+    "auto"; any other is a ValueError. ``ratio`` pins the size class for
+    the shifted single-class solvers.
     """
     if algo not in ALGOS:
         raise ValueError(f"algo must be one of {', '.join(ALGOS)}, got {algo!r}")
@@ -999,18 +1006,12 @@ def solve_instance(
     elif v == "two_subset_sum":
         out = solve_two_subset_sum(items, instance.target, seed, budget)
     elif v in ("pigeonhole_equal", "pigeonhole_modular"):
-        budget = budget or SolverBudget()
-        deadline = _Deadline(budget.time_cap_ms)
-        cap = budget.memory_cap_bytes
+        from . import pigeonhole  # it imports this module's contract names
+
         if v == "pigeonhole_equal":
-            pair = pigeonhole.solve_pigeonhole_equal(items, cap, deadline.expired)
+            out = pigeonhole.solve_pigeonhole_equal(items, budget)
         else:
-            pair = pigeonhole.solve_pigeonhole_modular(items, instance.modulus, cap, deadline.expired)
-        trace = {"algorithm": v.replace("_", "-")}
-        if pair is None:
-            out = _inconclusive("timed_out", seed, deadline, trace)
-        else:
-            out = _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
+            out = pigeonhole.solve_pigeonhole_modular(items, instance.modulus, budget)
     else:
         raise ValueError(f"no solver for variant {v!r}")
     if out.found and not verify(instance, out.witness):

@@ -279,11 +279,11 @@ def test_acceptance_3_pigeonhole_totality():
     # Dense equal-sums sweep: boundary families plus random compositions.
     for n in range(2, 13):
         for items in _equal_boundary_sets(n):
-            _check_equal_pair(items, solve_pigeonhole_equal(items))
+            _check_equal_pair(items, solve_pigeonhole_equal(items).witness)
             equal_solved += 1
         for _ in range(40):
             items = _random_equal_items(rng, n)
-            _check_equal_pair(items, solve_pigeonhole_equal(items))
+            _check_equal_pair(items, solve_pigeonhole_equal(items).witness)
             equal_solved += 1
 
     # Dense modular sweep: every modulus at small n, boundary plus sampled
@@ -301,7 +301,7 @@ def test_acceptance_3_pigeonhole_totality():
         ]
         for q in qs:
             items = items_pool[q % len(items_pool)]
-            pair = solve_pigeonhole_modular(items, q)
+            pair = solve_pigeonhole_modular(items, q).witness
             _check_modular_pair(items, q, pair)
             _check_modular_pair(items, q, pigeonhole_mitm_check(items, q))
             mod_solved += 1
@@ -310,13 +310,13 @@ def test_acceptance_3_pigeonhole_totality():
     for _ in range(250):
         n = rng.randint(2, 20)
         items = _random_equal_items(rng, n)
-        _check_equal_pair(items, solve_pigeonhole_equal(items))
+        _check_equal_pair(items, solve_pigeonhole_equal(items).witness)
         equal_solved += 1
     for _ in range(250):
         n = rng.randint(2, 20)
         items = _random_items(rng, n, 1 << (2 * n))
         q = rng.randint(1, 2**n - 1)
-        pair = solve_pigeonhole_modular(items, q)
+        pair = solve_pigeonhole_modular(items, q).witness
         _check_modular_pair(items, q, pair)
         _check_modular_pair(items, q, pigeonhole_mitm_check(items, q))
         mod_solved += 1

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -114,3 +115,17 @@ def test_one_sorted_join():
         and (node.attr == "argsort" or (node.attr == "sort" and getattr(node.value, "id", None) == "np"))
     ]
     assert found == []
+
+
+def test_one_solver_contract():
+    # every public solver takes a SolverBudget as ``budget`` and returns a
+    # SolveOutcome, the two pigeonhole solvers included
+    off = []
+    for module in ("solvers", "pigeonhole"):
+        mod = importlib.import_module(f"sumbins.{module}")
+        for name in mod.__all__:
+            if name.startswith("solve_"):
+                sig = inspect.signature(getattr(mod, name))
+                if "budget" not in sig.parameters or sig.return_annotation not in ("SolveOutcome", sumbins.SolveOutcome):
+                    off.append(f"{module}.{name}")
+    assert off == []

@@ -15,6 +15,7 @@ from sumbins.pigeonhole import (
     solve_pigeonhole_equal,
     solve_pigeonhole_modular,
 )
+from sumbins.solvers import SolverBudget, SolveStatus
 
 
 def S(*indices):
@@ -82,15 +83,15 @@ class TestFindHeavyBin:
 class TestPigeonholeEqual:
     def test_four_items(self):
         items = (1, 2, 3, 4)
-        pair = solve_pigeonhole_equal(items)
+        pair = solve_pigeonhole_equal(items).witness
         assert verify(ProblemInstance("pigeonhole_equal", items), pair)
 
     def test_three_items(self):
-        pair = solve_pigeonhole_equal((1, 2, 3))
+        pair = solve_pigeonhole_equal((1, 2, 3)).witness
         assert {pair.s1, pair.s2} == {S(3), S(1, 2)}
 
     def test_duplicates_collide(self):
-        pair = solve_pigeonhole_equal((3, 3, 1, 2))
+        pair = solve_pigeonhole_equal((3, 3, 1, 2)).witness
         items = (3, 3, 1, 2)
         assert mask_sum(items, pair.s1.mask()) == mask_sum(items, pair.s2.mask())
         assert pair.s1 != pair.s2
@@ -113,7 +114,7 @@ class TestPigeonholeEqual:
                     budget_left -= a
                 if sum(items) >= (1 << n) - 1:
                     continue
-                pair = solve_pigeonhole_equal(items)
+                pair = solve_pigeonhole_equal(items).witness
                 inst = ProblemInstance("pigeonhole_equal", items)
                 assert verify(inst, pair), items
 
@@ -237,23 +238,23 @@ class TestCountBInterval:
             items += [rng.randrange(1, 1 << 32) for _ in range(wide)]
             rng.shuffle(items)
             inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
-            assert verify(inst, solve_pigeonhole_modular(items, q)), (items, q)
+            assert verify(inst, solve_pigeonhole_modular(items, q).witness), (items, q)
         assert len(seen) >= 20
 
 
 class TestPigeonholeModular:
     def test_hand_cases(self):
         inst = ProblemInstance("pigeonhole_modular", (1, 2, 3, 4), modulus=15)
-        assert verify(inst, solve_pigeonhole_modular((1, 2, 3, 4), 15))
+        assert verify(inst, solve_pigeonhole_modular((1, 2, 3, 4), 15).witness)
         inst = ProblemInstance("pigeonhole_modular", (1, 2, 3), modulus=7)
-        assert verify(inst, solve_pigeonhole_modular((1, 2, 3), 7))
+        assert verify(inst, solve_pigeonhole_modular((1, 2, 3), 7).witness)
 
     def test_zero_residue_shortcut(self):
-        pair = solve_pigeonhole_modular((5, 14, 9), 7)
+        pair = solve_pigeonhole_modular((5, 14, 9), 7).witness
         assert pair == Pair(S(2), S())
 
     def test_q_one(self):
-        pair = solve_pigeonhole_modular((5, 9), 1)
+        pair = solve_pigeonhole_modular((5, 9), 1).witness
         assert pair.s1 != pair.s2
 
     def test_modulus_window(self):
@@ -267,7 +268,7 @@ class TestPigeonholeModular:
         n = 16
         items = [rng.randrange(1, 256) for _ in range(n)]
         q = 140 * 256 + 3
-        pair = solve_pigeonhole_modular(items, q)
+        pair = solve_pigeonhole_modular(items, q).witness
         inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
         assert verify(inst, pair)
 
@@ -291,7 +292,7 @@ class TestPigeonholeModular:
             items = [rng.randrange(1, 1 << 32) for _ in range(n)]
             steps.clear()
             inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
-            assert verify(inst, solve_pigeonhole_modular(items, q)), (items, q)
+            assert verify(inst, solve_pigeonhole_modular(items, q).witness), (items, q)
             q1 = QuotientDecomposition.compute(n, q).q1
             for (i, mid, moved), (i_next, _, _) in zip(steps, steps[1:]):
                 assert i_next == ((mid + 1) % q1 if moved else i)
@@ -304,7 +305,7 @@ class TestPigeonholeModular:
             n = rng.randrange(8, 14)
             q = rng.randrange(2, 8 * n + 4)
             items = [rng.randrange(1, q) for _ in range(n)]
-            pair = solve_pigeonhole_modular(items, q)
+            pair = solve_pigeonhole_modular(items, q).witness
             inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
             assert verify(inst, pair)
 
@@ -314,7 +315,7 @@ class TestPigeonholeModular:
             n = rng.randrange(2, 17)
             q = rng.randrange(1, 1 << n)
             items = [rng.randrange(1, max(2, 1 << n)) for _ in range(n)]
-            pair = solve_pigeonhole_modular(items, q)
+            pair = solve_pigeonhole_modular(items, q).witness
             inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
             assert verify(inst, pair), (items, q)
 
@@ -325,7 +326,7 @@ class TestPigeonholeModular:
             q = rng.randrange(2, 1 << n)
             items = [rng.randrange(1, 1 << n) for _ in range(n)]
             inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
-            assert verify(inst, solve_pigeonhole_modular(items, q))
+            assert verify(inst, solve_pigeonhole_modular(items, q).witness)
             assert verify(inst, pigeonhole_mitm_check(items, q))
 
 
@@ -354,7 +355,7 @@ class TestGoldenPairs:
     @pytest.mark.parametrize("case", range(len(GOLDEN_PAIRS)))
     def test_same_pair_as_sequential_scan(self, case):
         items, q, s1, s2 = GOLDEN_PAIRS[case]
-        assert solve_pigeonhole_modular(items, q) == Pair(Subset(s1), Subset(s2))
+        assert solve_pigeonhole_modular(items, q).witness == Pair(Subset(s1), Subset(s2))
 
     def test_routes_covered(self):
         # the first halving step of the dichotomy counts [0, q1/2 - 1]
@@ -387,7 +388,7 @@ class TestWordRowLimit:
     def test_direct_route_beyond_word_rows(self):
         items = list(range(1, 71))
         q = 101
-        pair = solve_pigeonhole_modular(items, q)
+        pair = solve_pigeonhole_modular(items, q).witness
         inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
         assert verify(inst, pair)
 
@@ -398,10 +399,12 @@ class TestExpiredBudget:
         n = 16
         items = [rng.randrange(1, 1 << 32) for _ in range(n)]
         q = (1 << n) - 1
-        assert solve_pigeonhole_modular(items, q, expired=lambda: True) is None
-        assert solve_pigeonhole_modular(items, q, expired=lambda: False) is not None
+        out = solve_pigeonhole_modular(items, q, SolverBudget(time_cap_ms=0))
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["reason"] == "timed_out"
+        assert solve_pigeonhole_modular(items, q).found
 
     def test_equal_stops_when_expired(self):
         items = [1] * 12
-        assert solve_pigeonhole_equal(items, expired=lambda: True) is None
-        assert solve_pigeonhole_equal(items, expired=lambda: False) is not None
+        out = solve_pigeonhole_equal(items, SolverBudget(time_cap_ms=0))
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["reason"] == "timed_out"
+        assert solve_pigeonhole_equal(items).found

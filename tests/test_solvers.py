@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -163,16 +164,17 @@ class TestSubsetSumRep:
         b = solve_subset_sum_rep(items, 283, seed=5)
         assert a.status == b.status and a.witness == b.witness
 
-    def test_more_than_64_items(self):
-        items = tuple(range(1, 71))
-        inst = ProblemInstance("subset_sum", items, target=1000)
-        out = solve_instance(inst, algo="rep")
-        assert out.found and verify(inst, out.witness)
-        # 2484 needs every item but the first: sampling misses, and a prime
-        # table of 2^35 bins is out of reach, so the cap ends the search
-        inst = ProblemInstance("subset_sum", items, target=2484)
-        out = solve_instance(inst, algo="rep", budget=SolverBudget(time_cap_ms=200.0))
-        assert out.status is SolveStatus.INCONCLUSIVE
+    def test_refuses_more_than_62_items_before_sampling(self):
+        # The bin walk needs machine-word table rows, so n > 62 is refused
+        # on entry; the sampler's default cap alone is 3.0e9 draws at n = 63.
+        for n in (63, 70):
+            inst = ProblemInstance("subset_sum", tuple(range(1, n + 1)), target=1000)
+            t0 = time.perf_counter()
+            with pytest.raises(ResourceLimitError):
+                solve_subset_sum_rep(inst.items, inst.target)
+            with pytest.raises(ResourceLimitError):
+                solve_instance(inst, algo="rep")
+            assert time.perf_counter() - t0 < 1.0
 
     @staticmethod
     def _bitwise_sampler(items, target, rng, count):
@@ -685,10 +687,7 @@ class TestShiftedRepDraws:
             for shift in (0, p * rng.randrange(1, 20)):
                 for scan2 in (1, scan1 // 3, scan1 - 1):
                     want = _ref_rep_join(table, shift, k, k, scan1, scan2)
-                    pair, timed_out = solvers._shifted_rep_join(
-                        items, shift, table, k, k, scan1, scan2, solvers._Deadline(None)
-                    )
-                    assert not timed_out
+                    pair = solvers._shifted_rep_join(items, shift, table, k, k, scan1, scan2, solvers._Deadline(None))
                     assert (pair and (pair.s1.mask(), pair.s2.mask())) == want
                     found += want is not None
         assert found >= 20
@@ -697,7 +696,7 @@ class TestShiftedRepDraws:
         # n=12, t=9: 48 draws over the bin pairs of primes 11 and 13. Each
         # joined draw walks its two bins in one call; a repeat walks nothing.
         walks, walk = [], solvers._walk_bins
-        monkeypatch.setattr(solvers, "_walk_bins", lambda *a: walks.append(a) or walk(*a))
+        monkeypatch.setattr(solvers, "_walk_bins", lambda *a, **kw: walks.append(a) or walk(*a, **kw))
         rng = random.Random(12)
         for seed in range(4):
             items = tuple(rng.randrange(1, 1 << 36) for _ in range(12))
@@ -748,7 +747,7 @@ class TestShiftedRepDraws:
             size = table.bin_size(k)
             for scan2 in (size, size // 2):
                 join = solvers._shifted_rep_join(items, 0, table, k, k, size, scan2, solvers._Deadline(None))
-                assert join == (None, False)
+                assert join is None
         assert unranked == []
         out = solve_shifted_rep(items, 0, 0.5, seed=2)
         assert out.status is SolveStatus.INCONCLUSIVE and unranked == []
@@ -1364,11 +1363,15 @@ _NO_TIME = SolverBudget(time_cap_ms=0.0)
         (lambda: solve_two_subset_sum((2, 4, 8, 16), 5, 0, _NO_TIME), "timed_out"),
         (lambda: solve_two_subset_sum((2, 4, 8, 16), 5, 0, SolverBudget(memory_cap_bytes=500)), "exhaustive_skipped"),
         (lambda: solve_instance(ProblemInstance("pigeonhole_equal", (1,) * 20), 0, _NO_TIME), "timed_out"),
+        (lambda: pigeonhole.solve_pigeonhole_equal((1,) * 20, _NO_TIME), "timed_out"),
+        # residues 3i + 1 mod 2^16 - 1: no zero, and q1 = 255 takes the dichotomy
+        (lambda: pigeonhole.solve_pigeonhole_modular([(1 << 32) + 3 * i for i in range(1, 17)], (1 << 16) - 1, _NO_TIME),
+         "timed_out"),
     ],
     ids=[
         "subset-mitm", "modular-mitm", "subset-rep", "subset-rep-draws", "shifted-mitm", "shifted-mitm-splits",
         "shifted-rep", "shifted-rep-draws", "exhaustive", "shifted-dispatch", "shifted-dispatch-skipped",
-        "two-subset", "two-subset-skipped", "pigeonhole",
+        "two-subset", "two-subset-skipped", "pigeonhole", "pigeonhole-equal", "pigeonhole-modular",
     ],
 )
 def test_inconclusive_names_its_reason(solve, reason):
@@ -1388,22 +1391,18 @@ _GUARD_RNG = random.Random(40)
 _GUARD_ITEMS = tuple(_GUARD_RNG.randrange(1, 1 << 48) for _ in range(40))
 _GUARD_SMALL = tuple(_GUARD_RNG.randrange(1, 1 << 34) for _ in range(40))  # sum below 2^40 - 1
 _GUARD_T = _GUARD_RNG.randrange(sum(_GUARD_ITEMS))
-_GUARD_SOLVES = {
-    "solve_subset_sum_mitm": lambda: solve_subset_sum_mitm(_GUARD_ITEMS, _GUARD_T, _GUARD),
-    "solve_modular_subset_sum_mitm": lambda: solve_modular_subset_sum_mitm(_GUARD_ITEMS, _GUARD_T, (1 << 47) + 5, _GUARD),
-    "solve_subset_sum_rep": lambda: solve_subset_sum_rep(_GUARD_ITEMS, _GUARD_T, 0, _GUARD),
-    "solve_shifted_mitm": lambda: solve_shifted_mitm(_GUARD_ITEMS, _GUARD_T, 0.5, 0, _GUARD),
-    "solve_shifted_rep": lambda: solve_shifted_rep(_GUARD_ITEMS, _GUARD_T, 0.5, 0, _GUARD),
-    "solve_shifted_exhaustive": lambda: solve_shifted_exhaustive(_GUARD_ITEMS, _GUARD_T, _GUARD),
-    "solve_shifted": lambda: solve_shifted(_GUARD_ITEMS, _GUARD_T, 0, _GUARD),
-    "solve_equal_sums": lambda: solve_equal_sums(_GUARD_ITEMS, 0, _GUARD),
-    "solve_two_subset_sum": lambda: solve_two_subset_sum(_GUARD_ITEMS, _GUARD_T, 0, _GUARD),
-    "solve_pigeonhole_equal": lambda: pigeonhole.solve_pigeonhole_equal(
-        _GUARD_SMALL, _GUARD_CAP, solvers._Deadline(_GUARD.time_cap_ms).expired
-    ),
-    "solve_pigeonhole_modular": lambda: pigeonhole.solve_pigeonhole_modular(
-        _GUARD_ITEMS, (1 << 40) - 1, _GUARD_CAP, solvers._Deadline(_GUARD.time_cap_ms).expired
-    ),
+_GUARD_SOLVES = {  # each takes the budget
+    "solve_subset_sum_mitm": lambda b: solve_subset_sum_mitm(_GUARD_ITEMS, _GUARD_T, b),
+    "solve_modular_subset_sum_mitm": lambda b: solve_modular_subset_sum_mitm(_GUARD_ITEMS, _GUARD_T, (1 << 47) + 5, b),
+    "solve_subset_sum_rep": lambda b: solve_subset_sum_rep(_GUARD_ITEMS, _GUARD_T, 0, b),
+    "solve_shifted_mitm": lambda b: solve_shifted_mitm(_GUARD_ITEMS, _GUARD_T, 0.5, 0, b),
+    "solve_shifted_rep": lambda b: solve_shifted_rep(_GUARD_ITEMS, _GUARD_T, 0.5, 0, b),
+    "solve_shifted_exhaustive": lambda b: solve_shifted_exhaustive(_GUARD_ITEMS, _GUARD_T, b),
+    "solve_shifted": lambda b: solve_shifted(_GUARD_ITEMS, _GUARD_T, 0, b),
+    "solve_equal_sums": lambda b: solve_equal_sums(_GUARD_ITEMS, 0, b),
+    "solve_two_subset_sum": lambda b: solve_two_subset_sum(_GUARD_ITEMS, _GUARD_T, 0, b),
+    "solve_pigeonhole_equal": lambda b: pigeonhole.solve_pigeonhole_equal(_GUARD_SMALL, b),
+    "solve_pigeonhole_modular": lambda b: pigeonhole.solve_pigeonhole_modular(_GUARD_ITEMS, (1 << 40) - 1, b),
 }
 
 
@@ -1416,13 +1415,55 @@ def test_guard_covers_every_public_solver():
 def test_every_solver_honours_memory_cap(name):
     tracemalloc.start()
     try:
-        _GUARD_SOLVES[name]()
+        _GUARD_SOLVES[name](_GUARD)
     except ResourceLimitError:
         pass
     finally:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peak < _GUARD_CAP + _GUARD_SLACK, f"{name} peaked at {peak} bytes"
+
+
+def _stopped_on_time(out) -> bool:
+    """An outcome under an expired time cap: INCONCLUSIVE only with reason "timed_out"."""
+    if not isinstance(out, SolveOutcome):
+        return False
+    return out.status is not SolveStatus.INCONCLUSIVE or out.trace["reason"] == "timed_out"
+
+
+_SMALL_RNG = random.Random(16)
+_SMALL_ITEMS = tuple(_SMALL_RNG.randrange(1, 1 << 48) for _ in range(16))
+_GUARD_INSTANCES = {  # every variant at n = 16, where no solver refuses
+    "subset_sum": ProblemInstance("subset_sum", _SMALL_ITEMS, target=sum(_SMALL_ITEMS) // 2 + 1),
+    "modular_subset_sum": ProblemInstance("modular_subset_sum", _SMALL_ITEMS, target=7, modulus=(1 << 47) + 5),
+    "equal_sums": ProblemInstance("equal_sums", _SMALL_ITEMS),
+    "shifted_sums": ProblemInstance("shifted_sums", _SMALL_ITEMS, shift=12345),
+    "two_subset_sum": ProblemInstance("two_subset_sum", _SMALL_ITEMS, target=12345),
+    "pigeonhole_equal": ProblemInstance("pigeonhole_equal", tuple(range(1, 17))),
+    "pigeonhole_modular": ProblemInstance("pigeonhole_modular", _SMALL_ITEMS, modulus=(1 << 16) - 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARD_SOLVES))
+def test_every_solver_stops_on_time_one_way(name):
+    # time_cap_ms=0 ends in an outcome or a refusal; dpbins._TimedOut never escapes
+    try:
+        out = _GUARD_SOLVES[name](replace(_GUARD, time_cap_ms=0.0))
+    except ResourceLimitError:
+        return
+    assert _stopped_on_time(out), name
+
+
+@pytest.mark.parametrize("variant", sorted(_GUARD_INSTANCES))
+@pytest.mark.parametrize("budget", [SolverBudget(time_cap_ms=0.0), replace(_GUARD, time_cap_ms=0.0)], ids=["default", "guard"])
+def test_solve_instance_stops_on_time_one_way(variant, budget):
+    inst = _GUARD_INSTANCES[variant]
+    assert inst.variant == variant
+    try:
+        out = solve_instance(inst, seed=3, budget=budget)
+    except ResourceLimitError:
+        return
+    assert _stopped_on_time(out), variant
 
 
 class TestWideItems:
