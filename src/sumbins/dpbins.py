@@ -22,7 +22,8 @@ O(n) table lookups and O(n)-word arithmetic: O(n^2) bit operations total.
 Enumeration needs no per-bin cursor state: :func:`enumerate_bin` streams
 any window of a bin alone, and the solvers' batched walk (:func:`_walk_bins`)
 resolves a chunk's top and low items from a split of the items and walks
-only the levels between them rank by rank.
+only the levels between them rank by rank. The walk's top and low lists and
+the meet-in-the-middle halves come from one enumerator, :func:`_subset_sums`.
 """
 
 from __future__ import annotations
@@ -186,36 +187,41 @@ def _require_word_rows(n: int) -> None:
         )
 
 
-def _addends(table: CountTable, values: Sequence[int] | None, modulus: int) -> list:
+def _addends(table: CountTable, values: Sequence[int] | None, modulus: int) -> np.ndarray:
     """What a walk adds per item taken: ``values`` given a modulus, else the items mod 2^64."""
-    return [np.int64(v) for v in values] if modulus else [np.uint64(a & _WORD_MASK) for a in table.items]
+    words = values if modulus else [a & _WORD_MASK for a in table.items]
+    return np.array(words, dtype=np.int64 if modulus else np.uint64)
 
 
-def _doubled(sums: np.ndarray, y, q: int) -> np.ndarray:
-    """Subset sums of one more item y: ``sums``, then sums + y (mod q, or mod 2^64 for q = 0)."""
-    more = sums + y
-    if q:
-        more -= q * (more >= q)
-    return np.concatenate((sums, more))
+def _subset_sums(values: np.ndarray, q: int = 0) -> np.ndarray:
+    """Subset sums of ``values[..., i]`` by mask: entry sum(2^i, i in S) holds
+    S's sum. Built in place, one doubling per item; leading axes are
+    independent lists. Given q, values lie in [0, q) and each step subtracts
+    q once; else the dtype's own arithmetic holds (uint64 wraps mod 2^64)."""
+    h = values.shape[-1]
+    sums = np.zeros((*values.shape[:-1], 1 << h), dtype=values.dtype)
+    for i in range(h):
+        more = sums[..., 1 << i : 2 << i]
+        np.add(sums[..., : 1 << i], values[..., i, None], out=more)
+        if q:
+            more -= q * (more >= q)
+    return sums
 
 
-def _low_part(table: CountTable, L: int, values: Sequence[int] | None, modulus: int, addends: list) -> tuple:
+def _low_part(table: CountTable, L: int, values: Sequence[int] | None, modulus: int) -> tuple:
     """(starts, sums) of the subsets of the first L items sorted by (residue,
     mask) in one sort: those with sum = j (mod p) are sums[starts[j] + r],
-    r = 1 .. rows[L][j]. ``addends`` are the walk's (:func:`_addends`). Kept
-    on the table for the last key asked."""
+    r = 1 .. rows[L][j], summed as :func:`_addends` says. Kept on the table
+    for the last key asked."""
     key = (L, modulus, None if values is None else tuple(values))
     if key not in table.low:
-        res, sums = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=addends[0].dtype)
-        for i in range(L):
-            res = np.concatenate((res, (res + table.mods[i]) % table.p))
-            sums = _doubled(sums, addends[i], modulus)
-        res = np.sort(res << L | np.arange(1 << L))
+        res = _subset_sums(np.array(table.mods[:L], dtype=np.int64), table.p)
+        order = np.sort(res << L | np.arange(1 << L)) & ((1 << L) - 1)
         # the split keeps 2^L below 2^31, so int32 rows suit the starts
         starts = np.cumsum(table.rows[L], dtype=table.rows[L].dtype)
         starts -= table.rows[L] + 1
         table.low.clear()
-        table.low[key] = (starts, sums[res & ((1 << L) - 1)])
+        table.low[key] = (starts, _subset_sums(_addends(table, values, modulus)[:L], modulus)[order])
     return table.low[key]
 
 
@@ -252,8 +258,8 @@ def _bin_sums_batch(
     iota, idx, j, take, scratch, narrow = (w[:count] for w in work or _scratch(count))
     np.copyto(idx, start) if np.ndim(start) else np.add(iota, start, out=idx)
     np.copyto(j, k)
-    addends = addends or _addends(table, values, modulus)
-    sums = np.zeros(count, dtype=addends[0].dtype) if sums is None else sums
+    addends = _addends(table, values, modulus) if addends is None else addends
+    sums = np.zeros(count, dtype=addends.dtype) if sums is None else sums
     # Branch-free steps: ``take`` holds 0/1 words, and a sign shift (x >> 63
     # is -1 exactly when x < 0) turns a comparison into an addend mask.
     # Masked ufuncs (``where=``) are several times slower on random masks.
@@ -327,7 +333,7 @@ def _walk_bins(
 
     The items are split (Horowitz-Sahni): in chi order, bin k is, for each
     subset T of the top m items in turn, the subsets of the rest with
-    residue k - res(T). A doubling enumeration of the T gives each (bin, T)
+    residue k - res(T). :func:`_subset_sums` of the T gives each (bin, T)
     group its residue, sum and size; ranks walk levels n - m .. L + 1 only,
     and the low L items are one gather from :func:`_low_part`.
     :func:`_split_levels` picks (m, L); m = L = 0 walks every level. Every
@@ -340,17 +346,16 @@ def _walk_bins(
     m, L = _split_levels(n, e1 + 1 - e0, hi - lo, table.p)
     # groups (bin, T) of bins e0..e1 in walk order: position after T, T's sum, end
     addends = _addends(table, values, modulus)
-    pos, top = np.array(bins[e0 : e1 + 1], dtype=np.int64)[:, None], np.zeros(1, dtype=addends[0].dtype)
-    for i in range(n - m, n):
-        pos, top = np.concatenate((pos, (pos - table.mods[i]) % table.p), axis=1), _doubled(top, addends[i], modulus)
+    pos, top = np.array(bins[e0 : e1 + 1], dtype=np.int64), _subset_sums(addends[n - m :], modulus)
     gext = ends[e0 : e1 + 1]  # group ends: the bins', or their top parts' cut at the bin's ranks
     if m:
+        pos = (pos[:, None] - _subset_sums(np.array(table.mods[n - m :], dtype=np.int64), table.p)) % table.p
         gext = np.minimum(np.cumsum(table.rows[n - m][pos], axis=1), ranks[e0 : e1 + 1, None])
         gext += (ends - ranks)[e0 : e1 + 1, None]
     # group f holds positions gext[f] .. gext[f + 1] - 1
     gext = np.concatenate(([ends[e0] - ranks[e0]], gext.ravel()))
     gends, gpos, tmask, work = gext[1:], pos.ravel(), (1 << m) - 1, _scratch(min(_WALK_CHUNK, hi - lo))
-    split = (m, L, *(_low_part(table, L, values, modulus, addends) if L else (None, None)), work, addends)
+    split = (m, L, *(_low_part(table, L, values, modulus) if L else (None, None)), work, addends)
     for a in range(lo, hi, _WALK_CHUNK):
         if expired is not None and expired():
             raise _TimedOut

@@ -1,10 +1,9 @@
 """Primality testing and uniform sampling of primes and residues.
 
-Random primes drive two things elsewhere in the package: the residue modulus
+Random primes drive one thing elsewhere in the package: the residue modulus
 of a counting table (a random prime in a dyadic interval makes residue bins
-behave like a universal hash of subset sums) and the modulus used to shrink
-oversized inputs. Both need uniform draws from ``[lo, hi]`` and exact
-primality answers, nothing fancier.
+behave like a universal hash of subset sums). That needs uniform draws from
+``[lo, hi]`` and exact primality answers, nothing fancier.
 
 Policy: below 2**64 the Miller-Rabin test runs a fixed witness set that is
 known to be exact in that range, so answers there are deterministic ground

@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Pair, Subset
-from .dpbins import CountTable, _require_word_rows, _TimedOut, _unrank_mask, _walk_bins, build_table
+from .dpbins import CountTable, ResourceLimitError, _require_word_rows, _TimedOut, _unrank_mask, _walk_bins, build_table
 from .solvers import SolveOutcome, SolverBudget, SolveStatus, _Deadline, _inconclusive, _outcome
 
 __all__ = [
@@ -267,7 +267,9 @@ def solve_pigeonhole_modular(items: Sequence[int], q: int, budget: SolverBudget 
     table mod q, where some bin of size >= 2 must exist and its first two
     subsets collide. Otherwise :func:`_dichotomy` runs. FOUND with the
     pair, or INCONCLUSIVE ("timed_out") once ``budget.time_cap_ms`` passes
-    between the dichotomy's walk chunks or halving steps.
+    between the dichotomy's walk chunks or halving steps. A refused route
+    (``ResourceLimitError``) reruns on the first k = q.bit_length() < n items
+    under the same deadline, at O~(2^(k/2)), with ``trace["prefix"] = k``.
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -279,19 +281,24 @@ def solve_pigeonhole_modular(items: Sequence[int], q: int, budget: SolverBudget 
         raise ValueError(f"need 1 <= q <= 2^n - 1 = {(1 << n) - 1}, got {q}")
     trace = {"algorithm": "pigeonhole-modular"}
     residues = [a % q for a in items]
-    if 0 in residues:
-        pair = Pair(Subset.of((residues.index(0) + 1,)), Subset.of(()))
-    elif QuotientDecomposition.compute(n, q).q1 <= 8 * n + 4:
-        table = build_table(residues, q, budget.memory_cap_bytes)
-        k = int(np.nonzero(table.rows[n] >= 2)[0][0])
-        pair = Pair(*(Subset.from_mask(_unrank_mask(table, k, r)[0]) for r in (1, 2)))
-    else:
-        ctx = _ModularContext(residues, q, budget.memory_cap_bytes, deadline.expired)
+    for m in (n, q.bit_length()):  # q <= 2^m - 1 holds for the first m items too
         try:
-            pair = _dichotomy(ctx, deadline)
+            if 0 in residues:
+                pair = Pair(Subset.of((residues.index(0) + 1,)), Subset.of(()))
+            elif QuotientDecomposition.compute(m, q).q1 <= 8 * m + 4:
+                table = build_table(residues[:m], q, budget.memory_cap_bytes)
+                k = int(np.nonzero(table.rows[m] >= 2)[0][0])
+                pair = Pair(*(Subset.from_mask(_unrank_mask(table, k, r)[0]) for r in (1, 2)))
+            else:
+                ctx = _ModularContext(residues[:m], q, budget.memory_cap_bytes, deadline.expired)
+                pair = _dichotomy(ctx, deadline)
+            return _outcome(SolveStatus.FOUND, pair, None, deadline, trace)
         except _TimedOut:
             return _inconclusive("timed_out", None, deadline, trace)
-    return _outcome(SolveStatus.FOUND, pair, None, deadline, trace)
+        except ResourceLimitError:
+            if m == q.bit_length():
+                raise
+            trace["prefix"] = q.bit_length()
 
 
 def _dichotomy(ctx: _ModularContext, deadline: _Deadline) -> Pair:

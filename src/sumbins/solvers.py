@@ -66,6 +66,7 @@ from .dpbins import (
     _WALK_CHUNK,
     _WORD_MASK,
     _require_word_rows,
+    _subset_sums,
     _unrank_mask,
     _walk_bins,
     build_table,
@@ -196,15 +197,6 @@ def _half_sums(items: Sequence[int], positions: Sequence[int], deadline: _Deadli
     return sums
 
 
-def _half_sums_vec(items: Sequence[int], positions: Sequence[int]) -> np.ndarray:
-    """The same doubling as :func:`_half_sums`, as a uint64 vector of the
-    sums mod 2^64 (items of any width)."""
-    sums = np.zeros(1 << len(positions), dtype=np.uint64)
-    for i, pos in enumerate(positions):
-        np.add(sums[: 1 << i], np.uint64(items[pos] & _WORD_MASK), out=sums[1 << i : 2 << i])
-    return sums
-
-
 def _mask_value(items: Sequence[int], mask: int) -> int:
     """Exact sum of the items selected by a bit mask."""
     v = 0
@@ -251,8 +243,9 @@ def solve_subset_sum_mitm(
     if target == 0:
         trace["scanned"] = 1
         return _outcome(SolveStatus.FOUND, Subset.of(()), None, deadline, trace)
-    keys1 = _half_sums_vec(items, range(h1))
-    needs2 = np.uint64(target & _WORD_MASK) - _half_sums_vec(items, range(h1, n))
+    words = np.array([a & _WORD_MASK for a in items], dtype=np.uint64)
+    keys1 = _subset_sums(words[:h1])
+    needs2 = np.uint64(target & _WORD_MASK) - _subset_sums(words[h1:])
     try:
         hit = _join_pair_states(
             items, target, keys1, _chunks(needs2), 1, lambda i: (i, 0), lambda j: (j << h1, 0), deadline
@@ -331,15 +324,14 @@ def _sample_random_subsets(
 
     Masks are drawn a chunk at a time as 64-bit words, and the chunk's
     subset sums mod 2^64 come from one gather per byte of the mask: byte b
-    indexes a table of the 256 subset sums of items 8b+1 .. 8b+8. Each
+    indexes the subset sums (:func:`_subset_sums`) of items 8b+1 .. 8b+8. Each
     wrapped hit is confirmed exactly, in draw order.
     """
     n = len(items)
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
     tgt = np.uint64(target & _WORD_MASK)
-    bits = np.arange(256, dtype=np.uint64)[:, None] >> np.arange(8, dtype=np.uint64) & np.uint64(1)
-    bytes_ = [bits[:, : len(part)] @ np.array(part, dtype=np.uint64)
-              for part in ([a & _WORD_MASK for a in items[lo : lo + 8]] for lo in range(0, n, 8))]
+    item_words = np.array([a & _WORD_MASK for a in items], dtype=np.uint64)
+    bytes_ = [_subset_sums(item_words[lo : lo + 8]) for lo in range(0, n, 8)]
     size = min(count, 1 << 16)
     acc_w, byte_w, part_w = (np.empty(size, dtype=t) for t in (np.uint64, np.intp, np.uint64))
     tried = 0
@@ -446,8 +438,8 @@ def solve_subset_sum_rep(
 _PAIR_STATE_BYTES = 48
 
 
-def _class_states(words: np.ndarray, combos: np.ndarray, t: int) -> np.ndarray:
-    """Sum differences mod 2^64 of the disjoint pairs of total size t.
+def _class_states(words: np.ndarray, combos: np.ndarray) -> np.ndarray:
+    """Sum differences mod 2^64 of the disjoint pairs of total size t = combos.shape[1].
 
     ``words`` holds one side's item values mod 2^64. The result holds, at
     index u * 2^t + s, sum(S1) - sum(S2) for the pair whose union is
@@ -455,11 +447,8 @@ def _class_states(words: np.ndarray, combos: np.ndarray, t: int) -> np.ndarray:
     member j when bit j of s is set.
     """
     a = words[combos]
-    d = np.empty((len(combos), 1 << t), dtype=np.uint64)
-    d[:, 0] = -a.sum(axis=-1)
-    a += a
-    for j in range(t):
-        np.add(d[:, : 1 << j], a[:, j, None], out=d[:, 1 << j : 2 << j])
+    d = _subset_sums(a + a)
+    d -= a.sum(axis=-1)[:, None]
     return d.ravel()
 
 
@@ -638,8 +627,8 @@ def solve_shifted_mitm(
             perm = rng.sample(range(n), n)
             left, right = sorted(perm[:h1]), sorted(perm[h1:])
             trace["splits"] += 1
-            keys1 = _class_states(words[left], index1, t1)
-            needs2 = shift_w - _class_states(words[right], index2, t2)
+            keys1 = _class_states(words[left], index1)
+            needs2 = shift_w - _class_states(words[right], index2)
             decode1, decode2 = _class_decoder(left, combos1, t1), _class_decoder(right, combos2, t2)
             hit = _join_pair_states(items, shift, keys1, _chunks(needs2), 0, decode1, decode2, deadline)
             if hit is not None:

@@ -240,6 +240,26 @@ class TestUnrank:
             assert list(enumerate_bin(t, k)) == brute_bin(items, p, k)
 
 
+class TestSubsetSums:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_per_mask_sums(self, data):
+        lead = data.draw(st.lists(st.integers(1, 3), max_size=2), label="leading axes")
+        h = data.draw(st.integers(0, 10), label="values per list")
+        if data.draw(st.booleans(), label="mod q"):  # exact residues mod q in int64
+            q = data.draw(st.integers(1, 1 << 62), label="q")
+            cell, dtype, mod = st.integers(0, q - 1), np.int64, q
+        else:  # uint64 values whose sums wrap mod 2^64; h = 0 is the empty list, [0]
+            q, cell, dtype, mod = 0, st.integers(0, (1 << 64) - 1), np.uint64, 1 << 64
+        size = int(np.prod(lead, dtype=np.int64))
+        flat = data.draw(st.lists(st.lists(cell, min_size=h, max_size=h), min_size=size, max_size=size))
+        values = np.array(flat, dtype=dtype).reshape(*lead, h)
+        got = dpbins._subset_sums(values, q)
+        assert got.shape == (*lead, 1 << h) and got.dtype == dtype
+        want = [[sum(v for i, v in enumerate(row) if mask >> i & 1) % mod for mask in range(1 << h)] for row in flat]
+        assert got.reshape(size, 1 << h).tolist() == want
+
+
 class TestBatchWalk:
     def test_word_sums_match_scalar_walk(self):
         rng = random.Random(31)

@@ -4,12 +4,17 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import sumbins
 
 SRC = Path(sumbins.__file__).parent
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def _modules():
@@ -129,3 +134,13 @@ def test_one_solver_contract():
                 if "budget" not in sig.parameters or sig.return_annotation not in ("SolveOutcome", sumbins.SolveOutcome):
                     off.append(f"{module}.{name}")
     assert off == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    # the demos call the public API the way a reader would; an API change
+    # that breaks one shows here instead of in a reader's terminal
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip()

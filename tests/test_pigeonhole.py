@@ -15,7 +15,7 @@ from sumbins.pigeonhole import (
     solve_pigeonhole_equal,
     solve_pigeonhole_modular,
 )
-from sumbins.solvers import SolverBudget, SolveStatus
+from sumbins.solvers import SolverBudget, SolveStatus, solve_instance
 
 
 def S(*indices):
@@ -391,6 +391,39 @@ class TestWordRowLimit:
         pair = solve_pigeonhole_modular(items, q).witness
         inst = ProblemInstance("pigeonhole_modular", items, modulus=q)
         assert verify(inst, pair)
+
+
+class TestPrefixFallback:
+    # q = 33,000,001 gives q1 = 125 <= 8n + 4 at n = 36, so the direct table
+    # mod q (about 9.8 GB) is refused; q < 2^25 holds for the first 25 items.
+    q = 33_000_001
+
+    @staticmethod
+    def instance():
+        rng = random.Random(5)
+        return [rng.randrange(1, 1 << 48) for _ in range(36)]
+
+    def test_refused_table_reruns_on_prefix(self):
+        items, q = self.instance(), self.q
+        out = solve_pigeonhole_modular(items, q)
+        assert out.found and out.trace["prefix"] == 25
+        assert verify(ProblemInstance("pigeonhole_modular", items, modulus=q), out.witness)
+        assert max(out.witness.s1.indices + out.witness.s2.indices) <= 25
+        routed = solve_instance(ProblemInstance("pigeonhole_modular", items, modulus=q))
+        assert routed.found and routed.witness == out.witness
+
+    def test_prefix_keeps_the_deadline(self):
+        out = solve_pigeonhole_modular(self.instance(), self.q, SolverBudget(time_cap_ms=0))
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["reason"] == "timed_out"
+        assert out.trace["prefix"] == 25
+
+    def test_refusal_stands_without_a_shorter_prefix(self):
+        rng = random.Random(6)
+        items = [rng.randrange(1, 1 << 32) for _ in range(20)]
+        with pytest.raises(ResourceLimitError):  # k = n = 20
+            solve_pigeonhole_modular(items, (1 << 20) - 1, SolverBudget(memory_cap_bytes=1 << 10))
+        with pytest.raises(ResourceLimitError):  # the prefix's table is refused too
+            solve_pigeonhole_modular(self.instance(), self.q, SolverBudget(memory_cap_bytes=1 << 10))
 
 
 class TestExpiredBudget:
