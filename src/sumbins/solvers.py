@@ -15,7 +15,8 @@ Two algorithm families:
   and walk the one bin (or pair of bins) that must contain a solution. For
   subset_sum the target pins the bin, so fully enumerating it proves
   NotFound; for shifted sums the bin pair only covers one residue class of
-  solutions and a miss is Inconclusive.
+  solutions and a miss is Inconclusive. Up to n = 17 shifted-rep reads its
+  bins from a list of every subset's residue instead of a table.
 
 Every list match, the three mitm searches and the shifted bin pairs (bin
 k2 ranks as states (empty, S2), bin k ranks as (S1, empty)), runs on one
@@ -51,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import costmodel
+from . import costmodel, dpbins
 from .core import (
     Pair,
     ProblemInstance,
@@ -438,17 +439,23 @@ def solve_subset_sum_rep(
 _PAIR_STATE_BYTES = 48
 
 
-def _class_states(words: np.ndarray, combos: np.ndarray) -> np.ndarray:
+def _class_states(words: np.ndarray, combos: np.ndarray, deadline: _Deadline) -> np.ndarray:
     """Sum differences mod 2^64 of the disjoint pairs of total size t = combos.shape[1].
 
     ``words`` holds one side's item values mod 2^64. The result holds, at
     index u * 2^t + s, sum(S1) - sum(S2) for the pair whose union is
     ``combos[u]`` (positions into ``words``) and whose first set takes union
-    member j when bit j of s is set.
+    member j when bit j of s is set. It is built about a walk chunk of
+    states (at least one union) at a time, with ``deadline.check()`` before
+    each block.
     """
-    a = words[combos]
-    d = _subset_sums(a + a)
-    d -= a.sum(axis=-1)[:, None]
+    t = combos.shape[1]
+    d = np.empty((len(combos), 1 << t), dtype=np.uint64)
+    step = max(1, _WALK_CHUNK >> t)
+    for u in range(0, len(combos), step):
+        deadline.check()
+        a = words[combos[u : u + step]]
+        np.subtract(_subset_sums(a + a), a.sum(axis=-1)[:, None], out=d[u : u + step])
     return d.ravel()
 
 
@@ -517,9 +524,10 @@ def _join_pair_states(
     confirmed with exact integers: right states in ascending index, each
     against its left partners with the exact difference in ascending index,
     and the first partner whose union pair is not (S, S) wins. Returns
-    (right index, pair), or None. ``deadline.check()`` runs after the sort
-    and after each needle chunk, for every caller.
+    (right index, pair), or None. ``deadline.check()`` runs before and
+    after the sort and after each needle chunk, for every caller.
     """
+    deadline.check()
     sv = np.sort(keys1)
     deadline.check()
     order = None  # left states in key order, needed only once a match survives
@@ -627,8 +635,9 @@ def solve_shifted_mitm(
             perm = rng.sample(range(n), n)
             left, right = sorted(perm[:h1]), sorted(perm[h1:])
             trace["splits"] += 1
-            keys1 = _class_states(words[left], index1)
-            needs2 = shift_w - _class_states(words[right], index2)
+            keys1 = _class_states(words[left], index1, deadline)
+            needs2 = _class_states(words[right], index2, deadline)
+            np.subtract(shift_w, needs2, out=needs2)
             decode1, decode2 = _class_decoder(left, combos1, t1), _class_decoder(right, combos2, t2)
             hit = _join_pair_states(items, shift, keys1, _chunks(needs2), 0, decode1, decode2, deadline)
             if hit is not None:
@@ -648,6 +657,12 @@ def solve_shifted_mitm(
 # order, eight each (tracemalloc: 24 B per entry where no match survives,
 # beside ~3.5 MB of walk-chunk temporaries); 40 leaves a word to spare.
 _REP_ENTRY_BYTES = 40
+
+# Bytes per subset of a shifted-rep draw's residue list beside its join: the
+# residues, the bins' masks, keys and needles. The list is taken only when it
+# and a join over all 2^n subsets fit the cap, so the room formula never binds
+# there (tracemalloc: both peaked at 63 B a subset at n = 15, p = 2).
+_LIST_ENTRY_BYTES = 40
 
 
 def _shifted_rep_join(
@@ -707,15 +722,21 @@ def solve_shifted_rep(
     over the two bins, enumerating at most n^2 * 2^((1-b) n) entries per
     bin.
 
-    Draws run one at a time: each builds its prime's table and joins its
-    one bin pair (:func:`_shifted_rep_join`), which holds _REP_ENTRY_BYTES
-    per bin-k2 entry, so the bin-k2 scan is also capped by the room the
-    table leaves under ``memory_cap_bytes``. A miss is only INCONCLUSIVE,
-    so that cap is as sound as the enumeration cap. A draw whose (p, k) an
-    earlier draw of the call already joined is the same search and cannot
-    hit: it builds no table and is not walked again, only counted in
-    ``trace["repeats_skipped"]``. The witness is the first exact pair of
-    the first draw that has one, by bin-k rank, then bin-k2 rank.
+    Draws run one at a time, each joining its one bin pair
+    (:func:`_join_pair_states`), which holds _REP_ENTRY_BYTES per bin-k2
+    entry, so the bin-k2 scan is also capped by the room a table of p
+    leaves under ``memory_cap_bytes``. A miss is only INCONCLUSIVE, so that
+    cap is as sound as the enumeration cap. Up to n = 17, while the list
+    and a join over all 2^n subsets fit that cap, each draw lists every
+    subset's residue mod p by mask (:func:`_subset_sums` of each half) and
+    takes its bins as the masks of residue k and k2. Otherwise it builds its
+    prime's table and walks its bins (:func:`_shifted_rep_join`), the path
+    that scales. Both give the same ranks, pairs and witnesses, since chi
+    order is mask order. A draw whose (p, k) an earlier draw of the call
+    already joined is the same search and cannot hit: it is not joined
+    again, only counted in ``trace["repeats_skipped"]``. The witness is the
+    first exact pair of the first draw that has one, by bin-k rank, then
+    bin-k2 rank.
     ``trace["draw_count"]`` counts the draws (skipped ones too) up to the
     deciding one, and only those get ``draws`` records (at most
     _TRACE_DRAWS, the rest are counted in ``draws_dropped``).
@@ -739,6 +760,13 @@ def solve_shifted_rep(
         "draw_count": 0,
     }
     seen: dict = {}  # (p, k) -> the record of the draw that joined that bin pair
+    # The list up to four walk chunks of subsets, n <= 17, where one listed
+    # draw costs at most a table and walk (at n = 18 it costs more). The
+    # chunk is read per call, so smaller walk chunks list less.
+    listed = 1 << n <= 4 * dpbins._WALK_CHUNK and (_LIST_ENTRY_BYTES + _REP_ENTRY_BYTES) << n <= cap
+    if listed:  # the subset of mask hi << h | lo joins a subset of each half
+        h, words = n // 2, np.array([a & _WORD_MASK for a in items], dtype=np.uint64)
+        hi, lo, shift_w = _subset_sums(words[h:]), _subset_sums(words[:h]), np.uint64(shift & _WORD_MASK)
     try:
         for r in range(budget.resolved_repeat_cap(n)):
             deadline.check()
@@ -749,13 +777,34 @@ def solve_shifted_rep(
                 trace["repeats_skipped"] += 1
                 _record_draw(trace, seen[p, k])
                 continue
-            table, k2 = build_table(items, p, cap), (k - shift) % p
-            bins = [table.bin_size(k), table.bin_size(k2)]
+            k2 = (k - shift) % p
+            if listed:
+                # Residues by mask: the outer sum of the halves' lists mod p,
+                # less p where that does not wrap (a half's sums stay below
+                # 9 * 2^10 in uint16, since p < 2^10 here).
+                mods = np.array([a % p for a in items], dtype=np.uint16)
+                res = np.add.outer(_subset_sums(mods[h:]) % p, _subset_sums(mods[:h]) % p).ravel()
+                np.minimum(res, res - np.uint16(p), out=res)
+                in_k = np.flatnonzero(res == k)
+                in_k2 = in_k if k2 == k else np.flatnonzero(res == k2)
+                bins = [in_k.size, in_k2.size]
+            else:
+                table = build_table(items, p, cap)
+                bins = [table.bin_size(k), table.bin_size(k2)]
             room = (cap - estimate_table_bytes(n, p)) // _REP_ENTRY_BYTES
             scans = [min(bins[0], enum_cap), min(bins[1], enum_cap, room)]
             seen[p, k] = {"p": p, "k": k, "bins": bins, "enumerated": scans}
             _record_draw(trace, seen[p, k])
-            pair = _shifted_rep_join(items, shift, table, k, k2, *scans, deadline)
+            if listed:  # rank r of a bin is the mask in_k[r - 1]
+                in_k, in_k2 = in_k[: scans[0]], in_k2[: scans[1]]
+                key1, key2 = (hi[m >> h] + lo[m & ((1 << h) - 1)] for m in (in_k, in_k2))
+                hit = scans[1] and _join_pair_states(
+                    items, shift, key2, _chunks(key1 - shift_w), min(scans) if k2 == k else 0,
+                    lambda i: (0, int(in_k2[i])), lambda j: (int(in_k[j]), 0), deadline,
+                )
+                pair = hit[1] if hit else None
+            else:
+                pair = _shifted_rep_join(items, shift, table, k, k2, *scans, deadline)
             if pair is not None:
                 return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
     except _TimedOut:

@@ -296,6 +296,14 @@ class TestShiftedMitm:
         assert out.status is SolveStatus.INCONCLUSIVE
         assert out.trace["timed_out"] is True
 
+    def test_time_cap_inside_one_split(self):
+        # t = 39 of 40: one split holds 11.5 M pair states, about 0.2 s to
+        # build and sort, so the cap must stop the state build itself.
+        t0 = time.perf_counter()
+        out = solve_shifted_mitm(tuple(range(1, 41)), 0, 39 / 40, budget=SolverBudget(time_cap_ms=30.0))
+        assert time.perf_counter() - t0 < 3 * 0.030 + 0.050
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["reason"] == "timed_out"
+
 
 # Pure-Python pair-state generators, the reference for the numpy engine.
 
@@ -610,7 +618,8 @@ def _ref_shifted_rep(items, shift, ratio, seed, budget):
         k2 = (k - shift) % p
         table = build_table(items, p)
         bins = [table.bin_size(k), table.bin_size(k2)]
-        scans = [min(b, n * n * heavy) for b in bins]
+        room = (budget.memory_cap_bytes - estimate_table_bytes(n, p)) // solvers._REP_ENTRY_BYTES
+        scans = [min(bins[0], n * n * heavy), min(bins[1], n * n * heavy, room)]
         records.append({"p": p, "k": k, "bins": bins, "enumerated": scans})
         hit = _ref_rep_join(table, shift, k, k2, *scans)
         if hit:
@@ -692,16 +701,86 @@ class TestShiftedRepDraws:
                     found += want is not None
         assert found >= 20
 
-    def test_one_walk_per_joined_draw(self, monkeypatch):
-        # n=12, t=9: 48 draws over the bin pairs of primes 11 and 13. Each
-        # joined draw walks its two bins in one call; a repeat walks nothing.
-        walks, walk = [], solvers._walk_bins
-        monkeypatch.setattr(solvers, "_walk_bins", lambda *a, **kw: walks.append(a) or walk(*a, **kw))
+    @pytest.mark.parametrize("n", [17, 18])
+    @pytest.mark.parametrize("case", ["wide", "shift0", "room"])
+    def test_same_outcome_either_side_of_the_list_size(self, n, case, monkeypatch):
+        # n = 17 reads its bins from the residue list, n = 18 walks a table per
+        # draw; a memory cap that caps the bin-k2 scans leaves no room for
+        # the list, so it walks tables at n = 17 too.
+        tables, build = [], solvers.build_table
+        monkeypatch.setattr(solvers, "build_table", lambda *a: tables.append(a) or build(*a))
+        rng = random.Random(n)
+        budget = SolverBudget(repeat_cap=2 * n)
+        if case == "wide":  # items of 2^64 and up, whose sums collide mod 2^64
+            items = tuple((1 << 64) + rng.randrange(1, 1 << 20) for _ in range(n))
+            shift, t = sum(items[:4]) - sum(items[4:6]), n // 2
+        elif case == "shift0":  # k2 == k
+            items, shift, t = tuple(rng.randrange(1, 1 << 16) for _ in range(n)), 0, n // 2
+        else:
+            items, shift, t = tuple(1 << i for i in range(n)), 0, n - 3  # no pair; p is 11 or 13
+            cap = estimate_table_bytes(n, 13) + 1000 * solvers._REP_ENTRY_BYTES
+            budget = SolverBudget(repeat_cap=8, memory_cap_bytes=cap)
+        status, masks, draw_count, records = _ref_shifted_rep(items, shift, t / n, 0, budget)
+        tables.clear()
+        out = solve_shifted_rep(items, shift, t / n, 0, budget)
+        assert (out.status, _masks(out), out.trace["draw_count"]) == (status, masks, draw_count)
+        assert out.trace["draws"] == records[: solvers._TRACE_DRAWS]
+        assert (tables == []) == (n == 17 and case != "room")
+        if case == "room":
+            assert any(d["enumerated"][1] < d["enumerated"][0] for d in records)
+        else:
+            assert out.found and verify(ProblemInstance("shifted_sums", items, shift=shift), out.witness)
+        if case == "shift0":
+            assert any((d["k"] - shift) % d["p"] == d["k"] for d in records)
+
+    def test_list_path_builds_no_table_and_walks_no_bin(self, monkeypatch):
+        # n=12, t=9 (primes 11 and 13), within the list's size: each counted
+        # draw draws one prime and reads both bins from its residue list,
+        # with no table, no walk and no unrank.
+        calls = []
+        for name in ("random_prime", "build_table", "_walk_bins", "_unrank_mask"):
+            fn = getattr(solvers, name)
+            monkeypatch.setattr(solvers, name, lambda *a, _n=name, _f=fn, **kw: calls.append(_n) or _f(*a, **kw))
         rng = random.Random(12)
         for seed in range(4):
             items = tuple(rng.randrange(1, 1 << 36) for _ in range(12))
+            shift = seed % 2 * 12345
+            status, masks, draw_count, records = _ref_shifted_rep(items, shift, 9 / 12, seed, SolverBudget())
+            calls.clear()
+            out = solve_shifted_rep(items, shift, 9 / 12, seed)
+            assert out.status is status is SolveStatus.INCONCLUSIVE and out.trace["repeats_skipped"] > 0
+            assert out.trace["draws"] == records[: solvers._TRACE_DRAWS]
+            assert calls == ["random_prime"] * out.trace["draw_count"] == ["random_prime"] * draw_count
+
+    def test_list_only_where_it_fits_the_memory_cap(self, monkeypatch):
+        # At n=12 the list and a join over every subset take 80 B a subset,
+        # 320 KiB, far above any table of p in [64, 128) (13 KiB). A cap
+        # below the list walks tables, as every cap did before the list;
+        # the results are the same either way.
+        tables, build = [], solvers.build_table
+        monkeypatch.setattr(solvers, "build_table", lambda *a: tables.append(a) or build(*a))
+        items = tuple(1 << i for i in range(12))
+        listed = (solvers._LIST_ENTRY_BYTES + solvers._REP_ENTRY_BYTES) << 12
+        assert estimate_table_bytes(12, 127) < listed
+        for cap, walked in ((listed, False), (listed - 1, True), (estimate_table_bytes(12, 127), True)):
+            budget = SolverBudget(memory_cap_bytes=cap)
+            status, _, draw_count, records = _ref_shifted_rep(items, 0, 0.5, 0, budget)
+            tables.clear()
+            out = solve_shifted_rep(items, 0, 0.5, 0, budget)
+            assert (out.status, out.trace["draw_count"]) == (status, draw_count)
+            assert out.trace["draws"] == records[: solvers._TRACE_DRAWS]
+            assert bool(tables) is walked
+
+    def test_one_walk_per_joined_draw(self, monkeypatch):
+        # n=18, t=14: 72 draws over the bin pairs of the primes 17 to 31. Each
+        # joined draw walks its two bins in one call; a repeat walks nothing.
+        walks, walk = [], solvers._walk_bins
+        monkeypatch.setattr(solvers, "_walk_bins", lambda *a, **kw: walks.append(a) or walk(*a, **kw))
+        rng = random.Random(18)
+        for seed in range(4):
+            items = tuple(rng.randrange(1, 1 << 54) for _ in range(18))
             walks.clear()
-            out = solve_shifted_rep(items, seed % 2 * 12345, 9 / 12, seed)
+            out = solve_shifted_rep(items, seed % 2 * 12345, 14 / 18, seed)
             assert out.status is SolveStatus.INCONCLUSIVE and out.trace["repeats_skipped"] > 0
             assert all(d["enumerated"][1] > 0 for d in out.trace["draws"])
             assert len(walks) == out.trace["draw_count"] - out.trace["repeats_skipped"]
@@ -793,12 +872,16 @@ class TestShiftedRepDraws:
 
     def test_one_prime_per_draw_and_no_table_for_a_repeat(self, monkeypatch):
         # Classes t=9 and t=11 of an unsolvable n=12 dispatcher solve (primes
-        # 11 and 13, then 2 and 3): each counted draw draws one prime, and only
-        # a draw whose (p, k) no earlier draw joined builds a table.
+        # 11 and 13, then 2 and 3), under a cap below the residue list's bytes
+        # but far above every table and bin, so each draw takes the table
+        # path: each counted draw draws one prime, and only a draw whose
+        # (p, k) no earlier draw joined builds a table.
         rng = random.Random(12)
         items = tuple(rng.randrange(1, 1 << 36) for _ in range(12))
+        budget = SolverBudget(memory_cap_bytes=300_000)
+        assert (solvers._LIST_ENTRY_BYTES + solvers._REP_ENTRY_BYTES) << 12 > budget.memory_cap_bytes
         cases = [(t, derive_seed(0, "dispatch", t)) for t in (9, 11)]
-        refs = [_ref_shifted_rep(items, 0, t / 12, seed, SolverBudget()) for t, seed in cases]
+        refs = [_ref_shifted_rep(items, 0, t / 12, seed, budget) for t, seed in cases]
         calls = []
         prime, build = solvers.random_prime, solvers.build_table
         monkeypatch.setattr(solvers, "random_prime", lambda *a: calls.append("prime") or prime(*a))
@@ -807,7 +890,7 @@ class TestShiftedRepDraws:
             cases, ((29, {11, 13}), (43, {2, 3})), refs
         ):
             calls.clear()
-            out = solve_shifted_rep(items, 0, t / 12, seed)
+            out = solve_shifted_rep(items, 0, t / 12, seed, budget)
             assert out.status is status is SolveStatus.INCONCLUSIVE
             assert calls.count("prime") == out.trace["draw_count"] == draw_count == 48
             assert calls.count("table") == out.trace["draw_count"] - out.trace["repeats_skipped"]
