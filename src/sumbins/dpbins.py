@@ -24,6 +24,11 @@ any window of a bin alone, and the solvers' batched walk (:func:`_walk_bins`)
 resolves a chunk's top and low items from a split of the items and walks
 only the levels between them rank by rank. The walk's top and low lists and
 the meet-in-the-middle halves come from one enumerator, :func:`_subset_sums`.
+
+A walk split at (m, L) reads rows L .. n - m only, so a caller that knows
+its split builds just that band of rows (``build_table(..., band=(L, n - m))``):
+row L is one count of the low subsets' residues, and bin sizes, walks and
+unranks resolve the top items from their subsets' residues.
 """
 
 from __future__ import annotations
@@ -61,7 +66,11 @@ class _TimedOut(Exception):
 
 @dataclass
 class CountTable:
-    """The (n+1) x p count table plus the item data needed to walk it."""
+    """Rows lo..hi of the (n+1) x p count table plus the item data needed to walk it.
+
+    The full table is the band (0, n). A band's rows end at hi, are None below
+    lo, and come with the residues mod p of the subsets of the first lo items
+    (``low_res``) and of the last n - hi items (``top_res``), by mask."""
 
     items: tuple[int, ...]
     p: int
@@ -69,44 +78,60 @@ class CountTable:
     # else int64; object (Python ints) for every row when n > 62.
     rows: list
     mods: tuple[int, ...]  # items reduced mod p, aligned with items
+    lo: int = 0
+    low_res: np.ndarray | None = field(default=None, repr=False, compare=False)
+    top_res: np.ndarray | None = field(default=None, repr=False, compare=False)
     low: dict = field(default_factory=dict, repr=False, compare=False)  # see _low_part
 
     @property
     def n(self) -> int:
         return len(self.items)
 
+    @property
+    def hi(self) -> int:
+        return len(self.rows) - 1
+
     def count(self, i: int, j: int) -> int:
-        """Number of subsets of the first i items with sum = j (mod p)."""
+        """Number of subsets of the first i items with sum = j (mod p); lo <= i <= hi."""
         return int(self.rows[i][j])
 
     def bin_size(self, k: int) -> int:
-        return int(self.rows[self.n][k])
+        """Size of bin k; a band sums rows[hi] over the residues the top subsets leave."""
+        if self.hi == self.n:
+            return int(self.rows[self.n][k])
+        return int(self.rows[self.hi][(k - self.top_res) % self.p].sum())
 
     def bin_sizes(self) -> list[int]:
-        return [int(c) for c in self.rows[self.n]]
+        return [self.bin_size(k) for k in range(self.p)]
 
 
-def estimate_table_bytes(n: int, p: int) -> int:
+def estimate_table_bytes(n: int, p: int, band: tuple[int, int] | None = None) -> int:
     """Planning estimate used for the memory cap check.
 
     Entries are bounded by 2^n, i.e. up to n/8 bytes each, and the fast path
     stores words of at most 8 bytes; the estimate takes the larger of the
     two. It stays a conservative upper bound: rows 0..30 of the fast path
-    take 4 bytes per entry.
+    take 4 bytes per entry. A band (lo, hi) other than (0, n) is charged its
+    hi - lo + 1 rows plus its 2^lo low and 2^(n - hi) top residues.
     """
-    return (n + 1) * p * max(8, n // 8)
+    lo, hi = band or (0, n)
+    lists = (1 << lo) + (1 << (n - hi)) if (lo, hi) != (0, n) else 0
+    return ((hi - lo + 1) * p + lists) * max(8, n // 8)
 
 
 def build_table(
     items: Sequence[int],
     p: int,
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
+    band: tuple[int, int] | None = None,
 ) -> CountTable:
-    """Build the full count table in O(n^2 p) bit operations.
+    """Build the full count table in O(n^2 p) bit operations, or only rows
+    lo..hi of it for ``band`` = (lo, hi).
 
     p may be any positive integer (primality is never required; random primes
     are only a property of how callers pick p). p = 1 degenerates to a single
-    bin holding all 2^n subsets.
+    bin holding all 2^n subsets. A band's row lo is one count of the low
+    subsets' residues, and the recurrence fills rows lo+1..hi from it.
     """
     items = tuple(int(a) for a in items)
     n = len(items)
@@ -116,27 +141,38 @@ def build_table(
         raise ValueError(f"modulus must be positive, got {p}")
     if any(a < 1 for a in items):
         raise ValueError("items must be positive integers")
-    if estimate_table_bytes(n, p) > memory_cap_bytes:
-        raise ResourceLimitError(
-            f"table for n={n}, p={p} needs about {estimate_table_bytes(n, p)} bytes, "
-            f"cap is {memory_cap_bytes}"
-        )
+    lo, hi = band or (0, n)
+    if not 0 <= lo <= hi <= n:
+        raise ValueError(f"band must satisfy 0 <= lo <= hi <= {n}, got {band}")
+    need = estimate_table_bytes(n, p, band)
+    if need > memory_cap_bytes:
+        raise ResourceLimitError(f"table for n={n}, p={p} needs about {need} bytes, cap is {memory_cap_bytes}")
     mods = tuple(a % p for a in items)
 
-    # Row i holds counts up to 2^i, so rows 0..30 fit int32. Fewer bytes
-    # mean fewer first-touch page faults, which are most of a fresh build.
-    # Row n (the bin sizes) stays int64 for every reader. Past n = 62 rows
-    # hold Python ints.
-    big = n > _INT64_SAFE_N
-    rows = [np.zeros(p, dtype=object if big else np.int32)]
-    rows[0][0] = 1
-    for i, sh in enumerate(mods, 1):
-        row, nxt = rows[-1], np.empty(p, dtype=object if big else np.int32 if i <= 30 and i < n else np.int64)
+    low_res = top_res = None
+    if lo:
+        low_res = _subset_sums(np.array(mods[:lo], dtype=np.int64), p)
+        rows = [None] * lo + [np.bincount(low_res, minlength=p).astype(_row_dtype(lo, n), copy=False)]
+    else:
+        rows = [np.zeros(p, dtype=_row_dtype(0, n))]
+        rows[0][0] = 1
+    for i in range(lo + 1, hi + 1):
+        row, nxt, sh = rows[-1], np.empty(p, dtype=_row_dtype(i, n)), mods[i - 1]
         nxt[:sh] = row[p - sh :]
         nxt[sh:] = row[: p - sh]
         nxt += row
         rows.append(nxt)
-    return CountTable(items, p, rows, mods)
+    if hi < n:
+        top_res = _subset_sums(np.array(mods[hi:], dtype=np.int64), p)
+    return CountTable(items, p, rows, mods, lo, low_res, top_res)
+
+
+def _row_dtype(i: int, n: int):
+    """Row i holds counts up to 2^i, so rows 0..30 fit int32. Fewer bytes
+    mean fewer first-touch page faults, which are most of a fresh build.
+    Row n (the bin sizes) stays int64 for every reader. Past n = 62 rows
+    hold Python ints."""
+    return object if n > _INT64_SAFE_N else np.int32 if i <= 30 and i < n else np.int64
 
 
 def compare_chi(s1: Subset, s2: Subset) -> int:
@@ -155,24 +191,37 @@ def _unrank_mask(table: CountTable, k: int, index: int) -> tuple[int, int]:
 
     ``index`` is 1-based within bin k. At step i the count of continuations
     that exclude item i is rows[i-1][j]; an index beyond them takes item i
-    and retargets the residue j by -a_i.
+    and retargets the residue j by -a_i. A band (lo, hi) first picks the
+    top subset whose group (bin size within rows[hi]) holds the index, walks
+    levels hi .. lo + 1, then takes the index-th low subset of residue j.
     """
     rows = table.rows
     mods = table.mods
     items = table.items
     p = table.p
+    lo, hi = table.lo, table.hi
     # Counts are read as Python ints: a NumPy int32 scalar would turn
     # ``index`` into an int32 that overflows past 2^31.
     mask = 0
     value = 0
     j = k
-    for i in range(table.n, 0, -1):
+    if hi < table.n:
+        groups = k - table.top_res
+        groups += p & (groups >> 63)  # mod p: an int64 % is several times slower
+        ends = np.cumsum(rows[hi][groups], dtype=np.int64)
+        top = int(ends.searchsorted(index))
+        index -= int(ends[top - 1]) if top else 0
+        mask, value, j = top << hi, sum(a for i, a in enumerate(items[hi:]) if top >> i & 1), int(groups[top])
+    for i in range(hi, lo, -1):
         without = rows[i - 1].item(j)
         if index > without:
             index -= without
             mask |= 1 << (i - 1)
             value += items[i - 1]
             j = (j - mods[i - 1]) % p
+    if lo:
+        low = int(np.flatnonzero(table.low_res == j)[index - 1])
+        mask, value = mask | low, value + sum(a for i, a in enumerate(items[:lo]) if low >> i & 1)
     return mask, value
 
 
@@ -215,7 +264,7 @@ def _low_part(table: CountTable, L: int, values: Sequence[int] | None, modulus: 
     for the last key asked."""
     key = (L, modulus, None if values is None else tuple(values))
     if key not in table.low:
-        res = _subset_sums(np.array(table.mods[:L], dtype=np.int64), table.p)
+        res = table.low_res if L == table.lo else _subset_sums(np.array(table.mods[:L], dtype=np.int64), table.p)
         order = np.sort(res << L | np.arange(1 << L)) & ((1 << L) - 1)
         # the split keeps 2^L below 2^31, so int32 rows suit the starts
         starts = np.cumsum(table.rows[L], dtype=table.rows[L].dtype)
@@ -336,20 +385,23 @@ def _walk_bins(
     residue k - res(T). :func:`_subset_sums` of the T gives each (bin, T)
     group its residue, sum and size; ranks walk levels n - m .. L + 1 only,
     and the low L items are one gather from :func:`_low_part`.
-    :func:`_split_levels` picks (m, L); m = L = 0 walks every level. Every
-    (m, L) yields the same chunks, on shared scratch.
+    :func:`_split_levels` picks (m, L) for the full table, and a band
+    (L, n - m) walks its own; m = L = 0 walks every level. Every (m, L)
+    yields the same chunks, on shared scratch.
     """
     if hi <= lo:
         return
     n, ends = table.n, np.cumsum(ranks)
     e0, e1 = (int(e) for e in ends.searchsorted((lo, hi - 1), "right"))  # bins holding lo and hi - 1
-    m, L = _split_levels(n, e1 + 1 - e0, hi - lo, table.p)
+    banded = (table.lo, table.hi) != (0, n)  # a band walks its own split
+    m, L = (n - table.hi, table.lo) if banded else _split_levels(n, e1 + 1 - e0, hi - lo, table.p)
     # groups (bin, T) of bins e0..e1 in walk order: position after T, T's sum, end
     addends = _addends(table, values, modulus)
     pos, top = np.array(bins[e0 : e1 + 1], dtype=np.int64), _subset_sums(addends[n - m :], modulus)
     gext = ends[e0 : e1 + 1]  # group ends: the bins', or their top parts' cut at the bin's ranks
     if m:
-        pos = (pos[:, None] - _subset_sums(np.array(table.mods[n - m :], dtype=np.int64), table.p)) % table.p
+        res = table.top_res if banded else _subset_sums(np.array(table.mods[n - m :], dtype=np.int64), table.p)
+        pos = (pos[:, None] - res) % table.p
         gext = np.minimum(np.cumsum(table.rows[n - m][pos], axis=1), ranks[e0 : e1 + 1, None])
         gext += (ends - ranks)[e0 : e1 + 1, None]
     # group f holds positions gext[f] .. gext[f + 1] - 1

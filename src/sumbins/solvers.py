@@ -67,6 +67,7 @@ from .dpbins import (
     _WALK_CHUNK,
     _WORD_MASK,
     _require_word_rows,
+    _split_levels,
     _subset_sums,
     _unrank_mask,
     _walk_bins,
@@ -381,6 +382,11 @@ def solve_subset_sum_rep(
     cap n^2 * 2^(ceil(n/2)) only ever yield INCONCLUSIVE. The bin walk needs
     machine-word table rows, so n > 62 raises :class:`ResourceLimitError`
     on entry, before any sampling.
+
+    A draw builds only the rows its walk reads: the split (m, L) that
+    :func:`dpbins._split_levels` picks for a bin of about 2^n / p ranks
+    gives the band (L, n - m) of the table, and its draw record's ``rows``
+    counts them (n + 1 when the bin is too small to split).
     """
     budget = budget or SolverBudget()
     deadline = _Deadline(budget.time_cap_ms)
@@ -403,10 +409,11 @@ def solve_subset_sum_rep(
             deadline.check()
             p = random_prime(1 << half_bits, 1 << (half_bits + 1), derive_seed(seed, "subset-rep-prime", r))
             k = target % p
-            table = build_table(items, p, budget.memory_cap_bytes)
+            m, L = _split_levels(n, 1, (1 << n) // p, p)
+            table = build_table(items, p, budget.memory_cap_bytes, (L, n - m))
             size = table.bin_size(k)
             scan = min(size, enum_cap)
-            record = {"p": p, "k": k, "bin_size": size, "enumerated": 0}
+            record = {"p": p, "k": k, "bin_size": size, "enumerated": 0, "rows": n - m - L + 1}
             _record_draw(trace, record)
             trace["draw_count"] = r + 1
             # Chunked vector scan; candidate sums match mod 2^64, and each

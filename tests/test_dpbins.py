@@ -152,6 +152,85 @@ class TestNarrowRows:
         assert unrank(whole, 0, (1 << 63) + 1).indices == (64,)
 
 
+class TestBandTable:
+    """Rows lo..hi of the table (a band) against the full table: bin sizes,
+    walk chunks and unranks are the same."""
+
+    @staticmethod
+    def _same_as_full(full, band, bins, modulus, ranks_of):
+        assert band.bin_sizes() == full.bin_sizes()
+        for i in range(band.lo, band.hi + 1):
+            assert band.rows[i].tolist() == full.rows[i].tolist()
+            assert band.rows[i].dtype == full.rows[i].dtype
+        sizes = np.array([full.bin_size(k) for k in bins])
+        values = [a % modulus for a in full.items] if modulus else None
+        for v, q in ((None, 0), (values, modulus)):
+            want = [(a, s.tolist()) for a, s in dpbins._walk_bins(full, np.array(bins), sizes, 0, int(sizes.sum()), v, q)]
+            got = [(a, s.tolist()) for a, s in dpbins._walk_bins(band, np.array(bins), sizes, 0, int(sizes.sum()), v, q)]
+            assert got == want
+        for k in bins:
+            for r in ranks_of(full.bin_size(k)):
+                assert dpbins._unrank_mask(band, k, r) == dpbins._unrank_mask(full, k, r), (k, r)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_band_reads_as_the_full_table(self, data):
+        n = data.draw(st.integers(1, 20))
+        p = data.draw(st.one_of(st.integers(2, 64), st.integers(2, 1 << 12)))
+        bits = data.draw(st.sampled_from([8, 48, 70]))
+        items = data.draw(st.lists(st.integers(1, (1 << bits) - 1), min_size=n, max_size=n))
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo, n))
+        full, band = build_table(items, p), build_table(items, p, band=(lo, hi))
+        bins = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))
+        modulus = data.draw(st.sampled_from([5, (1 << 61) + 1]))
+
+        def ranks_of(size):
+            # every rank of a bin under 2048 ranks, else its ends and a sample
+            if size < 2048:
+                return range(1, size + 1)
+            return sorted({1, size, *data.draw(st.lists(st.integers(1, size), max_size=64))})
+
+        self._same_as_full(full, band, bins, modulus, ranks_of)
+
+    def test_every_band_of_small_tables(self):
+        # every 0 <= lo <= hi <= n, every rank of every bin
+        rng = random.Random(22)
+        for n in (1, 2, 7, 9):
+            items = [rng.randrange(1, 1 << 70) for _ in range(n)]
+            for p in (2, 3, 11, 97):
+                full = build_table(items, p)
+                for lo in range(n + 1):
+                    for hi in range(lo, n + 1):
+                        band = build_table(items, p, band=(lo, hi))
+                        assert (band.lo, band.hi) == (lo, hi)
+                        self._same_as_full(full, band, range(p), 7, lambda size: range(1, size + 1))
+
+    def test_band_validated(self):
+        for band in ((-1, 2), (2, 1), (0, 4)):
+            with pytest.raises(ValueError):
+                build_table((1, 2, 3), 5, band=band)
+
+    def test_memory_cap_charges_the_band(self):
+        # rows lo..hi, the 2^lo low and the 2^(n - hi) top residues
+        n, p, band = 20, 4096, (7, 13)
+        need = estimate_table_bytes(n, p, band)
+        assert need == (7 * p + (1 << 7) + (1 << 7)) * 8
+        assert estimate_table_bytes(n, p, (0, n)) == estimate_table_bytes(n, p) == (n + 1) * p * 8
+        items = list(range(1, n + 1))
+        with pytest.raises(ResourceLimitError):
+            build_table(items, p, need * 2)
+        assert build_table(items, p, need, band).bin_size(0) == build_table(items, p).bin_size(0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                build_table(items, p, need - 1, band)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p  # refused before a row or list is allocated
+
+
 class TestCompareChi:
     def test_empty_is_minimum(self):
         assert compare_chi(S(), S(1)) < 0

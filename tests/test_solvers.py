@@ -221,6 +221,42 @@ class TestSubsetSumRep:
         d = out.trace["draws"][0]
         assert "p" in d and "k" in d
 
+    @staticmethod
+    def _n24():
+        rng = random.Random(24)
+        items = [rng.randrange(1, 1 << 48) for _ in range(24)]
+        return items, sum(rng.sample(items, 12))
+
+    def test_draw_records_the_rows_it_builds(self):
+        # a bin too small to split builds all n + 1 rows
+        d = solve_subset_sum_rep((2, 4, 8), 5, seed=1).trace["draws"][0]
+        assert set(d) == {"p", "k", "bin_size", "enumerated", "rows"} and d["rows"] == 4
+        # at n = 24 a bin holds about 2^24 / p >= 2048 ranks: the walk's
+        # split (m, L) leaves rows L .. n - m to build
+        items, target = self._n24()
+        for seed in range(4):
+            for d in solve_subset_sum_rep(items, target, seed, SolverBudget(sample_cap=0)).trace["draws"]:
+                m, L = dpbins._split_levels(24, 1, (1 << 24) // d["p"], d["p"])
+                assert d["rows"] == 24 - m - L + 1 == 3
+
+    def test_memory_cap_charges_the_band(self):
+        items, target = self._n24()
+        want = solve_subset_sum_rep(items, target, 3, SolverBudget(sample_cap=0))
+        # the full table of every p in [2^12, 2^13] needs over 800 KB, a band
+        # of three rows under 240 KB
+        cap = 400_000
+        out = solve_subset_sum_rep(items, target, 3, SolverBudget(sample_cap=0, memory_cap_bytes=cap))
+        assert out.found and out.witness == want.witness and out.trace["draws"] == want.trace["draws"]
+        assert all(estimate_table_bytes(24, d["p"]) > cap for d in out.trace["draws"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                solve_subset_sum_rep(items, target, 3, SolverBudget(sample_cap=0, memory_cap_bytes=50_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000  # refused before a row or list is allocated
+
 
 class TestModularMitm:
     def test_matches_brute(self):
