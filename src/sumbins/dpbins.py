@@ -22,8 +22,9 @@ O(n) table lookups and O(n)-word arithmetic: O(n^2) bit operations total.
 Enumeration needs no per-bin cursor state: :func:`enumerate_bin` streams
 any window of a bin alone, and the solvers' batched walk (:func:`_walk_bins`)
 resolves a chunk's top and low items from a split of the items and walks
-only the levels between them rank by rank. The walk's top and low lists and
-the meet-in-the-middle halves come from one enumerator, :func:`_subset_sums`.
+only the levels between them rank by rank. Each walk lists its own top and
+low parts, from one enumerator (:func:`_subset_sums`) that also lists the
+meet-in-the-middle halves, so a table is plain data once built.
 
 A walk split at (m, L) reads rows L .. n - m only, so a caller that knows
 its split builds just that band of rows (``build_table(..., band=(L, n - m))``):
@@ -70,7 +71,8 @@ class CountTable:
 
     The full table is the band (0, n). A band's rows end at hi, are None below
     lo, and come with the residues mod p of the subsets of the first lo items
-    (``low_res``) and of the last n - hi items (``top_res``), by mask."""
+    (``low_res``) and of the last n - hi items (``top_res``), by mask. Readers
+    never write to it."""
 
     items: tuple[int, ...]
     p: int
@@ -81,7 +83,6 @@ class CountTable:
     lo: int = 0
     low_res: np.ndarray | None = field(default=None, repr=False, compare=False)
     top_res: np.ndarray | None = field(default=None, repr=False, compare=False)
-    low: dict = field(default_factory=dict, repr=False, compare=False)  # see _low_part
 
     @property
     def n(self) -> int:
@@ -260,18 +261,13 @@ def _subset_sums(values: np.ndarray, q: int = 0) -> np.ndarray:
 def _low_part(table: CountTable, L: int, values: Sequence[int] | None, modulus: int) -> tuple:
     """(starts, sums) of the subsets of the first L items sorted by (residue,
     mask) in one sort: those with sum = j (mod p) are sums[starts[j] + r],
-    r = 1 .. rows[L][j], summed as :func:`_addends` says. Kept on the table
-    for the last key asked."""
-    key = (L, modulus, None if values is None else tuple(values))
-    if key not in table.low:
-        res = table.low_res if L == table.lo else _subset_sums(np.array(table.mods[:L], dtype=np.int64), table.p)
-        order = np.sort(res << L | np.arange(1 << L)) & ((1 << L) - 1)
-        # the split keeps 2^L below 2^31, so int32 rows suit the starts
-        starts = np.cumsum(table.rows[L], dtype=table.rows[L].dtype)
-        starts -= table.rows[L] + 1
-        table.low.clear()
-        table.low[key] = (starts, _subset_sums(_addends(table, values, modulus)[:L], modulus)[order])
-    return table.low[key]
+    r = 1 .. rows[L][j], summed as :func:`_addends` says. Built per walk."""
+    res = table.low_res if L == table.lo else _subset_sums(np.array(table.mods[:L], dtype=np.int64), table.p)
+    order = np.sort(res << L | np.arange(1 << L)) & ((1 << L) - 1)
+    # the split keeps 2^L below 2^31, so int32 rows suit the starts
+    starts = np.cumsum(table.rows[L], dtype=table.rows[L].dtype)
+    starts -= table.rows[L] + 1
+    return starts, _subset_sums(_addends(table, values, modulus)[:L], modulus)[order]
 
 
 def _scratch(size: int) -> tuple:
@@ -386,8 +382,9 @@ def _walk_bins(
     group its residue, sum and size; ranks walk levels n - m .. L + 1 only,
     and the low L items are one gather from :func:`_low_part`.
     :func:`_split_levels` picks (m, L) for the full table, and a band
-    (L, n - m) walks its own; m = L = 0 walks every level. Every (m, L)
-    yields the same chunks, on shared scratch.
+    (L, n - m) walks its own; m = L = 0 walks every level. Every chunk,
+    within one group or across many, takes the same path on shared scratch,
+    and every (m, L) yields the same chunks.
     """
     if hi <= lo:
         return
@@ -412,20 +409,15 @@ def _walk_bins(
         if expired is not None and expired():
             raise _TimedOut
         b = min(hi, a + _WALK_CHUNK)
-        g = int(gends.searchsorted(a, "right"))  # the group that holds position a
-        if gends[g] >= b:
-            # Inside one group: the scalar form leaves out per-entry arrays,
-            # each a round of page faults.
-            k, start, sums = int(gpos[g]), a - int(gext[g]) + 1, np.full(b - a, top[g & tmask])
-        else:
-            # k, start and T in the scratch, for the same reason
-            h = int(gends.searchsorted(b - 1, "right"))
-            counts = np.minimum(gends[g : h + 1], b) - np.maximum(gext[g : h + 1], a)
-            group = np.repeat(np.arange(g, h + 1), counts)
-            start, k = gext.take(group, out=work[1][: b - a]), gpos.take(group, out=work[2][: b - a])
-            start -= a + 1
-            np.subtract(work[0][: b - a], start, out=start)
-            sums = top.take(np.bitwise_and(group, tmask, out=work[3][: b - a]))
+        # the groups g .. h that hold positions a .. b - 1, each entry's k, start
+        # and T in the scratch: fresh arrays would each cost a round of page faults
+        g, h = (int(x) for x in gends.searchsorted((a, b - 1), "right"))
+        counts = np.minimum(gends[g : h + 1], b) - np.maximum(gext[g : h + 1], a)
+        group = np.repeat(np.arange(g, h + 1), counts)
+        start, k = gext.take(group, out=work[1][: b - a]), gpos.take(group, out=work[2][: b - a])
+        start -= a + 1
+        np.subtract(work[0][: b - a], start, out=start)
+        sums = top.take(np.bitwise_and(group, tmask, out=work[3][: b - a]))
         yield a, _bin_sums_batch(table, k, start, b - a, values, modulus, sums, split)
 
 

@@ -64,7 +64,6 @@ from .dpbins import (
     DEFAULT_MEMORY_CAP_BYTES,
     ResourceLimitError,
     _TimedOut,
-    _WALK_CHUNK,
     _WORD_MASK,
     _require_word_rows,
     _split_levels,
@@ -324,10 +323,10 @@ def _sample_random_subsets(
     Past ``deadline`` it stops after the current chunk, and the caller's
     next check ends the solve.
 
-    Masks are drawn a chunk at a time as 64-bit words, and the chunk's
-    subset sums mod 2^64 come from one gather per byte of the mask: byte b
-    indexes the subset sums (:func:`_subset_sums`) of items 8b+1 .. 8b+8. Each
-    wrapped hit is confirmed exactly, in draw order.
+    Masks are drawn a chunk at a time, one word each (callers keep n <= 62),
+    and the chunk's subset sums mod 2^64 come from one gather per byte of the
+    mask: byte b indexes the subset sums (:func:`_subset_sums`) of items
+    8b+1 .. 8b+8. Each wrapped hit is confirmed exactly, in draw order.
     """
     n = len(items)
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
@@ -339,20 +338,16 @@ def _sample_random_subsets(
     tried = 0
     while tried < count:
         chunk = min(count - tried, size)
-        words = [
-            gen.integers(0, 1 << min(64, n - lo), size=chunk, dtype=np.uint64)
-            for lo in range(0, n, 64)
-        ]
+        masks = gen.integers(0, 1 << n, size=chunk, dtype=np.uint64).view(np.int64)
         acc, byte, part = acc_w[:chunk], byte_w[:chunk], part_w[:chunk]
         acc.fill(0)
         for b, sums in enumerate(bytes_):
-            # int64 views shift in the sign bit, which the byte mask drops
-            np.right_shift(words[b >> 3].view(np.int64), 8 * (b & 7), out=byte)
+            np.right_shift(masks, 8 * b, out=byte)
             np.bitwise_and(byte, 255, out=byte)
             sums.take(byte, out=part, mode="clip")  # "raise" would buffer ``out``
             np.add(acc, part, out=acc)
         for off in np.flatnonzero(acc == tgt).tolist():
-            mask = sum(int(word[off]) << (64 * w) for w, word in enumerate(words))
+            mask = int(masks[off])
             if _mask_value(items, mask) == target:
                 return mask, tried + off + 1
         tried += chunk
@@ -458,7 +453,7 @@ def _class_states(words: np.ndarray, combos: np.ndarray, deadline: _Deadline) ->
     """
     t = combos.shape[1]
     d = np.empty((len(combos), 1 << t), dtype=np.uint64)
-    step = max(1, _WALK_CHUNK >> t)
+    step = max(1, dpbins._WALK_CHUNK >> t)
     for u in range(0, len(combos), step):
         deadline.check()
         a = words[combos[u : u + step]]
@@ -580,7 +575,8 @@ def _join_pair_states(
 
 def _chunks(a: np.ndarray):
     """``a`` a walk chunk at a time: a needle stream for :func:`_join_pair_states`."""
-    return (a[i : i + _WALK_CHUNK] for i in range(0, a.size, _WALK_CHUNK))
+    size = dpbins._WALK_CHUNK
+    return (a[i : i + size] for i in range(0, a.size, size))
 
 
 def _verify_pair(items: Sequence[int], pair: Pair, s: int) -> bool:
@@ -672,46 +668,24 @@ _REP_ENTRY_BYTES = 40
 _LIST_ENTRY_BYTES = 40
 
 
-def _shifted_rep_join(
-    items: Sequence[int], shift: int, table, k: int, k2: int, scan1: int, scan2: int, deadline: _Deadline
-) -> Pair | None:
-    """The pair-state join (:func:`_join_pair_states`) of one
-    :func:`solve_shifted_rep` draw: ranks 1..scan1 of bin k against ranks
-    1..scan2 of bin k2.
-
-    One walk (:func:`_walk_bins`) covers both bins, bin k2 then bin k. Its
-    first scan2 positions are the left keys, each rank the pair state
-    (empty, S2) keyed by its sum mod 2^64; the rest, from inside the chunk
-    that holds position scan2, is streamed as the needles, each rank the
-    pair state (S1, empty). At k2 == k and equal scans the walk covers the
-    bin once and the needles are taken from the keys. At k2 == k bin-k rank
-    r has bin-k2 rank r, the same subset, as its twin, so a rank that meets
-    only itself is dropped unranked. The pair returned is the first exact
-    one by bin-k rank, then bin-k2 rank, or None. The walk and the join
-    check ``deadline`` between chunks.
-    """
-    if not scan2:
-        return None
+def _bin_pair_keys(table, k: int, k2: int, scan1: int, scan2: int, deadline: _Deadline) -> tuple:
+    """(bin-k2 keys, bin-k key stream) of one table-path draw of
+    :func:`solve_shifted_rep`: the sums mod 2^64 of ranks 1..scan2 of bin k2
+    as one array, then those of ranks 1..scan1 of bin k a chunk at a time,
+    from one walk (:func:`_walk_bins`) over bin k2 then bin k, which checks
+    ``deadline`` between chunks. At k2 == k and equal scans it walks the bin
+    once and streams the keys."""
     once = k2 == k and scan1 == scan2
     bins, scans = ([k2], [scan2]) if once else ([k2, k], [scan2, scan1])
     walk = _walk_bins(table, np.array(bins), np.array(scans), 0, sum(scans), expired=deadline.expired)
-    parts, rest = [], []
+    parts = []
     for done, sums in walk:
-        parts.append(sums[: scan2 - done])
+        parts.append(sums)
         if done + sums.size > scan2:  # bin k starts inside this chunk
-            rest.append(sums[scan2 - done :])
             break
-    key2 = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    shift_w = np.uint64(shift & _WORD_MASK)
-    tail = _chunks(key2) if once else chain(rest, (sums for _, sums in walk))
-    needles = (keys - shift_w for keys in tail)
-    hit = _join_pair_states(
-        items, shift, key2, needles, min(scan1, scan2) if k2 == k else 0,
-        lambda r: (0, _unrank_mask(table, k2, r + 1)[0]),
-        lambda r: (_unrank_mask(table, k, r + 1)[0], 0),
-        deadline,
-    )
-    return None if hit is None else hit[1]
+    keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    key2 = keys[:scan2]
+    return key2, _chunks(key2) if once else chain([keys[scan2:]], (sums for _, sums in walk))
 
 
 def solve_shifted_rep(
@@ -737,9 +711,11 @@ def solve_shifted_rep(
     and a join over all 2^n subsets fit that cap, each draw lists every
     subset's residue mod p by mask (:func:`_subset_sums` of each half) and
     takes its bins as the masks of residue k and k2. Otherwise it builds its
-    prime's table and walks its bins (:func:`_shifted_rep_join`), the path
-    that scales. Both give the same ranks, pairs and witnesses, since chi
-    order is mask order. A draw whose (p, k) an earlier draw of the call
+    prime's table and walks its bins (:func:`_bin_pair_keys`), the path
+    that scales. Either source gives keys and rank -> mask decoders
+    (``in_k[r]`` or :func:`_unrank_mask`) to the one join call per draw.
+    Both give the same ranks, pairs and witnesses, since chi order is mask
+    order. A draw whose (p, k) an earlier draw of the call
     already joined is the same search and cannot hit: it is not joined
     again, only counted in ``trace["repeats_skipped"]``. The witness is the
     first exact pair of the first draw that has one, by bin-k rank, then
@@ -771,9 +747,10 @@ def solve_shifted_rep(
     # draw costs at most a table and walk (at n = 18 it costs more). The
     # chunk is read per call, so smaller walk chunks list less.
     listed = 1 << n <= 4 * dpbins._WALK_CHUNK and (_LIST_ENTRY_BYTES + _REP_ENTRY_BYTES) << n <= cap
+    shift_w = np.uint64(shift & _WORD_MASK)
     if listed:  # the subset of mask hi << h | lo joins a subset of each half
         h, words = n // 2, np.array([a & _WORD_MASK for a in items], dtype=np.uint64)
-        hi, lo, shift_w = _subset_sums(words[h:]), _subset_sums(words[:h]), np.uint64(shift & _WORD_MASK)
+        hi, lo = _subset_sums(words[h:]), _subset_sums(words[:h])
     try:
         for r in range(budget.resolved_repeat_cap(n)):
             deadline.check()
@@ -802,18 +779,22 @@ def solve_shifted_rep(
             scans = [min(bins[0], enum_cap), min(bins[1], enum_cap, room)]
             seen[p, k] = {"p": p, "k": k, "bins": bins, "enumerated": scans}
             _record_draw(trace, seen[p, k])
+            if not scans[1]:
+                continue
             if listed:  # rank r of a bin is the mask in_k[r - 1]
                 in_k, in_k2 = in_k[: scans[0]], in_k2[: scans[1]]
                 key1, key2 = (hi[m >> h] + lo[m & ((1 << h) - 1)] for m in (in_k, in_k2))
-                hit = scans[1] and _join_pair_states(
-                    items, shift, key2, _chunks(key1 - shift_w), min(scans) if k2 == k else 0,
-                    lambda i: (0, int(in_k2[i])), lambda j: (int(in_k[j]), 0), deadline,
-                )
-                pair = hit[1] if hit else None
+                keys1, mask1, mask2 = _chunks(key1), in_k.item, in_k2.item
             else:
-                pair = _shifted_rep_join(items, shift, table, k, k2, *scans, deadline)
-            if pair is not None:
-                return _outcome(SolveStatus.FOUND, pair, seed, deadline, trace)
+                key2, keys1 = _bin_pair_keys(table, k, k2, *scans, deadline)
+                mask1, mask2 = (lambda r, b=b: _unrank_mask(table, b, r + 1)[0] for b in (k, k2))
+            # states (empty, S2) of bin k2, (S1, empty) of bin k; at k2 == k rank r's twin is rank r
+            hit = _join_pair_states(
+                items, shift, key2, (keys - shift_w for keys in keys1), min(scans) if k2 == k else 0,
+                lambda i: (0, mask2(i)), lambda j: (mask1(j), 0), deadline,
+            )
+            if hit is not None:
+                return _outcome(SolveStatus.FOUND, hit[1], seed, deadline, trace)
     except _TimedOut:
         return _inconclusive("timed_out", seed, deadline, trace)
     return _inconclusive("repeat_cap", seed, deadline, trace)

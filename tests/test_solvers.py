@@ -184,20 +184,20 @@ class TestSubsetSumRep:
         tried = 0
         while tried < count:
             chunk = min(count - tried, 1 << 16)
-            words = [gen.integers(0, 1 << min(64, n - lo), size=chunk, dtype=np.uint64) for lo in range(0, n, 64)]
+            words = gen.integers(0, 1 << n, size=chunk, dtype=np.uint64)
             acc = np.zeros(chunk, dtype=np.uint64)
             for i, a in enumerate(items):
-                acc += (words[i >> 6] >> np.uint64(i & 63) & np.uint64(1)) * np.uint64(a % (1 << 64))
+                acc += (words >> np.uint64(i) & np.uint64(1)) * np.uint64(a % (1 << 64))
             for off in np.flatnonzero(acc == np.uint64(target % (1 << 64))).tolist():
-                mask = sum(int(word[off]) << (64 * w) for w, word in enumerate(words))
+                mask = int(words[off])
                 if sum(a for i, a in enumerate(items) if mask >> i & 1) == target:
                     return mask, tried + off + 1
             tried += chunk
         return None, tried
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 70])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 62])
     def test_byte_table_sampler_matches_bitwise(self, n):
-        # a partial last byte, and masks of one, two and more words
+        # a partial last byte, a full one, and the widest mask a solve samples
         rng = random.Random(n)
         items = [rng.randrange(1, 1 << 70) for _ in range(n)]
         count = 70_000  # a full chunk, then a short one
@@ -205,8 +205,8 @@ class TestSubsetSumRep:
         # reach it first), and a sum no draw reaches
         gen = np.random.Generator(np.random.PCG64(random.Random(5).getrandbits(64)))
         for size in (1 << 16, count - (1 << 16)):
-            words = [gen.integers(0, 1 << min(64, n - lo), size=size, dtype=np.uint64) for lo in range(0, n, 64)]
-        mask = sum(int(word[1000]) << (64 * w) for w, word in enumerate(words))
+            words = gen.integers(0, 1 << n, size=size, dtype=np.uint64)
+        mask = int(words[1000])
         never = solvers._Deadline(None)
         for target in (sum(a for i, a in enumerate(items) if mask >> i & 1), sum(items) + 1):
             want = self._bitwise_sampler(items, target, random.Random(5), count)
@@ -641,6 +641,20 @@ def _ref_rep_join(table, shift, k, k2, scan1, scan2):
     return None
 
 
+def _table_join(items, shift, table, k, k2, scan1, scan2):
+    """One draw's table path wired as solve_shifted_rep wires it: both bins'
+    walked keys (solvers._bin_pair_keys) into one pair-state join, with
+    unrank decoders; the pair's (S1, S2) masks, or None."""
+    never, shift_w = solvers._Deadline(None), np.uint64(shift % (1 << 64))
+    key2, keys1 = solvers._bin_pair_keys(table, k, k2, scan1, scan2, never)
+    hit = solvers._join_pair_states(
+        items, shift, key2, (keys - shift_w for keys in keys1), min(scan1, scan2) if k2 == k else 0,
+        lambda i: (0, solvers._unrank_mask(table, k2, i + 1)[0]),
+        lambda j: (solvers._unrank_mask(table, k, j + 1)[0], 0), never,
+    )
+    return hit and (hit[1].s1.mask(), hit[1].s2.mask())
+
+
 def _ref_shifted_rep(items, shift, ratio, seed, budget):
     """solve_shifted_rep one draw at a time, a table per draw: (status,
     masks, draw count, every draw's record)."""
@@ -717,6 +731,34 @@ class TestShiftedRepDraws:
         assert (out.status, _masks(out), out.trace["draw_count"]) == (status, masks, draw_count)
         assert out.trace["draws"] == records
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_residue_list_and_table_agree(self, data):
+        # The same draws read their bins from the residue list under the
+        # default cap and from tables under a cap one byte below the list's,
+        # where the memory room still covers every bin-k2 scan.
+        n = data.draw(st.integers(6, 14))
+        base = data.draw(st.sampled_from([0, 1 << 64]))  # 3n-bit items, or items of 2^64 and up
+        items = tuple(base + data.draw(st.integers(1, (1 << 3 * n) - 1)) for _ in range(n))
+        digits = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        planted = abs(sum(a * (g == 1) - a * (g == 2) for a, g in zip(items, digits)))
+        shift = data.draw(st.sampled_from([0, planted]))
+        t, seed = data.draw(st.integers(1, n - 1)), data.draw(st.integers(0, 1000))
+        repeats = data.draw(st.sampled_from([1, 2, 8]))
+        cap = ((solvers._LIST_ENTRY_BYTES + solvers._REP_ENTRY_BYTES) << n) - 1
+        tables, build = [], solvers.build_table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "build_table", lambda *a: tables.append(a) or build(*a))
+            listed = solve_shifted_rep(items, shift, t / n, seed, SolverBudget(repeat_cap=repeats))
+            assert tables == []
+            walked = solve_shifted_rep(items, shift, t / n, seed, SolverBudget(repeat_cap=repeats, memory_cap_bytes=cap))
+            assert tables
+        assert (walked.status, _masks(walked)) == (listed.status, _masks(listed))
+        assert walked.trace["draws"] == listed.trace["draws"]
+        assert walked.trace["draw_count"] == listed.trace["draw_count"]
+        for d in walked.trace["draws"]:
+            assert (cap - estimate_table_bytes(n, d["p"])) // solvers._REP_ENTRY_BYTES >= d["bins"][1]
+
     @pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 15])
     def test_same_bin_with_a_shorter_key_scan(self, chunk, monkeypatch):
         # k2 == k with scan2 < scan1, as when the memory room caps the key
@@ -732,8 +774,7 @@ class TestShiftedRepDraws:
             for shift in (0, p * rng.randrange(1, 20)):
                 for scan2 in (1, scan1 // 3, scan1 - 1):
                     want = _ref_rep_join(table, shift, k, k, scan1, scan2)
-                    pair = solvers._shifted_rep_join(items, shift, table, k, k, scan1, scan2, solvers._Deadline(None))
-                    assert (pair and (pair.s1.mask(), pair.s2.mask())) == want
+                    assert _table_join(items, shift, table, k, k, scan1, scan2) == want
                     found += want is not None
         assert found >= 20
 
@@ -861,8 +902,7 @@ class TestShiftedRepDraws:
             table = build_table(items, p)
             size = table.bin_size(k)
             for scan2 in (size, size // 2):
-                join = solvers._shifted_rep_join(items, 0, table, k, k, size, scan2, solvers._Deadline(None))
-                assert join is None
+                assert _table_join(items, 0, table, k, k, size, scan2) is None
         assert unranked == []
         out = solve_shifted_rep(items, 0, 0.5, seed=2)
         assert out.status is SolveStatus.INCONCLUSIVE and unranked == []
