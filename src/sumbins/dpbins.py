@@ -35,7 +35,7 @@ unranks resolve the top items from their subsets' residues.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -237,12 +237,6 @@ def _require_word_rows(n: int) -> None:
         )
 
 
-def _addends(table: CountTable, values: Sequence[int] | None, modulus: int) -> np.ndarray:
-    """What a walk adds per item taken: ``values`` given a modulus, else the items mod 2^64."""
-    words = values if modulus else [a & _WORD_MASK for a in table.items]
-    return np.array(words, dtype=np.int64 if modulus else np.uint64)
-
-
 def _subset_sums(values: np.ndarray, q: int = 0) -> np.ndarray:
     """Subset sums of ``values[..., i]`` by mask: entry sum(2^i, i in S) holds
     S's sum. Built in place, one doubling per item; leading axes are
@@ -258,53 +252,40 @@ def _subset_sums(values: np.ndarray, q: int = 0) -> np.ndarray:
     return sums
 
 
-def _low_part(table: CountTable, L: int, values: Sequence[int] | None, modulus: int) -> tuple:
+def _low_part(table: CountTable, L: int, addends: np.ndarray, modulus: int) -> tuple:
     """(starts, sums) of the subsets of the first L items sorted by (residue,
     mask) in one sort: those with sum = j (mod p) are sums[starts[j] + r],
-    r = 1 .. rows[L][j], summed as :func:`_addends` says. Built per walk."""
+    r = 1 .. rows[L][j], summed from the walk's ``addends`` (mod ``modulus``
+    if given, else mod 2^64). Built per walk."""
     res = table.low_res if L == table.lo else _subset_sums(np.array(table.mods[:L], dtype=np.int64), table.p)
     order = np.sort(res << L | np.arange(1 << L)) & ((1 << L) - 1)
     # the split keeps 2^L below 2^31, so int32 rows suit the starts
     starts = np.cumsum(table.rows[L], dtype=table.rows[L].dtype)
     starts -= table.rows[L] + 1
-    return starts, _subset_sums(_addends(table, values, modulus)[:L], modulus)[order]
+    return starts, _subset_sums(addends[:L], modulus)[order]
 
 
-def _scratch(size: int) -> tuple:
-    """Work arrays of walks of up to ``size`` ranks: an index ramp, four words and a narrow one."""
-    return np.arange(size), *(np.empty(size, dtype=np.int64) for _ in range(4)), np.empty(size, dtype=np.int32)
-
-
-def _bin_sums_batch(
-    table: CountTable, k, start, count: int, values: Sequence[int] | None = None, modulus: int = 0,
-    sums: np.ndarray | None = None, split: tuple = (0, 0, None, None, None, None),
-) -> np.ndarray:
-    """Subset sums of ranks start .. start+count-1 of bin k.
-
-    ``k`` and ``start`` may also be int64 arrays of ``count`` bins and
-    1-based ranks, one pair per entry, so many bins of the table go through
-    in one call.
+def _bin_sums_batch(table: CountTable, j: np.ndarray, idx: np.ndarray, sums: np.ndarray, split: tuple) -> np.ndarray:
+    """Sums of the subsets of rank idx[e] (1-based) of bin j[e], entry by
+    entry, over the entries of one :func:`_walk_bins` chunk.
 
     The walk is that of :func:`_unrank_mask`, run level by level over the
-    whole rank vector; callers that need the subsets themselves re-unrank
+    whole chunk in place: ``j`` and ``idx`` are the walk's work arrays and
+    end up as scratch. Callers that need the subsets themselves re-unrank
     the few ranks they care about. Valid only on machine-word rows, which
     callers check with :func:`_require_word_rows`. ``split``, (m, L, starts,
-    low sums, scratch, addends) from :func:`_walk_bins`, walks levels n - m
-    .. L + 1 only, onto ``sums`` (the top items'), and gathers the low
-    items' sums.
+    low sums, addends, modulus, scratch) from :func:`_walk_bins`, walks
+    levels n - m .. L + 1 only, onto ``sums`` (the top items'), and gathers
+    the low items' sums.
 
-    By default the table's items are summed mod 2^64, so exact-valued
+    Without a modulus the addends are the items mod 2^64, so exact-valued
     callers confirm candidates exactly (item sums below 2^64 are exact as
-    is). Given ``values`` in [0, q) and ``modulus`` q < 2^62, those are
-    summed instead, exactly mod q in int64: add, then subtract q once if the
-    sum reached it, so nothing exceeds 2q < 2^63.
+    is). Given values in [0, q) and modulus q < 2^62, those are summed
+    exactly mod q in int64: add, then subtract q once if the sum reached it,
+    so nothing exceeds 2q < 2^63.
     """
-    m, L, starts, low, work, addends = split
-    iota, idx, j, take, scratch, narrow = (w[:count] for w in work or _scratch(count))
-    np.copyto(idx, start) if np.ndim(start) else np.add(iota, start, out=idx)
-    np.copyto(j, k)
-    addends = _addends(table, values, modulus) if addends is None else addends
-    sums = np.zeros(count, dtype=addends.dtype) if sums is None else sums
+    m, L, starts, low, addends, modulus, work = split
+    take, scratch, narrow = (w[: j.size] for w in work)
     # Branch-free steps: ``take`` holds 0/1 words, and a sign shift (x >> 63
     # is -1 exactly when x < 0) turns a comparison into an addend mask.
     # Masked ufuncs (``where=``) are several times slower on random masks.
@@ -367,14 +348,17 @@ def _split_levels(n: int, bins: int, ranks: int, positions: int) -> tuple[int, i
 
 def _walk_bins(
     table: CountTable, bins: np.ndarray, ranks: np.ndarray, lo: int, hi: int,
-    values: Sequence[int] | None = None, modulus: int = 0, expired: Callable[[], bool] | None = None,
+    values: Sequence[int] | None = None, modulus: int = 0, deadline=None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Sums of positions lo .. hi-1 of ranks 1..ranks[b] of bin bins[b], for
     b = 0, 1, ... laid end to end: yields (first position, sums) a chunk of
     _WALK_CHUNK at a time, from one :func:`_bin_sums_batch` call each.
-    ``values`` and ``modulus`` are those of :func:`_bin_sums_batch`. Before
-    each chunk it raises :class:`_TimedOut` if ``expired()`` is true, so no
-    caller checks its time cap inside a walk.
+
+    Sums are of the items mod 2^64 (uint64), or, given ``values`` in [0, q)
+    and ``modulus`` q < 2^62, of those values exactly mod q (int64). Given a
+    solver's ``deadline``, it calls ``deadline.check()`` before each chunk,
+    which raises :class:`_TimedOut` once the cap has passed, so no caller
+    checks its time cap inside a walk.
 
     The items are split (Horowitz-Sahni): in chi order, bin k is, for each
     subset T of the top m items in turn, the subsets of the rest with
@@ -383,8 +367,8 @@ def _walk_bins(
     and the low L items are one gather from :func:`_low_part`.
     :func:`_split_levels` picks (m, L) for the full table, and a band
     (L, n - m) walks its own; m = L = 0 walks every level. Every chunk,
-    within one group or across many, takes the same path on shared scratch,
-    and every (m, L) yields the same chunks.
+    within one group or across many, takes the same path on scratch arrays
+    made once per walk, and every (m, L) yields the same chunks.
     """
     if hi <= lo:
         return
@@ -392,8 +376,10 @@ def _walk_bins(
     e0, e1 = (int(e) for e in ends.searchsorted((lo, hi - 1), "right"))  # bins holding lo and hi - 1
     banded = (table.lo, table.hi) != (0, n)  # a band walks its own split
     m, L = (n - table.hi, table.lo) if banded else _split_levels(n, e1 + 1 - e0, hi - lo, table.p)
+    # what a walk adds per item taken: the values given a modulus, else the items mod 2^64
+    words = values if modulus else [a & _WORD_MASK for a in table.items]
+    addends = np.array(words, dtype=np.int64 if modulus else np.uint64)
     # groups (bin, T) of bins e0..e1 in walk order: position after T, T's sum, end
-    addends = _addends(table, values, modulus)
     pos, top = np.array(bins[e0 : e1 + 1], dtype=np.int64), _subset_sums(addends[n - m :], modulus)
     gext = ends[e0 : e1 + 1]  # group ends: the bins', or their top parts' cut at the bin's ranks
     if m:
@@ -403,22 +389,26 @@ def _walk_bins(
         gext += (ends - ranks)[e0 : e1 + 1, None]
     # group f holds positions gext[f] .. gext[f + 1] - 1
     gext = np.concatenate(([ends[e0] - ranks[e0]], gext.ravel()))
-    gends, gpos, tmask, work = gext[1:], pos.ravel(), (1 << m) - 1, _scratch(min(_WALK_CHUNK, hi - lo))
-    split = (m, L, *(_low_part(table, L, values, modulus) if L else (None, None)), work, addends)
+    gends, gpos, tmask = gext[1:], pos.ravel(), (1 << m) - 1
+    # each entry's rank, bin and T, then the walk's scratch: fresh arrays per
+    # chunk would each cost a round of page faults
+    size = min(_WALK_CHUNK, hi - lo)
+    ramp, idx, j, take, scratch = np.arange(size), *(np.empty(size, dtype=np.int64) for _ in range(4))
+    low = _low_part(table, L, addends, modulus) if L else (None, None)
+    split = (m, L, *low, addends, modulus, (take, scratch, np.empty(size, dtype=np.int32)))
     for a in range(lo, hi, _WALK_CHUNK):
-        if expired is not None and expired():
-            raise _TimedOut
+        if deadline is not None:
+            deadline.check()
         b = min(hi, a + _WALK_CHUNK)
-        # the groups g .. h that hold positions a .. b - 1, each entry's k, start
-        # and T in the scratch: fresh arrays would each cost a round of page faults
+        # the groups g .. h that hold positions a .. b - 1
         g, h = (int(x) for x in gends.searchsorted((a, b - 1), "right"))
         counts = np.minimum(gends[g : h + 1], b) - np.maximum(gext[g : h + 1], a)
         group = np.repeat(np.arange(g, h + 1), counts)
-        start, k = gext.take(group, out=work[1][: b - a]), gpos.take(group, out=work[2][: b - a])
+        start, k = gext.take(group, out=idx[: b - a]), gpos.take(group, out=j[: b - a])
         start -= a + 1
-        np.subtract(work[0][: b - a], start, out=start)
-        sums = top.take(np.bitwise_and(group, tmask, out=work[3][: b - a]))
-        yield a, _bin_sums_batch(table, k, start, b - a, values, modulus, sums, split)
+        np.subtract(ramp[: b - a], start, out=start)
+        sums = top.take(np.bitwise_and(group, tmask, out=take[: b - a]))
+        yield a, _bin_sums_batch(table, k, start, sums, split)
 
 
 def unrank(table: CountTable, k: int, index: int) -> Subset:

@@ -49,7 +49,7 @@ chunks or dichotomy steps. A table past ``memory_cap_bytes`` raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +69,7 @@ _FIRST_SCAN = 1 << 10  # first chunk of a doubling collision scan
 
 def _repeat_masks(
     table: CountTable, bins: np.ndarray, total: int, values: Sequence[int] | None = None,
-    modulus: int = 0, expired: Callable[[], bool] | None = None,
+    modulus: int = 0, deadline: _Deadline | None = None,
 ) -> tuple[int, int]:
     """Masks of the earliest repeated sum among the first ``total`` subsets
     of ``bins`` taken one after another, each in chi order (sums as in
@@ -78,8 +78,8 @@ def _repeat_masks(
 
     Scans in doubling chunks. A stable sort keeps equal sums in scan order,
     so the earliest second occurrence in the scanned prefix is where a
-    sequential scan with a seen-set stops. The walk raises
-    ``dpbins._TimedOut`` once ``expired()`` is true between chunks.
+    sequential scan with a seen-set stops. The walk is handed ``deadline``
+    and raises ``dpbins._TimedOut`` before a chunk once its cap has passed.
     """
     sizes = table.rows[table.n][bins]
     ends = np.cumsum(sizes)
@@ -87,7 +87,7 @@ def _repeat_masks(
     done = 0
     while done < total:
         stop = min(total, 2 * done + _FIRST_SCAN)  # chunks of _FIRST_SCAN, twice that, ...
-        parts.extend(sums for _, sums in _walk_bins(table, bins, sizes, done, stop, values, modulus, expired))
+        parts.extend(sums for _, sums in _walk_bins(table, bins, sizes, done, stop, values, modulus, deadline))
         done = stop
         scanned = np.concatenate(parts)
         order = np.argsort(scanned, kind="stable")
@@ -147,7 +147,7 @@ def solve_pigeonhole_equal(items: Sequence[int], budget: SolverBudget | None = N
     table = build_table(items, p, budget.memory_cap_bytes)
     k = find_heavy_bin(items, p, table)
     try:
-        m1, m2 = _repeat_masks(table, np.array([k]), table.bin_size(k), expired=deadline.expired)
+        m1, m2 = _repeat_masks(table, np.array([k]), table.bin_size(k), deadline=deadline)
     except _TimedOut:
         return _inconclusive("timed_out", None, deadline, trace)
     return _outcome(SolveStatus.FOUND, Pair(Subset.from_mask(m1), Subset.from_mask(m2)), None, deadline, trace)
@@ -187,20 +187,15 @@ class QuotientDecomposition:
 
 
 class _ModularContext:
-    """Shared state for the dichotomic search over quotient classes."""
+    """Shared state for the dichotomic search over quotient classes; its
+    walks and halving steps check the solver's ``deadline``."""
 
-    def __init__(
-        self,
-        residues: Sequence[int],
-        q: int,
-        memory_cap_bytes: int,
-        expired: Callable[[], bool] | None = None,
-    ):
+    def __init__(self, residues: Sequence[int], q: int, memory_cap_bytes: int, deadline: _Deadline | None = None):
         self.n = len(residues)
         self.q = q
         self.residues = tuple(residues)
         self.decomp = QuotientDecomposition.compute(self.n, q)
-        self.expired = expired
+        self.deadline = deadline
         d = self.decomp
         if d.q1 < 1:
             raise ValueError("quotient table needs q >= 2^h")
@@ -238,7 +233,7 @@ class _ModularContext:
         if over.size:
             return None, int(bins[over[0]])
         span = (j - i) % q1
-        walk = _walk_bins(self.table, bins, sizes, 0, int(sizes.sum()), self.residues, self.q, self.expired)
+        walk = _walk_bins(self.table, bins, sizes, 0, int(sizes.sum()), self.residues, self.q, self.deadline)
         for _, res in walk:
             count += int(np.count_nonzero((d.fold(res) - i) % q1 <= span))
         return count, None
@@ -255,7 +250,7 @@ class _ModularContext:
         q1 = self.decomp.q1
         bins = (lo + np.arange((hi - lo) % q1 + 1)) % q1
         total = min(int(self.sizes[bins].sum()), cap)
-        hit = _repeat_masks(self.table, bins, total, self.residues, self.q, self.expired)
+        hit = _repeat_masks(self.table, bins, total, self.residues, self.q, self.deadline)
         return Pair(Subset.from_mask(hit[0]), Subset.from_mask(hit[1]))
 
 
@@ -290,8 +285,8 @@ def solve_pigeonhole_modular(items: Sequence[int], q: int, budget: SolverBudget 
                 k = int(np.nonzero(table.rows[m] >= 2)[0][0])
                 pair = Pair(*(Subset.from_mask(_unrank_mask(table, k, r)[0]) for r in (1, 2)))
             else:
-                ctx = _ModularContext(residues[:m], q, budget.memory_cap_bytes, deadline.expired)
-                pair = _dichotomy(ctx, deadline)
+                ctx = _ModularContext(residues[:m], q, budget.memory_cap_bytes, deadline)
+                pair = _dichotomy(ctx)
             return _outcome(SolveStatus.FOUND, pair, None, deadline, trace)
         except _TimedOut:
             return _inconclusive("timed_out", None, deadline, trace)
@@ -301,16 +296,16 @@ def solve_pigeonhole_modular(items: Sequence[int], q: int, budget: SolverBudget 
             trace["prefix"] = q.bit_length()
 
 
-def _dichotomy(ctx: _ModularContext, deadline: _Deadline) -> Pair:
+def _dichotomy(ctx: _ModularContext) -> Pair:
     """Keep halving a class interval whose subset count exceeds its residue
     count until it is 4n classes wide, then bucket the covering table bins
     by true residue; a boundary bin too large to walk is bucketed alone
-    instead. ``deadline`` is checked before each halving step."""
+    instead. The context's deadline is checked before each halving step."""
     d, n = ctx.decomp, ctx.n
     q1 = d.q1
     i, j, b, beta = 0, q1 - 1, 1 << n, ctx.q  # classes [i, j], their subsets and residues
     while (j - i) % q1 + 1 > 4 * n:
-        deadline.check()
+        ctx.deadline.check()
         w = (j - i) % q1 + 1
         mid = (i + w // 2 - 1) % q1
         left, c = ctx.count_b(i, mid)

@@ -414,7 +414,7 @@ def solve_subset_sum_rep(
             # Chunked vector scan; candidate sums match mod 2^64, and each
             # candidate rank is re-unranked and confirmed exactly, so the first
             # confirmed rank is the first solution of the bin in chi order.
-            walk = _walk_bins(table, np.array([k]), np.array([scan]), 0, scan, expired=deadline.expired)
+            walk = _walk_bins(table, np.array([k]), np.array([scan]), 0, scan, deadline=deadline)
             for done, sums_c in walk:
                 for off in np.nonzero(sums_c == tgt)[0]:
                     rank = done + int(off) + 1
@@ -673,11 +673,11 @@ def _bin_pair_keys(table, k: int, k2: int, scan1: int, scan2: int, deadline: _De
     :func:`solve_shifted_rep`: the sums mod 2^64 of ranks 1..scan2 of bin k2
     as one array, then those of ranks 1..scan1 of bin k a chunk at a time,
     from one walk (:func:`_walk_bins`) over bin k2 then bin k, which checks
-    ``deadline`` between chunks. At k2 == k and equal scans it walks the bin
+    ``deadline`` before each chunk. At k2 == k and equal scans it walks the bin
     once and streams the keys."""
     once = k2 == k and scan1 == scan2
     bins, scans = ([k2], [scan2]) if once else ([k2, k], [scan2, scan1])
-    walk = _walk_bins(table, np.array(bins), np.array(scans), 0, sum(scans), expired=deadline.expired)
+    walk = _walk_bins(table, np.array(bins), np.array(scans), 0, sum(scans), deadline=deadline)
     parts = []
     for done, sums in walk:
         parts.append(sums)
@@ -698,10 +698,10 @@ def solve_shifted_rep(
     """Bin-pair search tuned for solutions of total size about ratio * n.
 
     The prime scale is 2^(b n) with b = 1 - ratio for ratio > 1/2 and
-    b = 1/2 otherwise. Each draw picks a random residue k and looks for
-    sum(S1) = k, sum(S2) = k - shift (mod p) with sum(S1) - sum(S2) = shift
-    over the two bins, enumerating at most n^2 * 2^((1-b) n) entries per
-    bin.
+    b = 1/2 otherwise, at least 2^1. Each draw picks a random residue k
+    and looks for sum(S1) = k, sum(S2) = k - shift (mod p) with
+    sum(S1) - sum(S2) = shift over the two bins, enumerating at most
+    n^2 * 2^((1-b) n) entries per bin.
 
     Draws run one at a time, each joining its one bin pair
     (:func:`_join_pair_states`), which holds _REP_ENTRY_BYTES per bin-k2
@@ -730,7 +730,7 @@ def solve_shifted_rep(
     n = len(items)
     _require_word_rows(n)
     t = max(1, min(n - 1, round(ratio * n)))
-    bn_bits, heavy_ceil = (n - t, 1 << t) if t > n // 2 else ((n + 1) // 2, _ceil_half_pow(n))
+    bn_bits, heavy_ceil = (max(1, n - t), 1 << t) if t > n // 2 else ((n + 1) // 2, _ceil_half_pow(n))
     enum_cap = n * n * heavy_ceil
     cap = budget.memory_cap_bytes
     trace: dict = {

@@ -206,6 +206,13 @@ def test_solve_exit_inconclusive(tmp_path, capsys):
     assert json.loads(out)["status"] == "inconclusive"
 
 
+def test_solve_rep_one_item(tmp_path, capsys):
+    # a valid one-item instance is no solver fault (exit 4): no pair differs by 1
+    path = write_instance(tmp_path / "one.json", ProblemInstance("shifted_sums", (2,), shift=1))
+    code, _ = run(capsys, "solve", path, "--algo", "rep", "--ratio", "0.5")
+    assert code == 2
+
+
 def test_solve_brute_above_cap_is_resource_error(tmp_path, capsys):
     path = str(tmp_path / "big.json")
     run(capsys, "gen", "--variant", "subset_sum", "--n", "25", "--seed", "1",

@@ -25,6 +25,21 @@ def S(*indices):
     return Subset.of(indices)
 
 
+def _batch_sums(table, bins, ranks, values=None, modulus=0):
+    """Sums of rank ranks[e] of bin bins[e], entry by entry, from one
+    unsplit dpbins._bin_sums_batch call on arrays laid out as
+    dpbins._walk_bins lays them out: items mod 2^64, or ``values`` mod
+    ``modulus``."""
+    size = len(ranks)
+    words = values if modulus else [a % (1 << 64) for a in table.items]
+    addends = np.array(words, dtype=np.int64 if modulus else np.uint64)
+    work = (np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int32))
+    return dpbins._bin_sums_batch(
+        table, np.array(bins, dtype=np.int64), np.array(ranks, dtype=np.int64),
+        np.zeros(size, dtype=addends.dtype), (0, 0, None, None, addends, modulus, work),
+    )
+
+
 class TestBuildTable:
     def test_three_items_mod_three(self):
         t = build_table((1, 2, 3), 3)
@@ -111,7 +126,7 @@ class TestNarrowRows:
         if size:
             start = data.draw(st.integers(1, size))
             count = min(size - start + 1, 64)
-            got = dpbins._bin_sums_batch(t, k, start, count)
+            got = _batch_sums(t, [k] * count, range(start, start + count))
             want = [
                 dpbins._unrank_mask(t, k, r)[1] % (1 << 64) for r in range(start, start + count)
             ]
@@ -128,7 +143,7 @@ class TestNarrowRows:
             assert mask == r - 1
             assert value == sum(a for i, a in enumerate(items) if mask >> i & 1)
         start = (1 << 31) - 2
-        got = dpbins._bin_sums_batch(t, 0, start, 6)
+        got = _batch_sums(t, [0] * 6, range(start, start + 6))
         assert got.tolist() == [
             sum(a for i, a in enumerate(items) if (r - 1) >> i & 1) for r in range(start, start + 6)
         ]
@@ -346,7 +361,7 @@ class TestBatchWalk:
         t = build_table(items, 7)
         for k in range(7):
             size = t.bin_size(k)
-            got = dpbins._bin_sums_batch(t, k, 1, size)
+            got = _batch_sums(t, [k] * size, range(1, size + 1))
             want = [dpbins._unrank_mask(t, k, r)[1] % (1 << 64) for r in range(1, size + 1)]
             assert got.dtype == np.uint64
             assert got.tolist() == want
@@ -365,9 +380,7 @@ class TestBatchWalk:
                 bins.append(k)
                 ranks.append(r)
                 want.append(sum(v for i, v in enumerate(values) if mask >> i & 1) % q)
-        got = dpbins._bin_sums_batch(
-            t, np.array(bins), np.array(ranks), len(ranks), values, q
-        )
+        got = _batch_sums(t, bins, ranks, values, q)
         assert got.dtype == np.int64
         assert got.tolist() == want
 

@@ -1,4 +1,4 @@
-"""Differential fuzz: every variant through solve_instance against the brute-force oracle."""
+"""Differential fuzz: every variant and route through solve_instance against the brute-force oracle."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sumbins.core import ProblemInstance, verify
 from sumbins.dpbins import ResourceLimitError
 from sumbins.oracles import brute_solve
-from sumbins.solvers import SolverBudget, SolveStatus, solve_instance
+from sumbins.solvers import ALGOS, SolverBudget, SolveStatus, solve_instance
 
 VARIANTS = (
     "subset_sum", "modular_subset_sum", "equal_sums", "shifted_sums", "two_subset_sum",
@@ -20,11 +20,14 @@ BRUTE_MAX_N = 24  # brute_solve's enumeration cap
 
 
 @st.composite
-def cases(draw) -> tuple[ProblemInstance, SolverBudget | None]:
+def cases(draw) -> tuple[ProblemInstance, SolverBudget | None, str, float | None]:
     # One default-budget exhaustive pass takes seconds at n = 30, while TINY
-    # refuses or settles every variant quickly up to n = 70.
+    # refuses or settles every variant quickly up to n = 70. Each route
+    # (the brute oracle aside) may be pinned, and with it a size class.
     budget, max_n = draw(st.sampled_from([(None, 16), (TINY, 70)]))
-    return draw(instances(max_n)), budget
+    algo = draw(st.sampled_from([a for a in ALGOS if a != "brute"]))
+    ratio = draw(st.one_of(st.none(), st.floats(0, 1, exclude_min=True)))
+    return draw(instances(max_n)), budget, algo, ratio
 
 
 @st.composite
@@ -56,10 +59,10 @@ def instances(draw, max_n: int) -> ProblemInstance:
     return ProblemInstance(variant, items)
 
 
-def _solve(inst: ProblemInstance, seed: int, budget: SolverBudget | None):
+def _solve(inst: ProblemInstance, seed: int, budget: SolverBudget | None, algo: str, ratio: float | None):
     """(status, witness) of one solve, or None where a cap refused it."""
     try:
-        out = solve_instance(inst, seed, budget)
+        out = solve_instance(inst, seed, budget, algo, ratio)
     except ResourceLimitError:
         return None
     return out.status, out.witness
@@ -68,11 +71,13 @@ def _solve(inst: ProblemInstance, seed: int, budget: SolverBudget | None):
 @settings(max_examples=150, deadline=None)
 @given(cases(), st.integers(0, 1 << 32))
 # a modulus past int64: the oracle once overflowed on it
-@example((ProblemInstance("modular_subset_sum", (1, 1, 1, 1, 6), target=5, modulus=1 << 63), None), 0)
+@example((ProblemInstance("modular_subset_sum", (1, 1, 1, 1, 6), target=5, modulus=1 << 63), None, "auto", None), 0)
+# one item at ratio 0.5: shifted rep's prime scale n - t was 0 bits
+@example((ProblemInstance("shifted_sums", (2,), shift=1), None, "rep", 0.5), 0)
 def test_solve_instance_against_brute(case, seed):
-    inst, budget = case
-    got = _solve(inst, seed, budget)
-    assert _solve(inst, seed, budget) == got
+    inst, budget, algo, ratio = case
+    got = _solve(inst, seed, budget, algo, ratio)
+    assert _solve(inst, seed, budget, algo, ratio) == got
     if got is None:
         return
     status, witness = got

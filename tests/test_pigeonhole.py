@@ -5,12 +5,15 @@ import random
 import numpy as np
 import pytest
 
+import sumbins.dpbins as dpbins
+from sumbins import solvers
 from sumbins.core import Pair, ProblemInstance, Subset, verify
 from sumbins.dpbins import DEFAULT_MEMORY_CAP_BYTES, ResourceLimitError, build_table
 from sumbins.oracles import pigeonhole_mitm_check
 from sumbins.pigeonhole import (
     QuotientDecomposition,
     _ModularContext,
+    _repeat_masks,
     find_heavy_bin,
     solve_pigeonhole_equal,
     solve_pigeonhole_modular,
@@ -441,3 +444,26 @@ class TestExpiredBudget:
         out = solve_pigeonhole_equal(items, SolverBudget(time_cap_ms=0))
         assert out.status is SolveStatus.INCONCLUSIVE and out.trace["reason"] == "timed_out"
         assert solve_pigeonhole_equal(items).found
+
+    @pytest.mark.parametrize("walk", ["_walk_bins", "_repeat_masks", "count_b"])
+    def test_walk_stops_on_its_deadline(self, walk, monkeypatch):
+        # each walk checks the deadline it is given before its first chunk
+        rng = random.Random(12)
+        n = 16
+        q = (1 << n) - 1
+        residues = [rng.randrange(1, 1 << 32) % q for _ in range(n)]
+        table = _ModularContext(residues, q, DEFAULT_MEMORY_CAP_BYTES).table
+        bins = np.arange(3)
+        sizes = table.rows[n][bins]
+        runs = {
+            "_walk_bins": lambda dl: next(dpbins._walk_bins(table, bins, sizes, 0, int(sizes.sum()), deadline=dl)),
+            "_repeat_masks": lambda dl: _repeat_masks(table, bins, int(sizes.sum()), residues, q, dl),
+            "count_b": lambda dl: _ModularContext(residues, q, DEFAULT_MEMORY_CAP_BYTES, dl).count_b(0, 4 * n),
+        }
+        chunks, batch = [], dpbins._bin_sums_batch
+        monkeypatch.setattr(dpbins, "_bin_sums_batch", lambda *a: chunks.append(a) or batch(*a))
+        with pytest.raises(dpbins._TimedOut):
+            runs[walk](solvers._Deadline(0))
+        assert chunks == []
+        runs[walk](solvers._Deadline(None))
+        assert chunks

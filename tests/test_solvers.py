@@ -495,6 +495,13 @@ class TestShiftedRep:
         light = solve_shifted_rep(items, 0, ratio=0.25, seed=3)
         assert light.trace["prime_bits"] == 4  # ceil(n / 2)
 
+    def test_one_item(self):
+        # t clamps to 1 > n // 2 = 0: the prime scale keeps one bit, not n - t = 0
+        out = solve_shifted_rep((2,), 0, ratio=0.5, seed=0)
+        assert out.status is SolveStatus.INCONCLUSIVE and out.trace["prime_bits"] == 1
+        out = solve_shifted_rep((2,), 2, ratio=0.5, seed=0)
+        assert out.found and (out.witness.s1.indices, out.witness.s2.indices) == ((1,), ())
+
     def test_refuses_rows_past_machine_words(self):
         # n = 63 table entries reach 2^63; refused before any table is built
         t0 = time.perf_counter()
@@ -613,16 +620,22 @@ class TestShiftedRepGolden:
         assert got == [(s1, s2) for *_, s1, s2 in SHIFTED_REP_GOLDEN]
 
 
+def _walked_sums(table, k, scan):
+    """Sums mod 2^64 of ranks 1..scan of bin k, from one walk of that bin alone."""
+    walk = dpbins._walk_bins(table, np.array([k]), np.array([scan]), 0, scan)
+    return np.concatenate([sums for _, sums in walk] or [np.zeros(0, np.uint64)])
+
+
 def _ref_rep_join(table, shift, k, k2, scan1, scan2):
     """One draw's bin join as solve_shifted_rep ran it draw by draw: first
     exact pair by bin-k rank, then bin-k2 rank. Each wrapped group's bin-k2
     ranks are unranked once, into exact value -> masks in rank order."""
     if not scan2:
         return None
-    sums2 = dpbins._bin_sums_batch(table, k2, 1, scan2)
+    sums2 = _walked_sums(table, k2, scan2)
     order = np.argsort(sums2)
     sv = sums2[order]
-    want = dpbins._bin_sums_batch(table, k, 1, scan1) - np.uint64(shift % (1 << 64))
+    want = _walked_sums(table, k, scan1) - np.uint64(shift % (1 << 64))
     pos = np.searchsorted(sv, want)
     groups = {}  # (start, end) in sv -> its exact values
     for rank in np.flatnonzero(pos < sv.size).tolist():
@@ -660,7 +673,7 @@ def _ref_shifted_rep(items, shift, ratio, seed, budget):
     masks, draw count, every draw's record)."""
     n = len(items)
     t = max(1, min(n - 1, round(ratio * n)))
-    bn_bits, heavy = (n - t, 1 << t) if t > n // 2 else ((n + 1) // 2, solvers._ceil_half_pow(n))
+    bn_bits, heavy = (max(1, n - t), 1 << t) if t > n // 2 else ((n + 1) // 2, solvers._ceil_half_pow(n))
     records = []
     for r in range(budget.resolved_repeat_cap(n)):
         p = random_prime(1 << bn_bits, 1 << (bn_bits + 1), derive_seed(seed, "shifted-rep-prime", t, r))
@@ -698,10 +711,6 @@ class TestShiftedRepDraws:
         seed = data.draw(st.integers(0, 1000))
         # None is 4n draws
         budget = SolverBudget(repeat_cap=data.draw(st.sampled_from([1, 2, 3, 8, None])))
-        if n == 1:  # no prime range below 2^0
-            with pytest.raises(ValueError):
-                solve_shifted_rep(items, shift, t / n, seed, budget)
-            return
         status, masks, draw_count, records = _ref_shifted_rep(items, shift, t / n, seed, budget)
         out = solve_shifted_rep(items, shift, t / n, seed, budget)
         assert out.status is status
