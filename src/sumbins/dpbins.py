@@ -27,13 +27,15 @@ low parts, from one enumerator (:func:`_subset_sums`) that also lists the
 meet-in-the-middle halves, so a table is plain data once built.
 
 A walk split at (m, L) reads rows L .. n - m only, so a caller that knows
-its split builds just that band of rows (``build_table(..., band=(L, n - m))``):
-row L is one count of the low subsets' residues, and bin sizes, walks and
-unranks resolve the top items from their subsets' residues.
+its split builds just that band of rows (``build_table(..., band=(L, n - m))``).
+Every table, the full band (0, n) too, lists the residues of its low and top
+parts' subsets, row lo counts the low ones, and a bin's size sums row hi over
+the residues the top ones leave; a full table's parts are the empty set.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -69,10 +71,10 @@ class _TimedOut(Exception):
 class CountTable:
     """Rows lo..hi of the (n+1) x p count table plus the item data needed to walk it.
 
-    The full table is the band (0, n). A band's rows end at hi, are None below
-    lo, and come with the residues mod p of the subsets of the first lo items
-    (``low_res``) and of the last n - hi items (``top_res``), by mask. Readers
-    never write to it."""
+    The full table is the band (0, n). Rows end at hi and are None below lo;
+    ``low_res`` and ``top_res`` hold the residues mod p of the subsets of the
+    first lo items and of the last n - hi items, by mask (``[0]`` for an
+    empty part). Readers never write to it."""
 
     items: tuple[int, ...]
     p: int
@@ -80,9 +82,9 @@ class CountTable:
     # else int64; object (Python ints) for every row when n > 62.
     rows: list
     mods: tuple[int, ...]  # items reduced mod p, aligned with items
-    lo: int = 0
-    low_res: np.ndarray | None = field(default=None, repr=False, compare=False)
-    top_res: np.ndarray | None = field(default=None, repr=False, compare=False)
+    lo: int
+    low_res: np.ndarray = field(repr=False, compare=False)
+    top_res: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -97,27 +99,28 @@ class CountTable:
         return int(self.rows[i][j])
 
     def bin_size(self, k: int) -> int:
-        """Size of bin k; a band sums rows[hi] over the residues the top subsets leave."""
-        if self.hi == self.n:
-            return int(self.rows[self.n][k])
-        return int(self.rows[self.hi][(k - self.top_res) % self.p].sum())
+        """Size of bin k: rows[hi] summed, in row n's dtype, over the residues the top subsets leave."""
+        return int(self.rows[self.hi][(k - self.top_res) % self.p].sum(dtype=_row_dtype(self.n, self.n)))
 
     def bin_sizes(self) -> list[int]:
-        return [self.bin_size(k) for k in range(self.p)]
+        """Every bin size: rows[hi] rolled by each distinct top residue, times its count."""
+        row = self.rows[self.hi].astype(_row_dtype(self.n, self.n))
+        res, times = np.unique(self.top_res, return_counts=True)
+        return sum(np.roll(row, r) * c for r, c in zip(res.tolist(), times.tolist())).tolist()
 
 
 def estimate_table_bytes(n: int, p: int, band: tuple[int, int] | None = None) -> int:
     """Planning estimate used for the memory cap check.
 
-    Entries are bounded by 2^n, i.e. up to n/8 bytes each, and the fast path
-    stores words of at most 8 bytes; the estimate takes the larger of the
-    two. It stays a conservative upper bound: rows 0..30 of the fast path
-    take 4 bytes per entry. A band (lo, hi) other than (0, n) is charged its
-    hi - lo + 1 rows plus its 2^lo low and 2^(n - hi) top residues.
+    Up to n = 62 an entry is one machine word, charged 8 bytes (rows 0..30
+    take 4, so the estimate stays an upper bound). Past that, rows hold
+    Python ints: an 8-byte pointer plus an int object as large as 2^n. A
+    band (lo, hi) other than (0, n) is also charged its 2^lo low and
+    2^(n - hi) top residues.
     """
     lo, hi = band or (0, n)
     lists = (1 << lo) + (1 << (n - hi)) if (lo, hi) != (0, n) else 0
-    return ((hi - lo + 1) * p + lists) * max(8, n // 8)
+    return ((hi - lo + 1) * p + lists) * (8 if n <= _INT64_SAFE_N else 8 + sys.getsizeof(1 << n))
 
 
 def build_table(
@@ -131,8 +134,9 @@ def build_table(
 
     p may be any positive integer (primality is never required; random primes
     are only a property of how callers pick p). p = 1 degenerates to a single
-    bin holding all 2^n subsets. A band's row lo is one count of the low
-    subsets' residues, and the recurrence fills rows lo+1..hi from it.
+    bin holding all 2^n subsets. Row lo is one count of the low subsets'
+    residues (row 0 counts the empty set alone), and the recurrence fills
+    rows lo+1..hi from it.
     """
     items = tuple(int(a) for a in items)
     n = len(items)
@@ -150,21 +154,14 @@ def build_table(
         raise ResourceLimitError(f"table for n={n}, p={p} needs about {need} bytes, cap is {memory_cap_bytes}")
     mods = tuple(a % p for a in items)
 
-    low_res = top_res = None
-    if lo:
-        low_res = _subset_sums(np.array(mods[:lo], dtype=np.int64), p)
-        rows = [None] * lo + [np.bincount(low_res, minlength=p).astype(_row_dtype(lo, n), copy=False)]
-    else:
-        rows = [np.zeros(p, dtype=_row_dtype(0, n))]
-        rows[0][0] = 1
+    low_res, top_res = (_subset_sums(np.array(part, dtype=np.int64), p) for part in (mods[:lo], mods[hi:]))
+    rows = [None] * lo + [np.bincount(low_res, minlength=p).astype(_row_dtype(lo, n), copy=False)]
     for i in range(lo + 1, hi + 1):
         row, nxt, sh = rows[-1], np.empty(p, dtype=_row_dtype(i, n)), mods[i - 1]
         nxt[:sh] = row[p - sh :]
         nxt[sh:] = row[: p - sh]
         nxt += row
         rows.append(nxt)
-    if hi < n:
-        top_res = _subset_sums(np.array(mods[hi:], dtype=np.int64), p)
     return CountTable(items, p, rows, mods, lo, low_res, top_res)
 
 
@@ -187,43 +184,36 @@ def compare_chi(s1: Subset, s2: Subset) -> int:
     return (a > b) - (a < b)
 
 
-def _unrank_mask(table: CountTable, k: int, index: int) -> tuple[int, int]:
-    """Core walk: return (bit mask, exact item sum) of the index-th subset.
+def _unrank_mask(table: CountTable, k: int, index: int) -> int:
+    """Core walk: return the bit mask of the index-th subset.
 
     ``index`` is 1-based within bin k. At step i the count of continuations
     that exclude item i is rows[i-1][j]; an index beyond them takes item i
     and retargets the residue j by -a_i. A band (lo, hi) first picks the
     top subset whose group (bin size within rows[hi]) holds the index, walks
     levels hi .. lo + 1, then takes the index-th low subset of residue j.
+    Callers that need the subset's sum add up its items themselves.
     """
-    rows = table.rows
-    mods = table.mods
-    items = table.items
-    p = table.p
-    lo, hi = table.lo, table.hi
+    rows, mods, p, lo, hi = table.rows, table.mods, table.p, table.lo, table.hi
     # Counts are read as Python ints: a NumPy int32 scalar would turn
     # ``index`` into an int32 that overflows past 2^31.
-    mask = 0
-    value = 0
-    j = k
+    mask, j = 0, k
     if hi < table.n:
         groups = k - table.top_res
         groups += p & (groups >> 63)  # mod p: an int64 % is several times slower
         ends = np.cumsum(rows[hi][groups], dtype=np.int64)
         top = int(ends.searchsorted(index))
         index -= int(ends[top - 1]) if top else 0
-        mask, value, j = top << hi, sum(a for i, a in enumerate(items[hi:]) if top >> i & 1), int(groups[top])
+        mask, j = top << hi, int(groups[top])
     for i in range(hi, lo, -1):
         without = rows[i - 1].item(j)
         if index > without:
             index -= without
             mask |= 1 << (i - 1)
-            value += items[i - 1]
             j = (j - mods[i - 1]) % p
     if lo:
-        low = int(np.flatnonzero(table.low_res == j)[index - 1])
-        mask, value = mask | low, value + sum(a for i, a in enumerate(items[:lo]) if low >> i & 1)
-    return mask, value
+        mask |= int(np.flatnonzero(table.low_res == j)[index - 1])
+    return mask
 
 
 _WORD_MASK = (1 << 64) - 1
@@ -438,4 +428,4 @@ def enumerate_bin(
         raise IndexError(f"start must be at least 1, got {start}")
     size = table.bin_size(k)
     stop = size if count is None else min(size, start + count - 1)
-    return (Subset.from_mask(_unrank_mask(table, k, i)[0]) for i in range(start, stop + 1))
+    return (Subset.from_mask(_unrank_mask(table, k, i)) for i in range(start, stop + 1))

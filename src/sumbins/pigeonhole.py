@@ -100,7 +100,7 @@ def _repeat_masks(
             pos = order[g : g + 2]
             seg = np.searchsorted(ends, pos, side="right")
             ranks = (pos - ends[seg] + sizes[seg] + 1).tolist()
-            return tuple(_unrank_mask(table, int(bins[b]), r)[0] for b, r in zip(seg.tolist(), ranks))
+            return tuple(_unrank_mask(table, int(bins[b]), r) for b, r in zip(seg.tolist(), ranks))
     raise RuntimeError(f"no repeated sum among {total} subsets that must hold one")
 
 
@@ -283,7 +283,7 @@ def solve_pigeonhole_modular(items: Sequence[int], q: int, budget: SolverBudget 
             elif QuotientDecomposition.compute(m, q).q1 <= 8 * m + 4:
                 table = build_table(residues[:m], q, budget.memory_cap_bytes)
                 k = int(np.nonzero(table.rows[m] >= 2)[0][0])
-                pair = Pair(*(Subset.from_mask(_unrank_mask(table, k, r)[0]) for r in (1, 2)))
+                pair = Pair(*(Subset.from_mask(_unrank_mask(table, k, r)) for r in (1, 2)))
             else:
                 ctx = _ModularContext(residues[:m], q, budget.memory_cap_bytes, deadline)
                 pair = _dichotomy(ctx)

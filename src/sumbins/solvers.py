@@ -418,8 +418,8 @@ def solve_subset_sum_rep(
             for done, sums_c in walk:
                 for off in np.nonzero(sums_c == tgt)[0]:
                     rank = done + int(off) + 1
-                    mask, value = _unrank_mask(table, k, rank)
-                    if value == target:
+                    mask = _unrank_mask(table, k, rank)
+                    if _mask_value(items, mask) == target:
                         record["enumerated"] = rank
                         return _outcome(SolveStatus.FOUND, Subset.from_mask(mask), seed, deadline, trace)
                 record["enumerated"] = done + sums_c.size
@@ -787,7 +787,7 @@ def solve_shifted_rep(
                 keys1, mask1, mask2 = _chunks(key1), in_k.item, in_k2.item
             else:
                 key2, keys1 = _bin_pair_keys(table, k, k2, *scans, deadline)
-                mask1, mask2 = (lambda r, b=b: _unrank_mask(table, b, r + 1)[0] for b in (k, k2))
+                mask1, mask2 = (lambda r, b=b: _unrank_mask(table, b, r + 1) for b in (k, k2))
             # states (empty, S2) of bin k2, (S1, empty) of bin k; at k2 == k rank r's twin is rank r
             hit = _join_pair_states(
                 items, shift, key2, (keys - shift_w for keys in keys1), min(scans) if k2 == k else 0,

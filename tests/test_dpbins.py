@@ -1,6 +1,7 @@
 """Count table construction, the subset order, and indexed bin access."""
 
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,13 @@ from sumbins.oracles import brute_bin, brute_bin_masks
 
 def S(*indices):
     return Subset.of(indices)
+
+
+def _unrank_sum(table, k, rank, values=None):
+    """Exact sum of ``values`` (default the items) over the subset that
+    dpbins._unrank_mask decodes for rank ``rank`` of bin k."""
+    mask = dpbins._unrank_mask(table, k, rank)
+    return sum(v for i, v in enumerate(table.items if values is None else values) if mask >> i & 1)
 
 
 def _batch_sums(table, bins, ranks, values=None, modulus=0):
@@ -76,6 +84,18 @@ class TestBuildTable:
         with pytest.raises(ResourceLimitError):
             build_table((1, 2, 3), 1 << 20, memory_cap_bytes=1 << 10)
 
+    def test_memory_cap_charges_object_rows(self):
+        # past n = 62 an entry is a pointer plus a Python int as large as 2^n
+        rng = random.Random(63)
+        items = [rng.randrange(1, 1 << 40) for _ in range(64)]
+        tracemalloc.start()
+        try:
+            build_table(items, 1 << 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate_table_bytes(64, 1 << 10)
+
     def test_paths_agree(self, monkeypatch):
         # force the big-integer path on a size the int64 path also handles
         rng = random.Random(0)
@@ -127,9 +147,7 @@ class TestNarrowRows:
             start = data.draw(st.integers(1, size))
             count = min(size - start + 1, 64)
             got = _batch_sums(t, [k] * count, range(start, start + count))
-            want = [
-                dpbins._unrank_mask(t, k, r)[1] % (1 << 64) for r in range(start, start + count)
-            ]
+            want = [_unrank_sum(t, k, r) % (1 << 64) for r in range(start, start + count)]
             assert got.tolist() == want
 
     def test_ranks_across_the_int32_bound(self):
@@ -138,7 +156,7 @@ class TestNarrowRows:
         t = build_table(items, 1)
         assert [row.dtype for row in t.rows[30:]] == [np.int32] + [np.int64] * 3
         for r in (1, (1 << 31) - 1, 1 << 31, (1 << 31) + 1, 1 << 33):
-            mask, value = dpbins._unrank_mask(t, 0, r)
+            mask, value = dpbins._unrank_mask(t, 0, r), _unrank_sum(t, 0, r)
             assert type(mask) is int and type(value) is int
             assert mask == r - 1
             assert value == sum(a for i, a in enumerate(items) if mask >> i & 1)
@@ -220,6 +238,24 @@ class TestBandTable:
                         band = build_table(items, p, band=(lo, hi))
                         assert (band.lo, band.hi) == (lo, hi)
                         self._same_as_full(full, band, range(p), 7, lambda size: range(1, size + 1))
+
+    def test_thin_band_bin_sizes(self):
+        # band (0, 0) of n = 20 mod 4096: 2^20 top residues, at most p of them distinct
+        rng = random.Random(20)
+        items = [rng.randrange(1, 1 << 48) for _ in range(20)]
+        start = time.perf_counter()
+        sizes = build_table(items, 4096, band=(0, 0)).bin_sizes()
+        assert time.perf_counter() - start < 5
+        assert sizes == build_table(items, 4096).bin_sizes()
+
+    def test_bin_sizes_past_int32_rows(self):
+        # rows[20] of n = 34 is int32, and each bin mod 3 holds about 2^34 / 3 > 2^31
+        rng = random.Random(34)
+        items = [rng.randrange(1, 1 << 40) for _ in range(34)]
+        full, band = build_table(items, 3), build_table(items, 3, band=(7, 20))
+        assert band.rows[20].dtype == np.int32
+        assert band.bin_sizes() == [band.bin_size(k) for k in range(3)] == full.bin_sizes()
+        assert sum(band.bin_sizes()) == 1 << 34
 
     def test_band_validated(self):
         for band in ((-1, 2), (2, 1), (0, 4)):
@@ -362,7 +398,7 @@ class TestBatchWalk:
         for k in range(7):
             size = t.bin_size(k)
             got = _batch_sums(t, [k] * size, range(1, size + 1))
-            want = [dpbins._unrank_mask(t, k, r)[1] % (1 << 64) for r in range(1, size + 1)]
+            want = [_unrank_sum(t, k, r) % (1 << 64) for r in range(1, size + 1)]
             assert got.dtype == np.uint64
             assert got.tolist() == want
 
@@ -376,7 +412,7 @@ class TestBatchWalk:
         bins, ranks, want = [], [], []
         for k in rng.sample(range(7), 7):
             for r in range(t.bin_size(k), 0, -1):
-                mask, _ = dpbins._unrank_mask(t, k, r)
+                mask = dpbins._unrank_mask(t, k, r)
                 bins.append(k)
                 ranks.append(r)
                 want.append(sum(v for i, v in enumerate(values) if mask >> i & 1) % q)
@@ -406,10 +442,7 @@ class TestBinWalk:
         want = []
         for k, r in zip(bins, ranks):
             for rank in range(1, r + 1):
-                mask, value = dpbins._unrank_mask(table, k, rank)
-                if modulus:
-                    value = sum(v for i, v in enumerate(values) if mask >> i & 1)
-                want.append(value % (modulus or 1 << 64))
+                want.append(_unrank_sum(table, k, rank, values) % (modulus or 1 << 64))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dpbins, "_WALK_CHUNK", chunk)
             walk = dpbins._walk_bins(table, np.array(bins), np.array(ranks), lo, hi, values, modulus)
@@ -444,10 +477,7 @@ class TestSplitWalk:
         sums, end = [], 0
         for k, r in zip(bins, ranks):
             for rank in range(max(1, lo - end + 1), min(r, hi - end) + 1):
-                mask, value = dpbins._unrank_mask(table, k, rank)
-                if modulus:
-                    value = sum(v for i, v in enumerate(values) if mask >> i & 1)
-                sums.append(value % (modulus or 1 << 64))
+                sums.append(_unrank_sum(table, k, rank, values) % (modulus or 1 << 64))
             end += r
         return sums
 
@@ -515,7 +545,7 @@ class TestSplitWalk:
         finally:
             tracemalloc.stop()
         assert first == 0 and sums.size == dpbins._WALK_CHUNK
-        assert sums.tolist() == [dpbins._unrank_mask(table, 7, r)[1] % (1 << 64) for r in range(1, sums.size + 1)]
+        assert sums.tolist() == [_unrank_sum(table, 7, r) % (1 << 64) for r in range(1, sums.size + 1)]
         assert peak <= 8 * 48 * dpbins._WALK_CHUNK
 
 

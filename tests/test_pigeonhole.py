@@ -1,6 +1,7 @@
 """Total collision finders and the quotient-class counting machinery."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,6 +420,23 @@ class TestPrefixFallback:
         out = solve_pigeonhole_modular(self.instance(), self.q, SolverBudget(time_cap_ms=0))
         assert out.status is SolveStatus.INCONCLUSIVE and out.trace["reason"] == "timed_out"
         assert out.trace["prefix"] == 25
+
+    def test_object_row_table_refused_by_its_cap(self):
+        # 70 items make object rows, a pointer plus a Python int per entry:
+        # the direct table mod 65521 needs about 200 MB, so a 64 MiB cap
+        # refuses it and the solve reruns on the first 16 items
+        rng = random.Random(70)
+        items = [rng.randrange(1, 1 << 40) for _ in range(70)]
+        q, cap = 65521, 64 << 20
+        tracemalloc.start()
+        try:
+            out = solve_pigeonhole_modular(items, q, SolverBudget(memory_cap_bytes=cap))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.found and out.trace["prefix"] == 16
+        assert verify(ProblemInstance("pigeonhole_modular", items, modulus=q), out.witness)
+        assert peak < cap
 
     def test_refusal_stands_without_a_shorter_prefix(self):
         rng = random.Random(6)

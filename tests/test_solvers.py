@@ -626,6 +626,12 @@ def _walked_sums(table, k, scan):
     return np.concatenate([sums for _, sums in walk] or [np.zeros(0, np.uint64)])
 
 
+def _unrank_with_sum(table, k, rank):
+    """The mask solvers._unrank_mask decodes for rank ``rank`` of bin k, and its exact item sum."""
+    mask = solvers._unrank_mask(table, k, rank)
+    return mask, sum(a for i, a in enumerate(table.items) if mask >> i & 1)
+
+
 def _ref_rep_join(table, shift, k, k2, scan1, scan2):
     """One draw's bin join as solve_shifted_rep ran it draw by draw: first
     exact pair by bin-k rank, then bin-k2 rank. Each wrapped group's bin-k2
@@ -645,9 +651,9 @@ def _ref_rep_join(table, shift, k, k2, scan1, scan2):
         if (lo, hi) not in groups:
             exact = groups[lo, hi] = {}
             for g in sorted(order[lo:hi].tolist()):
-                other, other_value = solvers._unrank_mask(table, k2, g + 1)
+                other, other_value = _unrank_with_sum(table, k2, g + 1)
                 exact.setdefault(other_value, []).append(other)
-        mask, value = solvers._unrank_mask(table, k, rank + 1)
+        mask, value = _unrank_with_sum(table, k, rank + 1)
         for other in groups[lo, hi].get(value - shift, ()):
             if other != mask:
                 return mask, other
@@ -662,8 +668,8 @@ def _table_join(items, shift, table, k, k2, scan1, scan2):
     key2, keys1 = solvers._bin_pair_keys(table, k, k2, scan1, scan2, never)
     hit = solvers._join_pair_states(
         items, shift, key2, (keys - shift_w for keys in keys1), min(scan1, scan2) if k2 == k else 0,
-        lambda i: (0, solvers._unrank_mask(table, k2, i + 1)[0]),
-        lambda j: (solvers._unrank_mask(table, k, j + 1)[0], 0), never,
+        lambda i: (0, solvers._unrank_mask(table, k2, i + 1)),
+        lambda j: (solvers._unrank_mask(table, k, j + 1), 0), never,
     )
     return hit and (hit[1].s1.mask(), hit[1].s2.mask())
 
